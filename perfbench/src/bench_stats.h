@@ -4,8 +4,9 @@
 // counts behind them, medians and quartiles of repeated measurements, and
 // the fixed-seed generators that turn `--seed` into a request stream
 // (Zipf or never-repeating record order) and an open-loop arrival
-// schedule (Poisson). The generators use splitmix64, which is fully
-// specified, so one seed names the same inputs on every platform.
+// schedule (Poisson). The generators draw from the library's
+// common::CounterRng (splitmix64), which is fully specified, so one seed
+// names the same inputs on every platform.
 #pragma once
 
 #include <algorithm>
@@ -17,37 +18,18 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/rng.h"
+#include "serve/stats.h"
+
 namespace perfbench {
 
-/// splitmix64 stream.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  /// Uniform in [0, 1) with 53 random bits.
-  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
-  /// Uniform in [0, n), n > 0.
-  std::size_t below(std::size_t n) {
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(next()) * n) >> 64);
-  }
-
- private:
-  std::uint64_t state_;
-};
-
 /// A seeded permutation of 0..n-1 (Fisher-Yates).
-inline std::vector<std::uint32_t> permutation(std::size_t n, Rng& rng) {
+inline std::vector<std::uint32_t> permutation(std::size_t n,
+                                              muffin::CounterRng& rng) {
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   for (std::size_t i = n; i > 1; --i) {
-    std::swap(order[i - 1], order[rng.below(i)]);
+    std::swap(order[i - 1], order[rng.index(i)]);
   }
   return order;
 }
@@ -64,7 +46,7 @@ class Zipf {
     }
     for (double& c : cdf_) c /= total;
   }
-  /// The rank a uniform draw `u` in [0, 1) selects.
+  /// The rank a uniform draw `u` in (0, 1) selects.
   [[nodiscard]] std::size_t rank(double u) const {
     const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
     return std::min<std::size_t>(it - cdf_.begin(), cdf_.size() - 1);
@@ -96,7 +78,7 @@ class RecordStream {
 
  private:
   Kind kind_;
-  Rng rng_;
+  muffin::CounterRng rng_;
   std::vector<std::uint32_t> order_;
   std::vector<Zipf> zipf_;  ///< empty for Unique
   std::size_t cursor_ = 0;
@@ -106,7 +88,7 @@ class RecordStream {
 /// intended send time of every request, in nanoseconds from the start.
 inline std::vector<std::int64_t> poisson_schedule_ns(double rate,
                                                      double seconds,
-                                                     Rng& rng) {
+                                                     muffin::CounterRng& rng) {
   std::vector<std::int64_t> schedule;
   schedule.reserve(static_cast<std::size_t>(rate * seconds * 1.05) + 16);
   const double horizon_ns = seconds * 1e9;
@@ -123,20 +105,18 @@ inline std::vector<std::int64_t> poisson_schedule_ns(double rate,
 struct Percentile {
   double value = 0.0;
   std::size_t samples = 0;  ///< samples the percentile was taken over
-  std::size_t beyond = 0;   ///< samples strictly above the reported rank
+  std::size_t beyond = 0;   ///< samples strictly above the value
 };
 
-/// Nearest-rank percentile of ascending `sorted` samples: the smallest
-/// sample with at least q of all samples at or below it.
+/// Nearest-rank percentile (serve::percentile) of ascending `sorted`
+/// samples, q in [0, 1], with the count of samples beyond it.
 inline Percentile percentile_sorted(std::span<const double> sorted, double q) {
   Percentile p;
   p.samples = sorted.size();
   if (sorted.empty()) return p;
-  const double exact_rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const std::size_t rank = std::clamp<std::size_t>(
-      static_cast<std::size_t>(exact_rank), 1, sorted.size());
-  p.value = sorted[rank - 1];
-  p.beyond = sorted.size() - rank;
+  p.value = muffin::serve::percentile({sorted.begin(), sorted.end()}, 100 * q);
+  p.beyond = static_cast<std::size_t>(
+      sorted.end() - std::upper_bound(sorted.begin(), sorted.end(), p.value));
   return p;
 }
 

@@ -1,8 +1,10 @@
 #include "harness.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "tensor/ops.h"
@@ -64,38 +66,70 @@ Reply take_reply(std::uint32_t record, std::future<Prediction>& future) {
   return reply;
 }
 
-Oracle::Oracle(std::size_t universe, Expected expected)
-    : expected_(std::move(expected)),
-      known_(universe, 0),
-      predicted_(universe, 0),
-      digest_(universe, 0) {}
+Universe::Universe(const muffin::data::Dataset& base, std::size_t size,
+                   std::uint64_t first_uid)
+    : base_(&base), size_(size), first_uid_(first_uid) {
+  if (base.size() == 0) throw std::invalid_argument("empty base set");
+}
 
-std::size_t Oracle::count_failures(std::span<const Reply> replies) {
-  std::size_t failures = 0;
-  for (const Reply& reply : replies) {
-    if (reply.failed || reply.record >= known_.size()) {
-      ++failures;
-      continue;
-    }
-    if (!known_[reply.record]) {
-      const std::vector<double> scores = expected_(reply.record);
-      predicted_[reply.record] =
-          static_cast<std::uint32_t>(muffin::tensor::argmax(scores));
-      digest_[reply.record] = digest_scores(scores);
-      known_[reply.record] = 1;
-    }
-    if (reply.predicted != predicted_[reply.record] ||
-        reply.digest != digest_[reply.record]) {
-      ++failures;
-    }
+void Universe::fill(std::uint32_t i, muffin::data::Record& out) const {
+  out = base_->record(base_index(i));
+  out.uid = first_uid_ + i;
+}
+
+muffin::data::Record Universe::record(std::uint32_t i) const {
+  muffin::data::Record record;
+  fill(i, record);
+  return record;
+}
+
+ReplyLog::ReplyLog(std::size_t universe)
+    : digest_(universe, 0),
+      predicted_(universe, 0),
+      agreed_(universe, 0),
+      differed_(universe, 0),
+      open_(universe, 0) {}
+
+void ReplyLog::add(const Reply& reply, bool open_loop) {
+  ++replies_;
+  if (reply.failed || reply.record >= agreed_.size()) {
+    ++thrown_;
+    return;
+  }
+  const std::uint32_t r = reply.record;
+  if (open_loop) open_[r] = 1;
+  if (agreed_[r] == 0 && differed_[r] == 0) {
+    digest_[r] = reply.digest;
+    predicted_[r] = reply.predicted;
+  }
+  if (reply.digest == digest_[r] && reply.predicted == predicted_[r]) {
+    ++agreed_[r];
+  } else {
+    ++differed_[r];
+  }
+}
+
+std::size_t ReplyLog::open_records() const {
+  return static_cast<std::size_t>(
+      std::count(open_.begin(), open_.end(), std::uint8_t{1}));
+}
+
+std::size_t ReplyLog::count_failures(const Expected& expected) const {
+  std::size_t failures = thrown_;
+  for (std::uint32_t r = 0; r < agreed_.size(); ++r) {
+    if (agreed_[r] == 0 && differed_[r] == 0) continue;
+    const std::vector<double> scores = expected(r);
+    const bool first_right =
+        digest_[r] == digest_scores(scores) &&
+        predicted_[r] == muffin::tensor::argmax(scores);
+    failures += differed_[r] + (first_right ? 0 : agreed_[r]);
   }
   return failures;
 }
 
-ClosedLoopResult closed_loop(const Submit& submit,
-                             std::span<const muffin::data::Record> universe,
+ClosedLoopResult closed_loop(const Submit& submit, const Universe& universe,
                              RecordStream& stream, double seconds,
-                             std::size_t window, std::vector<Reply>& replies,
+                             std::size_t window, ReplyLog& log,
                              SpanLog& spans) {
   ClosedLoopResult result;
   std::vector<std::future<Prediction>> ring(window);
@@ -103,9 +137,10 @@ ClosedLoopResult closed_loop(const Submit& submit,
   std::size_t oldest = 0;
   std::size_t in_flight = 0;
   std::size_t sent = 0;
+  muffin::data::Record request;
 
   const auto complete_oldest = [&]() {
-    replies.push_back(take_reply(ring_record[oldest], ring[oldest]));
+    log.add(take_reply(ring_record[oldest], ring[oldest]), false);
     oldest = (oldest + 1) % window;
     --in_flight;
   };
@@ -123,21 +158,19 @@ ClosedLoopResult closed_loop(const Submit& submit,
       ++per_window[w];
     }
     const std::uint32_t record = stream.next();
+    universe.fill(record, request);
     const std::size_t slot = (oldest + in_flight) % window;
     const std::int64_t before = spans.enabled() ? now_ns() : 0;
     try {
-      ring[slot] = submit(universe[record]);
+      ring[slot] = submit(request);
       ring_record[slot] = record;
       ++in_flight;
     } catch (const std::exception&) {
-      replies.push_back({record, 0, 0, true});
+      log.add({record, 0, 0, true}, false);
     }
     now = now_ns();
-    if (spans.enabled()) {
-      result.submit_us.push_back(us_between(before, now));
-      if (sent % kSpanEvery == 0) {
-        spans.add("serve.submit", before, now, kClientLane);
-      }
+    if (spans.enabled() && sent % kSpanEvery == 0) {
+      spans.add("serve.submit", before, now, kClientLane);
     }
     ++sent;
   }
@@ -153,19 +186,14 @@ ClosedLoopResult closed_loop(const Submit& submit,
   return result;
 }
 
-OpenLoopResult open_loop(const Submit& submit,
-                         std::span<const muffin::data::Record> universe,
+OpenLoopResult open_loop(const Submit& submit, const Universe& universe,
                          RecordStream& stream, double rate, double seconds,
-                         std::uint64_t seed, std::vector<Reply>& replies,
-                         SpanLog& spans) {
+                         std::uint64_t seed, ReplyLog& log, SpanLog& spans) {
   OpenLoopResult result;
-  result.rate = rate;
-  result.first_reply = replies.size();
-  Rng schedule_rng(seed);
+  muffin::CounterRng schedule_rng(seed);
   const std::vector<std::int64_t> schedule =
       poisson_schedule_ns(rate, seconds, schedule_rng);
   const std::size_t n = schedule.size();
-  result.intended_ns = schedule;
   std::vector<std::uint32_t> records(n);
   for (std::uint32_t& record : records) record = stream.next();
 
@@ -177,11 +205,13 @@ OpenLoopResult open_loop(const Submit& submit,
   const std::int64_t t0 = now_ns() + 2'000'000;
 
   std::thread generator([&]() {
+    muffin::data::Record request;
     for (std::size_t i = 0; i < n; ++i) {
+      universe.fill(records[i], request);
       wait_until_ns(t0 + schedule[i]);
       sent_ns[i] = now_ns();
       try {
-        futures[i] = submit(universe[records[i]]);
+        futures[i] = submit(request);
       } catch (const std::exception&) {
         // Left invalid: the collector counts it as failed.
       }
@@ -198,7 +228,6 @@ OpenLoopResult open_loop(const Submit& submit,
 
   result.latency_us.reserve(n);
   result.lag_us.reserve(n);
-  replies.reserve(replies.size() + n);
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t seen = published.load(std::memory_order_acquire);
          seen <= j; seen = published.load(std::memory_order_acquire)) {
@@ -207,7 +236,7 @@ OpenLoopResult open_loop(const Submit& submit,
     Reply reply{records[j], 0, 0, true};
     if (futures[j].valid()) reply = take_reply(records[j], futures[j]);
     const std::int64_t done = now_ns();
-    replies.push_back(reply);
+    log.add(reply, true);
     const std::int64_t intended = t0 + schedule[j];
     result.latency_us.push_back(reply.failed
                                     ? std::numeric_limits<double>::infinity()
@@ -222,6 +251,10 @@ OpenLoopResult open_loop(const Submit& submit,
     }
   }
   generator.join();
+  result.window_p50_us = window_percentiles(schedule, result.latency_us,
+                                            kRateWindowNs, 0.50);
+  result.window_p95_us = window_percentiles(schedule, result.latency_us,
+                                            kRateWindowNs, 0.95);
   return result;
 }
 

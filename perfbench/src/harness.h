@@ -5,9 +5,13 @@
 // a Poisson schedule from a generator thread while the calling thread
 // collects replies; each request's latency runs from the time it was due
 // to be sent, so a stall in the system or in the generator is charged to
-// every request it delays (no coordinated omission). Both keep one Reply
-// per request; Oracle checks them against FusedModel::scores after the
-// timed phases, so checking costs nothing inside them.
+// every request it delays (no coordinated omission).
+//
+// The harness's memory is fixed by the universe and the frozen open-loop
+// rates, never by how fast the program serves: request records are built
+// on demand from a Universe, and replies are condensed per record into a
+// ReplyLog, which is checked against FusedModel::scores after the timed
+// phases, so checking costs nothing inside them.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +27,31 @@
 
 namespace perfbench {
 
-/// One request's outcome, kept for the oracle check.
+/// The request records: copies of a base set under fresh uids. Record i
+/// is base[i % base.size()] with uid first_uid + i; scores depend on the
+/// uid, so each is a distinct input with a known label and groups.
+class Universe {
+ public:
+  Universe(const muffin::data::Dataset& base, std::size_t size,
+           std::uint64_t first_uid);
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const muffin::data::Dataset& base() const { return *base_; }
+  /// Index of record i's source in the base set.
+  [[nodiscard]] std::size_t base_index(std::uint32_t i) const {
+    return i % base_->size();
+  }
+  /// Write record i into `out`, reusing its buffers.
+  void fill(std::uint32_t i, muffin::data::Record& out) const;
+  [[nodiscard]] muffin::data::Record record(std::uint32_t i) const;
+
+ private:
+  const muffin::data::Dataset* base_;
+  std::size_t size_;
+  std::uint64_t first_uid_;
+};
+
+/// One request's outcome.
 struct Reply {
   std::uint32_t record = 0;     ///< universe index that was asked for
   std::uint32_t predicted = 0;  ///< served argmax class
@@ -38,22 +66,44 @@ struct Reply {
 [[nodiscard]] Reply take_reply(std::uint32_t record,
                                std::future<muffin::serve::Prediction>& future);
 
-/// Expected replies per universe record, computed on first use.
-class Oracle {
+/// Every reply of a run, condensed per universe record: the first answer
+/// (class and score digest), how many answers agreed with it and how many
+/// did not, and whether an open-loop phase asked for the record. Written
+/// by one thread at a time.
+class ReplyLog {
  public:
   using Expected = std::function<std::vector<double>(std::uint32_t record)>;
 
-  Oracle(std::size_t universe, Expected expected);
+  explicit ReplyLog(std::size_t universe);
 
-  /// Replies that failed or differ from the expected scores in any bit or
-  /// in the predicted class.
-  [[nodiscard]] std::size_t count_failures(std::span<const Reply> replies);
+  void add(const Reply& reply, bool open_loop);
+
+  /// Replies added, failed ones included.
+  [[nodiscard]] std::size_t replies() const { return replies_; }
+  /// Whether an open-loop phase was answered for `record`.
+  [[nodiscard]] bool open(std::uint32_t record) const {
+    return open_[record] != 0;
+  }
+  /// The class first served for `record`.
+  [[nodiscard]] std::uint32_t predicted(std::uint32_t record) const {
+    return predicted_[record];
+  }
+  /// Distinct records an open-loop phase was answered for.
+  [[nodiscard]] std::size_t open_records() const;
+
+  /// Failed operations: every reply that threw, every answer that differs
+  /// from its record's first, and, where the first answer differs from
+  /// `expected` (in any bit or in the class), every answer to that record.
+  [[nodiscard]] std::size_t count_failures(const Expected& expected) const;
 
  private:
-  Expected expected_;
-  std::vector<std::uint8_t> known_;
-  std::vector<std::uint32_t> predicted_;
+  std::size_t replies_ = 0;
+  std::size_t thrown_ = 0;
   std::vector<std::uint64_t> digest_;
+  std::vector<std::uint32_t> predicted_;
+  std::vector<std::uint32_t> agreed_;    ///< answers equal to the first
+  std::vector<std::uint32_t> differed_;  ///< answers unlike the first
+  std::vector<std::uint8_t> open_;
 };
 
 /// The serving surface under test: InferenceEngine::submit or
@@ -65,33 +115,28 @@ struct ClosedLoopResult {
   double throughput_rps = 0.0;  ///< completed per second, whole phase
   /// Completions per second in each whole 250 ms window of the phase.
   std::vector<double> window_rps;
-  std::size_t completed = 0;      ///< inside the timed phase
-  std::vector<double> submit_us;  ///< time inside submit(), traced runs only
+  std::size_t completed = 0;  ///< inside the timed phase
 };
 
 /// One client thread, `window` requests in flight, for `seconds`.
-ClosedLoopResult closed_loop(const Submit& submit,
-                             std::span<const muffin::data::Record> universe,
+ClosedLoopResult closed_loop(const Submit& submit, const Universe& universe,
                              RecordStream& stream, double seconds,
-                             std::size_t window, std::vector<Reply>& replies,
+                             std::size_t window, ReplyLog& log,
                              SpanLog& spans);
 
 struct OpenLoopResult {
-  double rate = 0.0;  ///< scheduled arrivals per second
-  std::vector<std::int64_t> intended_ns;  ///< send times from phase start
   std::vector<double> latency_us;  ///< completion minus intended send time
   std::vector<double> lag_us;      ///< actual minus intended send time
   std::vector<double> submit_us;   ///< time inside submit(), traced only
   std::vector<double> wait_us;     ///< submit() return to reply, traced only
-  std::size_t first_reply = 0;     ///< index of this phase's first Reply
+  /// Latency p50 and p95 in each 250 ms window of intended send times.
+  std::vector<double> window_p50_us, window_p95_us;
 };
 
 /// Poisson arrivals at `rate` per second for `seconds`, schedule drawn
 /// from `seed`. Failed requests count with infinite latency.
-OpenLoopResult open_loop(const Submit& submit,
-                         std::span<const muffin::data::Record> universe,
+OpenLoopResult open_loop(const Submit& submit, const Universe& universe,
                          RecordStream& stream, double rate, double seconds,
-                         std::uint64_t seed, std::vector<Reply>& replies,
-                         SpanLog& spans);
+                         std::uint64_t seed, ReplyLog& log, SpanLog& spans);
 
 }  // namespace perfbench

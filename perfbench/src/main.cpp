@@ -12,6 +12,7 @@
 // per-layer metrics with --trace 1. Every served reply is checked against
 // FusedModel::scores after the timed phases; a mismatch is a failed
 // operation and makes the run fail.
+#include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -45,8 +46,9 @@
 
 using namespace muffin;
 using perfbench::now_ns;
-using perfbench::Reply;
+using perfbench::ReplyLog;
 using perfbench::SpanLog;
+using perfbench::Universe;
 
 namespace {
 
@@ -54,22 +56,29 @@ using Kind = perfbench::RecordStream::Kind;
 
 // ------------------------------------------------------------ workloads
 
-/// Open-loop rates are absolute and frozen: sized once at about 15% and
-/// 40% of each workload's median closed-loop throughput on the commit
-/// that introduced the benchmark (4-vCPU x86 VM, pool width 2); nearer
-/// saturation the latency percentiles swung 2-5x between runs there.
-/// Deriving them per run would hand a faster commit a harder test.
+/// Open-loop rates are absolute and frozen: sized once, on the commit that
+/// introduced the benchmark (4-vCPU x86 VM, pool width 2), at about 10-15%
+/// and 30-45% of the serving workloads' median closed-loop throughput;
+/// nearer saturation the latency percentiles swung 2-5x between runs
+/// there. Deriving them per run would hand a faster commit a harder test.
+///
+/// The closed loop keeps enough requests in flight that every batcher on
+/// the path flushes by size, so it measures capacity rather than flush
+/// timers: four engine batches in process, but sixteen behind the
+/// router, whose client frames and server engines batch again. With four
+/// batches in flight there, its throughput moved by 20-30% between runs.
 struct Workload {
   std::string_view name;
   Kind stream;
+  std::size_t closed_batches;  ///< closed-loop window, in engine batches
   double rate_low;   ///< requests per second
   double rate_high;  ///< requests per second
 };
 
 constexpr Workload kWorkloads[] = {
-    {"engine-zipf", Kind::Zipf, 40'000.0, 110'000.0},
-    {"remote-unique", Kind::Unique, 15'000.0, 40'000.0},
-    {"search", Kind::Unique, 40'000.0, 110'000.0},
+    {"engine-zipf", Kind::Zipf, 4, 40'000.0, 110'000.0},
+    {"remote-unique", Kind::Unique, 16, 40'000.0, 110'000.0},
+    {"search", Kind::Unique, 4, 40'000.0, 110'000.0},
 };
 
 constexpr std::size_t kScenarioSamples = 25331;  // full ISIC2019
@@ -82,7 +91,7 @@ constexpr double kWarmupSeconds = 0.5;
 /// Search: the muffin_cli search configuration with a fixed episode count
 /// and seed, so its quality metrics are the same on every run.
 constexpr std::size_t kSearchEpisodes = 40;
-constexpr std::size_t kSearchRepeats = 5;
+constexpr std::size_t kSearchRepeats = 7;
 constexpr std::uint64_t kSearchSeed = 123;
 /// Distinct structures replayed for the per-layer search metrics.
 constexpr std::size_t kStructureReplays = 12;
@@ -292,21 +301,11 @@ std::unique_ptr<Stack> start_stack(
 // ------------------------------------------------------------- universe
 
 /// Request records: copies of the test split under fresh uids drawn from
-/// the seed, so the memo sees `size` distinct keys. Scores depend on the
-/// uid, so each copy is a distinct input with a known label and groups.
-data::Dataset make_universe(const data::Dataset& test, std::size_t size,
-                            std::uint64_t seed) {
-  data::Dataset universe(test.name() + ":requests", test.num_classes(),
-                         test.schema());
-  universe.reserve(size);
-  perfbench::Rng rng(seed ^ 0x756e6976ULL);
-  const std::uint64_t base = rng.next() & ~0xffffffULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    data::Record record = test.record(i % test.size());
-    record.uid = base + i;
-    universe.add_record(std::move(record));
-  }
-  return universe;
+/// the seed, so the memo sees `size` distinct keys.
+Universe make_universe(const data::Dataset& test, std::size_t size,
+                       std::uint64_t seed) {
+  CounterRng rng(seed ^ 0x756e6976ULL);
+  return Universe(test, size, rng.next_bits() & ~0xffffffULL);
 }
 
 // ------------------------------------------------------------- counters
@@ -372,27 +371,26 @@ double ratio(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
 
 // -------------------------------------------------------------- quality
 
-/// Accuracy and U(age)+U(site) (Eq. 1) of the served replies, each
+/// Accuracy and U(age)+U(site) (Eq. 1) of the open-loop replies, each
 /// distinct record counted once: weighting by request count would let the
 /// few hottest Zipf records decide the figure.
-fairness::FairnessReport served_quality(
-    const fairness::GroupPartition& universe, std::span<const Reply> replies) {
-  fairness::GroupPartition requests = universe;
-  std::vector<std::uint8_t> seen(universe.size, 0);
+fairness::FairnessReport served_quality(const Universe& universe,
+                                        const ReplyLog& log) {
+  const fairness::GroupPartition base(universe.base());
+  fairness::GroupPartition requests = base;
   std::vector<std::size_t> predictions;
-  predictions.reserve(replies.size());
   requests.labels.clear();
   for (auto& attribute : requests.attributes) {
     attribute.group_of.clear();
     std::fill(attribute.group_count.begin(), attribute.group_count.end(), 0);
   }
-  for (const Reply& reply : replies) {
-    if (reply.failed || seen[reply.record]) continue;
-    seen[reply.record] = 1;
-    predictions.push_back(reply.predicted);
-    requests.labels.push_back(universe.labels[reply.record]);
+  for (std::uint32_t r = 0; r < universe.size(); ++r) {
+    if (!log.open(r)) continue;
+    const std::size_t b = universe.base_index(r);
+    predictions.push_back(log.predicted(r));
+    requests.labels.push_back(base.labels[b]);
     for (std::size_t a = 0; a < requests.attributes.size(); ++a) {
-      const std::size_t group = universe.attributes[a].group_of[reply.record];
+      const std::size_t group = base.attributes[a].group_of[b];
       requests.attributes[a].group_of.push_back(group);
       ++requests.attributes[a].group_count[group];
     }
@@ -456,7 +454,7 @@ double peak_rss_mib() {
 // ------------------------------------------------------------- replays
 
 /// Per-row costs of the scoring and wire layers, replayed on the
-/// workload's distinct request records in batches of the size the engine
+/// workload's distinct open-loop records in batches of the size the engine
 /// formed during the open-loop phases.
 struct ReplayCosts {
   double score_batch_us = 0, gather_us = 0, fuse_us = 0, head_rows_frac = 0;
@@ -465,16 +463,12 @@ struct ReplayCosts {
 };
 
 ReplayCosts replay_layers(const core::FusedModel& model,
-                          const data::Dataset& universe,
-                          std::span<const Reply> replies, std::size_t batch,
-                          SpanLog& spans) {
+                          const Universe& universe, const ReplyLog& log,
+                          std::size_t batch, SpanLog& spans) {
   std::vector<data::Record> rows;
-  std::vector<std::uint8_t> seen(universe.size(), 0);
-  for (const Reply& reply : replies) {
-    if (rows.size() == kReplayRows) break;
-    if (seen[reply.record]) continue;
-    seen[reply.record] = 1;
-    rows.push_back(universe.record(reply.record));
+  for (std::uint32_t r = 0; r < universe.size() && rows.size() < kReplayRows;
+       ++r) {
+    if (log.open(r)) rows.push_back(universe.record(r));
   }
   ReplayCosts costs;
   if (rows.empty()) return costs;
@@ -615,22 +609,13 @@ struct ServingRun {
   double closed_completed = 0, closed_seconds = 0;
   std::vector<perfbench::OpenLoopResult> low, high;  ///< one per round
   CounterWindow counters;  ///< registry counters over the open-loop phases
-  std::vector<Reply> closed_replies, open_replies;
-};
+  ReplyLog replies;
+  /// Peak resident memory when the serving phases end, before the report
+  /// is computed.
+  double peak_rss_mib = 0;
 
-/// Latency percentile q at one rate as gated: taken in each 250 ms window,
-/// better quartile over the windows of every round. Whole-run percentiles
-/// are printed beside it.
-double gated_percentile(const std::vector<perfbench::OpenLoopResult>& phases,
-                        double q) {
-  std::vector<double> windows;
-  for (const perfbench::OpenLoopResult& phase : phases) {
-    const std::vector<double> w = perfbench::window_percentiles(
-        phase.intended_ns, phase.latency_us, 250'000'000, q);
-    windows.insert(windows.end(), w.begin(), w.end());
-  }
-  return better_quartile(std::move(windows));
-}
+  explicit ServingRun(std::size_t universe) : replies(universe) {}
+};
 
 std::vector<double> joined(
     std::initializer_list<const std::vector<perfbench::OpenLoopResult>*> sets,
@@ -644,29 +629,37 @@ std::vector<double> joined(
   return all;
 }
 
+/// Latency p50 or p95 at one rate as gated: taken in each 250 ms window,
+/// better quartile over the windows of every round. Whole-run percentiles
+/// are printed beside it.
+double gated_percentile(const std::vector<perfbench::OpenLoopResult>& phases,
+                        std::vector<double> perfbench::OpenLoopResult::*window) {
+  return better_quartile(joined({&phases}, window));
+}
+
 ServingRun serve_rounds(const Workload& workload,
                         const perfbench::Submit& submit,
-                        const data::Dataset& universe, const Options& options,
+                        const Universe& universe, const Options& options,
                         bool closed_phases, SpanLog& spans) {
-  ServingRun run;
+  ServingRun run(universe.size());
   perfbench::RecordStream stream(workload.stream, universe.size(),
                                  kZipfExponent, options.seed);
-  const std::span<const data::Record> records(universe.records());
-  const std::size_t window = 4 * serve::EngineConfig{}.max_batch;
+  const std::size_t window =
+      workload.closed_batches * serve::EngineConfig{}.max_batch;
   const double phase_seconds = options.seconds / (3.0 * kRounds);
   SpanLog off(false);
+  malloc_trim(0);
   {
     SpanLog::Scope span(spans, "harness.warmup");
-    (void)perfbench::closed_loop(submit, records, stream, kWarmupSeconds,
-                                 window, run.closed_replies, off);
+    (void)perfbench::closed_loop(submit, universe, stream, kWarmupSeconds,
+                                 window, run.replies, off);
   }
   for (std::size_t round = 0; round < kRounds; ++round) {
     if (closed_phases) {
       {
         SpanLog::Scope span(spans, "harness.closed_loop");
         const perfbench::ClosedLoopResult closed = perfbench::closed_loop(
-            submit, records, stream, phase_seconds, window,
-            run.closed_replies, off);
+            submit, universe, stream, phase_seconds, window, run.replies, off);
         run.closed_rps.insert(run.closed_rps.end(), closed.window_rps.begin(),
                               closed.window_rps.end());
         run.closed_completed += static_cast<double>(closed.completed);
@@ -678,8 +671,8 @@ ServingRun serve_rounds(const Workload& workload,
         // difference is what tracing costs.
         SpanLog::Scope span(spans, "harness.closed_loop_traced");
         const perfbench::ClosedLoopResult traced = perfbench::closed_loop(
-            submit, records, stream, phase_seconds, window,
-            run.closed_replies, spans);
+            submit, universe, stream, phase_seconds, window, run.replies,
+            spans);
         run.traced_rps.insert(run.traced_rps.end(), traced.window_rps.begin(),
                               traced.window_rps.end());
       }
@@ -689,14 +682,16 @@ ServingRun serve_rounds(const Workload& workload,
                                       : "harness.open_loop_low");
       const CounterClock clock;
       perfbench::OpenLoopResult phase = perfbench::open_loop(
-          submit, records, stream, high ? workload.rate_high
-                                        : workload.rate_low,
+          submit, universe, stream, high ? workload.rate_high
+                                         : workload.rate_low,
           phase_seconds, (options.seed << 8) ^ (2 * round + high + 1),
-          run.open_replies, spans);
+          run.replies, spans);
       run.counters += clock.stop();
       (high ? run.high : run.low).push_back(std::move(phase));
+      malloc_trim(0);
     }
   }
+  run.peak_rss_mib = peak_rss_mib();
 
   if (closed_phases) {
     const perfbench::Quartiles q = perfbench::quartiles(run.closed_rps);
@@ -706,6 +701,7 @@ ServingRun serve_rounds(const Workload& workload,
               << fixed(q.median, 0) << " req/s (quartiles " << fixed(q.q1, 0)
               << " .. " << fixed(q.q3, 0) << ")\n";
   }
+  using R = perfbench::OpenLoopResult;
   std::cout << "open loop, " << kRounds << " x " << phase_seconds
             << " s per rate (latency from intended send time):\n";
   for (const bool high : {false, true}) {
@@ -714,11 +710,12 @@ ServingRun serve_rounds(const Workload& workload,
     std::cout << "  " << name
               << fixed(high ? workload.rate_high : workload.rate_low, 0)
               << " req/s, gated (better quartile of 250 ms windows): p50="
-              << fixed(gated_percentile(phases, 0.50), 1)
-              << " p95=" << fixed(gated_percentile(phases, 0.95), 1)
+              << fixed(gated_percentile(phases, &R::window_p50_us), 1)
+              << " p95="
+              << fixed(gated_percentile(phases, &R::window_p95_us), 1)
               << " us\n";
-    print_latency(name + "latency", joined({&phases}, &perfbench::OpenLoopResult::latency_us));
-    print_latency(name + "gen lag", joined({&phases}, &perfbench::OpenLoopResult::lag_us));
+    print_latency(name + "latency", joined({&phases}, &R::latency_us));
+    print_latency(name + "gen lag", joined({&phases}, &R::lag_us));
   }
   return run;
 }
@@ -795,37 +792,24 @@ void add_setup_layers(RunReport& report, const std::vector<SetupTimes>& reps,
 }
 
 void add_latency_metrics(RunReport& report, const ServingRun& run) {
+  using R = perfbench::OpenLoopResult;
   report.end_to_end.push_back(
-      {"p50_us_low", gated_percentile(run.low, 0.50), "us"});
+      {"p50_us_low", gated_percentile(run.low, &R::window_p50_us), "us"});
   report.end_to_end.push_back(
-      {"p95_us_low", gated_percentile(run.low, 0.95), "us"});
+      {"p95_us_low", gated_percentile(run.low, &R::window_p95_us), "us"});
   report.end_to_end.push_back(
-      {"p50_us_high", gated_percentile(run.high, 0.50), "us"});
+      {"p50_us_high", gated_percentile(run.high, &R::window_p50_us), "us"});
   report.end_to_end.push_back(
-      {"p95_us_high", gated_percentile(run.high, 0.95), "us"});
-}
-
-std::size_t distinct_records(std::span<const Reply> replies,
-                             std::size_t universe) {
-  std::vector<std::uint8_t> seen(universe, 0);
-  std::size_t distinct = 0;
-  for (const Reply& reply : replies) {
-    if (!seen[reply.record]) {
-      seen[reply.record] = 1;
-      ++distinct;
-    }
-  }
-  return distinct;
+      {"p95_us_high", gated_percentile(run.high, &R::window_p95_us), "us"});
 }
 
 /// The measured properties of the open-loop traffic, for claims that help
 /// only some inputs to cite.
-void print_properties(const ServingRun& run, std::size_t universe) {
+void print_properties(const ServingRun& run) {
   const CounterWindow& w = run.counters;
   const double scored = static_cast<double>(w.requests - w.cache_hits);
-  std::cout << "workload properties (open-loop phases): "
-            << run.open_replies.size() << " requests over "
-            << distinct_records(run.open_replies, universe)
+  std::cout << "workload properties (open-loop phases): " << w.requests
+            << " requests over " << run.replies.open_records()
             << " distinct uids; memo hit rate "
             << fixed(ratio(static_cast<double>(w.cache_hits),
                            static_cast<double>(w.requests)),
@@ -849,14 +833,12 @@ void print_properties(const ServingRun& run, std::size_t universe) {
 
 /// Check every reply against FusedModel::scores; returns failures.
 std::size_t check_replies(const core::FusedModel& model,
-                          const data::Dataset& universe,
-                          const ServingRun& run, SpanLog& spans) {
+                          const Universe& universe, const ServingRun& run,
+                          SpanLog& spans) {
   SpanLog::Scope span(spans, "harness.oracle_check");
-  perfbench::Oracle oracle(universe.size(), [&](std::uint32_t record) {
+  return run.replies.count_failures([&](std::uint32_t record) {
     return model.scores(universe.record(record));
   });
-  return oracle.count_failures(run.closed_replies) +
-         oracle.count_failures(run.open_replies);
 }
 
 std::size_t batch_rows(const CounterWindow& w) {
@@ -871,7 +853,8 @@ RunReport run_serving(const Workload& workload, const Options& options,
   RunReport report;
   const std::string socket_prefix = options.socket_dir + "/pb" +
                                     std::to_string(::getpid()) + "-";
-  // Set-up, repeated; the last repeat's stack serves the run.
+  // Set-up, repeated; each repeat is torn down before the next is built,
+  // and the last repeat's stack serves the run.
   std::vector<SetupTimes> setups;
   std::unique_ptr<Scenario> scenario;
   ServedModel served;
@@ -879,6 +862,8 @@ RunReport run_serving(const Workload& workload, const Options& options,
   for (std::size_t rep = 0; rep < kSetupRepeats; ++rep) {
     if (stack) stack->shutdown();
     stack.reset();
+    served = {};
+    scenario.reset();
     SetupTimes times;
     const std::int64_t t = now_ns();
     scenario = make_scenario(times, spans);
@@ -892,17 +877,16 @@ RunReport run_serving(const Workload& workload, const Options& options,
   std::vector<double> totals;
   for (const SetupTimes& t : setups) totals.push_back(t.total);
 
-  const data::Dataset universe = make_universe(
+  const Universe universe = make_universe(
       scenario->test, universe_size(workload.stream), options.seed);
   const ServingRun run = serve_rounds(workload, stack->submit(), universe,
                                       options, true, spans);
   stack->shutdown();
-  print_properties(run, universe.size());
+  print_properties(run);
 
-  report.attempted = run.closed_replies.size() + run.open_replies.size();
+  report.attempted = run.replies.replies();
   report.failed = check_replies(*served.fused, universe, run, spans);
-  const fairness::FairnessReport quality = served_quality(
-      fairness::GroupPartition(universe), run.open_replies);
+  const fairness::FairnessReport quality = served_quality(universe, run.replies);
   const double unfairness = quality.overall_unfairness(kUnfairAttributes);
   std::cout << "served quality: accuracy " << fixed(quality.accuracy, 4)
             << ", U(age)+U(site) " << fixed(unfairness, 4) << "\n";
@@ -913,6 +897,7 @@ RunReport run_serving(const Workload& workload, const Options& options,
   add_latency_metrics(report, run);
   report.end_to_end.push_back({"accuracy", quality.accuracy, "fraction"});
   report.end_to_end.push_back({"unfairness", unfairness, "sum_U"});
+  report.end_to_end.push_back({"peak_rss_mib", run.peak_rss_mib, "MiB"});
 
   if (options.trace) {
     const double overhead =
@@ -920,9 +905,8 @@ RunReport run_serving(const Workload& workload, const Options& options,
     std::cout << "traced closed loop: " << fixed(perfbench::median(run.traced_rps), 0)
               << " req/s (tracing overhead " << fixed(100 * overhead, 2)
               << "%)\n";
-    const ReplayCosts replay =
-        replay_layers(*served.fused, universe, run.open_replies,
-                      batch_rows(run.counters), spans);
+    const ReplayCosts replay = replay_layers(
+        *served.fused, universe, run.replies, batch_rows(run.counters), spans);
     std::vector<double> cache_s, train_ms;
     for (const SetupTimes& t : setups) {
       cache_s.push_back(t.score_cache);
@@ -943,79 +927,104 @@ RunReport run_serving(const Workload& workload, const Options& options,
 
 // -------------------------------------------------------------- search
 
+/// What recording one span costs, in seconds: a clock read and an add,
+/// timed over many adds to a scratch log.
+double span_cost_s() {
+  constexpr int kAdds = 20000;
+  SpanLog scratch(true);
+  const std::int64_t t = now_ns();
+  for (int i = 0; i < kAdds; ++i) {
+    scratch.add("core.search_episode", t, now_ns(), 3);
+  }
+  return seconds_since(t) / kAdds;
+}
+
 RunReport run_search(const Workload& workload, const Options& options,
                      SpanLog& spans) {
   RunReport report;
-  // Set-up, repeated: data, pool and MuffinSearch construction (score
-  // caches, proxy, controller). Each repeat's search object runs once.
+  // Set-up and search, repeated: data, pool and MuffinSearch construction
+  // (score caches, proxy, controller), then run(). Each repeat is torn
+  // down before the next is built, so the process holds one search at a
+  // time; the last repeat is kept to deploy its winner.
+  core::MuffinSearchConfig config = search_config();
+  std::int64_t last_episode_ns = 0;
+  if (options.trace) {
+    config.on_episode = [&spans, &last_episode_ns](
+                            std::size_t, const core::EpisodeRecord&) {
+      const std::int64_t t = now_ns();
+      spans.add("core.search_episode", last_episode_ns, t, 3);
+      last_episode_ns = t;
+    };
+  }
   std::vector<SetupTimes> setups;
-  std::vector<std::unique_ptr<Scenario>> scenarios;
-  std::vector<std::unique_ptr<core::MuffinSearch>> searches;
+  std::vector<double> episodes_per_s;
+  std::vector<double> first_rewards;
+  std::unique_ptr<Scenario> scenario;
+  std::unique_ptr<core::MuffinSearch> search;
+  core::SearchResult result;
+  const std::size_t spans_before = spans.size();
+  const std::int64_t repeats_start = now_ns();
   for (std::size_t rep = 0; rep < kSearchRepeats; ++rep) {
+    search.reset();
+    scenario.reset();
     SetupTimes times;
-    const std::int64_t t = now_ns();
-    scenarios.push_back(make_scenario(times, spans));
-    const Scenario& s = *scenarios.back();
+    std::int64_t t = now_ns();
+    scenario = make_scenario(times, spans);
     const std::int64_t h = now_ns();
     {
       SpanLog::Scope span(spans, "core.muffin_search_init");
-      searches.push_back(std::make_unique<core::MuffinSearch>(
-          s.pool, s.train, s.validation, search_space(s), search_config()));
+      search = std::make_unique<core::MuffinSearch>(
+          scenario->pool, scenario->train, scenario->validation,
+          search_space(*scenario), config);
     }
     times.head = seconds_since(h);
     times.total = seconds_since(t);
     setups.push_back(times);
-  }
 
-  std::vector<double> episodes_per_s;
-  double run_seconds = 0;
-  std::vector<core::SearchResult> results;
-  for (std::size_t rep = 0; rep < kSearchRepeats; ++rep) {
-    const std::int64_t t = now_ns();
+    t = now_ns();
+    last_episode_ns = t;
     {
       SpanLog::Scope span(spans, "core.search_run");
-      results.push_back(searches[rep]->run());
+      result = search->run();
     }
-    const double seconds = seconds_since(t);
-    run_seconds += seconds;
-    episodes_per_s.push_back(static_cast<double>(kSearchEpisodes) / seconds);
-  }
-  report.attempted += kSearchEpisodes * kSearchRepeats;
-  // The search is deterministic: every repeat must find the same episodes.
-  for (std::size_t rep = 1; rep < kSearchRepeats; ++rep) {
+    episodes_per_s.push_back(static_cast<double>(kSearchEpisodes) /
+                             seconds_since(t));
+    // The search is deterministic: every repeat must find the same episodes.
     for (std::size_t e = 0; e < kSearchEpisodes; ++e) {
-      if (results[rep].episodes[e].reward != results[0].episodes[e].reward) {
+      if (rep == 0) {
+        first_rewards.push_back(result.episodes[e].reward);
+      } else if (result.episodes[e].reward != first_rewards[e]) {
         ++report.failed;
       }
     }
   }
+  const double repeats_seconds = seconds_since(repeats_start);
+  const std::size_t search_spans = spans.size() - spans_before;
+  report.attempted += kSearchEpisodes * kSearchRepeats;
 
   // The winner, with the head the search trained for it (seeded by the
   // first episode that sampled its structure), reported on the test split.
-  const core::SearchResult& result = results[0];
   const core::EpisodeRecord& best = result.best();
   std::size_t first = 0;
   while (result.episodes[first].choice.to_string() != best.choice.to_string()) {
     ++first;
   }
-  const Scenario& scenario = *scenarios[0];
-  core::MuffinSearch& search = *searches[0];
   const std::shared_ptr<core::FusedModel> winner =
-      search.build_fused(best.choice, "Muffin-best", first);
+      search->build_fused(best.choice, "Muffin-best", first);
   // Oracle for the search itself: the rebuilt winner must reproduce the
   // accuracy the search measured through its score caches.
   const fairness::FairnessReport validation_check =
-      fairness::evaluate_model(*winner, scenario.validation);
+      fairness::evaluate_model(*winner, scenario->validation);
   if (validation_check.accuracy != best.eval_report.accuracy) ++report.failed;
   const fairness::FairnessReport test_report =
-      fairness::evaluate_model(*winner, scenario.test);
+      fairness::evaluate_model(*winner, scenario->test);
   const double unfairness = test_report.overall_unfairness(kUnfairAttributes);
 
   std::map<std::string, core::FusingStructure> distinct;
   for (const core::EpisodeRecord& episode : result.episodes) {
     distinct.emplace(episode.choice.to_string(),
                      core::FusingStructure::from_choice(
-                         episode.choice, scenario.full.num_classes()));
+                         episode.choice, scenario->full.num_classes()));
   }
   std::cout << "search: " << kSearchEpisodes << " episodes x "
             << kSearchRepeats << ", episodes/s";
@@ -1024,7 +1033,7 @@ RunReport run_search(const Workload& workload, const Options& options,
             << fixed(static_cast<double>(distinct.size()) / kSearchEpisodes, 3)
             << ")\nbest: " << best.body_names << " head "
             << core::FusingStructure::from_choice(best.choice,
-                                                  scenario.full.num_classes())
+                                                  scenario->full.num_classes())
                    .head_spec.to_string()
             << ", test accuracy " << fixed(test_report.accuracy, 4)
             << ", U(age)+U(site) " << fixed(unfairness, 4) << "\n";
@@ -1032,67 +1041,55 @@ RunReport run_search(const Workload& workload, const Options& options,
   // Deploy the winner: one engine, never-repeating traffic.
   SetupTimes& last = setups.back();
   std::unique_ptr<Stack> stack = start_stack(
-      workload.name, winner, scenario.test.record(0), "", last.start, spans);
+      workload.name, winner, scenario->test.record(0), "", last.start, spans);
   for (SetupTimes& t : setups) t.start = last.start;
-  const data::Dataset universe = make_universe(
-      scenario.test, universe_size(workload.stream), options.seed);
+  const Universe universe = make_universe(
+      scenario->test, universe_size(workload.stream), options.seed);
   const ServingRun run = serve_rounds(workload, stack->submit(), universe,
                                       options, false, spans);
+
   stack->shutdown();
-  print_properties(run, universe.size());
-  report.attempted += run.closed_replies.size() + run.open_replies.size();
+  print_properties(run);
+  report.attempted += run.replies.replies();
   report.failed += check_replies(*winner, universe, run, spans);
 
   std::vector<double> totals;
   for (const SetupTimes& t : setups) totals.push_back(t.total);
   report.end_to_end.push_back({"setup_s", better_quartile(totals), "s"});
   report.end_to_end.push_back(
-      {"throughput",
-       static_cast<double>(kSearchEpisodes * kSearchRepeats) / run_seconds,
-       "1/s"});
+      {"throughput", perfbench::median(episodes_per_s), "1/s"});
   add_latency_metrics(report, run);
   report.end_to_end.push_back({"accuracy", test_report.accuracy, "fraction"});
   report.end_to_end.push_back({"unfairness", unfairness, "sum_U"});
+  report.end_to_end.push_back({"peak_rss_mib", run.peak_rss_mib, "MiB"});
 
   if (options.trace) {
-    // Tracing overhead: one more search with a span per episode recorded
-    // from the progress callback, against the untraced median.
-    core::MuffinSearchConfig traced_config = search_config();
-    traced_config.on_episode = [&spans, last_ns = now_ns()](
-                                   std::size_t, const core::EpisodeRecord&) mutable {
-      const std::int64_t t = now_ns();
-      spans.add("core.search_episode", last_ns, t, 3);
-      last_ns = t;
-    };
-    core::MuffinSearch traced(scenario.pool, scenario.train,
-                              scenario.validation, search_space(scenario),
-                              traced_config);
-    const std::int64_t t = now_ns();
-    (void)traced.run();
-    const double traced_eps =
-        static_cast<double>(kSearchEpisodes) / seconds_since(t);
-    const double overhead = 1.0 - traced_eps / perfbench::median(episodes_per_s);
-
+    // Tracing overhead of the search: what its spans cost, measured
+    // directly, over the time the repeats took.
+    const double search_overhead =
+        static_cast<double>(search_spans) * span_cost_s() / repeats_seconds;
+    std::cout << "search tracing overhead " << fixed(100 * search_overhead, 4)
+              << "% (span cost over the repeats' wall time)\n";
     const ReplayCosts replay = replay_layers(
-        *winner, universe, run.open_replies, batch_rows(run.counters), spans);
+        *winner, universe, run.replies, batch_rows(run.counters), spans);
     std::vector<core::FusingStructure> structures;
     for (const auto& [key, structure] : distinct) {
       if (structures.size() == kStructureReplays) break;
       structures.push_back(structure);
     }
-    const fairness::GroupPartition partition(scenario.validation);
+    const fairness::GroupPartition partition(scenario->validation);
     const StructureCosts structure_costs = replay_structures(
-        search.train_cache(), scenario.train, search.proxy(),
-        search_config().head_train, search.eval_cache(), partition,
-        structures, spans);
+        search->train_cache(), scenario->train, search->proxy(),
+        config.head_train, search->eval_cache(), partition, structures,
+        spans);
     std::vector<double> cache_s;
     for (int i = 0; i < 3; ++i) {
       const std::int64_t c = now_ns();
       SpanLog::Scope span(spans, "core.score_cache");
-      const core::ScoreCache cache(scenario.pool, scenario.train);
+      const core::ScoreCache cache(scenario->pool, scenario->train);
       cache_s.push_back(seconds_since(c));
     }
-    add_serving_layers(report, run, overhead, replay);
+    add_serving_layers(report, run, search_overhead, replay);
     add_setup_layers(report, setups, perfbench::median(cache_s),
                      structure_costs.train_head_ms, structure_costs);
   }
@@ -1171,7 +1168,6 @@ int main(int argc, char** argv) {
     std::cerr << "perfbench: " << e.what() << "\n";
     return 1;
   }
-  report.end_to_end.push_back({"peak_rss_mib", peak_rss_mib(), "MiB"});
   report.correct = report.failed == 0;
 
   if (options.trace) {

@@ -1,5 +1,6 @@
 // Tests for the benchmark itself: the statistics it reports, the inputs it
-// generates from a seed, and the oracle that decides a run's correctness.
+// generates from a seed, and the reply log that decides a run's
+// correctness.
 //
 //   .bench_build/perfbench/perfbench_selftest    (exit code 0 = pass)
 //
@@ -45,7 +46,7 @@ double exact_quantile(const std::vector<double>& samples, double q) {
 }
 
 void test_percentiles_match_exact_quantiles() {
-  perfbench::Rng rng(7);
+  muffin::CounterRng rng(7);
   for (const std::size_t n : {1u, 2u, 10u, 99u, 1000u, 1234u}) {
     std::vector<double> samples(n);
     for (double& s : samples) s = std::floor(rng.uniform() * 500.0);  // ties
@@ -61,7 +62,7 @@ void test_percentiles_match_exact_quantiles() {
       check(p->samples == n, "percentile reports its sample count");
       std::size_t above = 0;
       for (const double s : samples) above += s > p->value;
-      check(p->beyond >= above, "beyond counts at least the larger samples");
+      check(p->beyond == above, "beyond counts the larger samples");
     }
   }
   const perfbench::Summary empty = perfbench::summarize({});
@@ -100,11 +101,11 @@ void test_generators_are_deterministic_per_seed() {
     check(same, "one seed gives one record stream");
     check(differs, "another seed gives another record stream");
   }
-  perfbench::Rng r1(9), r2(9);
+  muffin::CounterRng r1(9), r2(9);
   check(perfbench::poisson_schedule_ns(1000.0, 2.0, r1) ==
             perfbench::poisson_schedule_ns(1000.0, 2.0, r2),
         "one seed gives one arrival schedule");
-  perfbench::Rng r3(11);
+  muffin::CounterRng r3(11);
   const std::vector<std::int64_t> schedule =
       perfbench::poisson_schedule_ns(20000.0, 5.0, r3);
   check(std::abs(static_cast<double>(schedule.size()) - 100000.0) < 1500.0,
@@ -129,47 +130,72 @@ void test_streams_have_their_shape() {
   check(hottest > 10000 && hottest < 16000, "Zipf's hottest record share");
 }
 
-std::future<muffin::serve::Prediction> ready(std::vector<double> scores,
-                                             std::size_t predicted) {
-  std::promise<muffin::serve::Prediction> promise;
-  muffin::serve::Prediction prediction;
-  prediction.scores = std::move(scores);
-  prediction.predicted = predicted;
-  promise.set_value(prediction);
-  return promise.get_future();
-}
-
 void test_oracle_mismatch_is_a_failed_operation() {
-  const std::vector<std::vector<double>> expected = {{0.25, 0.75},
-                                                     {0.6, 0.4}};
+  const std::vector<std::vector<double>> expected = {
+      {0.25, 0.75}, {0.6, 0.4}, {0.1, 0.9}};
   std::size_t computed = 0;
-  perfbench::Oracle oracle(expected.size(), [&](std::uint32_t record) {
+  const perfbench::ReplyLog::Expected oracle = [&](std::uint32_t record) {
     ++computed;
     return expected[record];
-  });
-  std::vector<perfbench::Reply> replies;
-  auto good0 = ready({0.25, 0.75}, 1);
-  auto good1 = ready({0.6, 0.4}, 0);
-  auto again0 = ready({0.25, 0.75}, 1);
-  replies.push_back(perfbench::take_reply(0, good0));
-  replies.push_back(perfbench::take_reply(1, good1));
-  replies.push_back(perfbench::take_reply(0, again0));
-  check(oracle.count_failures(replies) == 0, "matching replies pass");
-  check(computed == 2, "the oracle scores each record once");
+  };
+  const auto reply = [](std::uint32_t record, std::vector<double> scores,
+                        std::size_t predicted) {
+    std::promise<muffin::serve::Prediction> promise;
+    muffin::serve::Prediction prediction;
+    prediction.scores = std::move(scores);
+    prediction.predicted = predicted;
+    promise.set_value(prediction);
+    auto future = promise.get_future();
+    return perfbench::take_reply(record, future);
+  };
+
+  perfbench::ReplyLog good(expected.size());
+  good.add(reply(0, {0.25, 0.75}, 1), false);
+  good.add(reply(1, {0.6, 0.4}, 0), true);
+  good.add(reply(0, {0.25, 0.75}, 1), true);
+  check(good.count_failures(oracle) == 0, "matching replies pass");
+  check(computed == 2, "the oracle scores each answered record once");
+  check(good.replies() == 3, "every reply is counted");
+  check(good.open_records() == 2 && good.open(0) && !good.open(2),
+        "open-loop records are tracked");
 
   // One bit off in one score, a wrong class, and a request that threw.
-  auto off_by_ulp = ready({0.25, std::nextafter(0.75, 1.0)}, 1);
-  auto wrong_class = ready({0.6, 0.4}, 1);
+  perfbench::ReplyLog bad(expected.size());
+  bad.add(reply(0, {0.25, 0.75}, 1), false);
+  bad.add(reply(0, {0.25, std::nextafter(0.75, 1.0)}, 1), false);
+  bad.add(reply(1, {0.6, 0.4}, 1), true);
+  bad.add(reply(1, {0.6, 0.4}, 1), true);
   std::promise<muffin::serve::Prediction> broken;
   broken.set_exception(std::make_exception_ptr(std::runtime_error("shed")));
   auto thrown = broken.get_future();
-  std::vector<perfbench::Reply> bad = {
-      perfbench::take_reply(0, off_by_ulp),
-      perfbench::take_reply(1, wrong_class),
-      perfbench::take_reply(0, thrown)};
-  check(bad[2].failed, "a thrown request is recorded as failed");
-  check(oracle.count_failures(bad) == 3,
+  const perfbench::Reply failed = perfbench::take_reply(2, thrown);
+  check(failed.failed, "a thrown request is recorded as failed");
+  bad.add(failed, true);
+  check(bad.count_failures(oracle) == 4,
         "each mismatch and each error counts as one failed operation");
+  check(!bad.open(2), "a thrown request answers nothing");
+}
+
+void test_universe_builds_distinct_records() {
+  muffin::data::Dataset base("base", 2, {{"site", {"a", "b"}}});
+  for (std::uint64_t uid = 0; uid < 3; ++uid) {
+    muffin::data::Record record;
+    record.uid = uid;
+    record.label = uid % 2;
+    record.groups = {uid % 2};
+    record.features = {static_cast<double>(uid), 1.0};
+    base.add_record(record);
+  }
+  const perfbench::Universe universe(base, 7, 1000);
+  muffin::data::Record scratch;
+  universe.fill(5, scratch);
+  check(scratch.uid == 1005, "record i has uid first_uid + i");
+  check(universe.base_index(5) == 2 && scratch.label == 0 &&
+            scratch.features == base.record(2).features,
+        "record i copies base record i % base size");
+  universe.fill(1, scratch);
+  check(scratch.uid == 1001 && scratch.features == base.record(1).features,
+        "a reused record takes the new contents");
 }
 
 void test_self_time_subtracts_nested_spans() {
@@ -199,6 +225,7 @@ int main() {
   test_generators_are_deterministic_per_seed();
   test_streams_have_their_shape();
   test_oracle_mismatch_is_a_failed_operation();
+  test_universe_builds_distinct_records();
   test_self_time_subtracts_nested_spans();
   std::cout << (failures == 0 ? "perfbench selftest: all passed\n"
                               : "perfbench selftest: FAILED\n");
