@@ -150,22 +150,32 @@ inline double median(std::vector<double> values) {
   return n % 2 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
 }
 
+/// One measurement window of a run: when it ran (now_ns() times, or
+/// offsets from a phase's start), what it measured, and the share of the
+/// machine's CPU that went to something other than the benchmark meanwhile.
+struct Window {
+  std::int64_t start_ns = 0;
+  std::int64_t end_ns = 0;
+  double value = 0.0;
+  double interference = 0.0;
+};
+
 /// Split time-ordered samples into consecutive windows of `window_ns`
-/// (by `at_ns`, counted from 0) and take percentile q in each window.
-/// The median of these is what the benchmark gates: a stall then moves
-/// one window, not the result.
-inline std::vector<double> window_percentiles(
+/// (by `at_ns`, counted from 0) and take percentile q in each non-empty
+/// window. A stall then moves one window, not the result.
+inline std::vector<Window> window_percentiles(
     std::span<const std::int64_t> at_ns, std::span<const double> values,
     std::int64_t window_ns, double q) {
-  std::vector<double> per_window;
+  std::vector<Window> per_window;
   std::vector<double> window;
+  std::int64_t window_end = window_ns;
   const auto close_window = [&]() {
     if (window.empty()) return;
     std::sort(window.begin(), window.end());
-    per_window.push_back(percentile_sorted(window, q).value);
+    per_window.push_back({window_end - window_ns, window_end,
+                          percentile_sorted(window, q).value, 0.0});
     window.clear();
   };
-  std::int64_t window_end = window_ns;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (at_ns[i] >= window_end) {
       close_window();
@@ -175,6 +185,32 @@ inline std::vector<double> window_percentiles(
   }
   close_window();
   return per_window;
+}
+
+/// Interference up to which a window counts as undisturbed: 5% of the
+/// machine. An undisturbed 4-vCPU VM showed 2-4% while serving (kernel
+/// work for the process and a little steal), read to about 1%.
+constexpr double kQuietInterference = 0.05;
+
+/// The values of the windows the host disturbed least: every window at
+/// or below kQuietInterference, or, when fewer than half are, the half
+/// with the least interference (ties kept). The choice looks only at the
+/// host's state, never at the value measured, so it cannot favour a
+/// result; it drops the stretches in which another process or guest held
+/// the CPUs the program needed.
+inline std::vector<double> least_disturbed(std::span<const Window> windows) {
+  std::vector<double> interference;
+  for (const Window& w : windows) interference.push_back(w.interference);
+  std::sort(interference.begin(), interference.end());
+  double cut = kQuietInterference;
+  if (!interference.empty()) {
+    cut = std::max(cut, interference[(interference.size() - 1) / 2]);
+  }
+  std::vector<double> values;
+  for (const Window& w : windows) {
+    if (w.interference <= cut) values.push_back(w.value);
+  }
+  return values;
 }
 
 /// First quartile, median and third quartile of repeated measurements,

@@ -1,9 +1,14 @@
 #include "harness.h"
 
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -20,7 +25,7 @@ namespace {
 constexpr std::size_t kSpanEvery = 256;
 constexpr std::uint32_t kClientLane = 1;
 constexpr std::uint32_t kCollectorLane = 2;
-constexpr std::int64_t kRateWindowNs = 250'000'000;
+constexpr auto kMonitorPeriod = std::chrono::milliseconds(20);
 
 double us_between(std::int64_t from_ns, std::int64_t to_ns) {
   return static_cast<double>(to_ns - from_ns) / 1e3;
@@ -38,7 +43,83 @@ void wait_until_ns(std::int64_t target_ns) {
   }
 }
 
+/// Idle plus iowait ticks of all CPUs, from /proc/stat's first line; -1
+/// when it cannot be read.
+double idle_ticks() {
+  std::ifstream stat("/proc/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return -1.0;
+  std::istringstream fields(line);
+  std::string cpu;
+  double user = 0, nice = 0, system = 0, idle = 0, iowait = 0;
+  if (!(fields >> cpu >> user >> nice >> system >> idle >> iowait) ||
+      cpu != "cpu") {
+    return -1.0;
+  }
+  return idle + iowait;
+}
+
 }  // namespace
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+HostMonitor::HostMonitor() {
+  cpus_ = static_cast<double>(std::max(1L, sysconf(_SC_NPROCESSORS_ONLN)));
+  ticks_per_s_ = static_cast<double>(std::max(1L, sysconf(_SC_CLK_TCK)));
+  if (idle_ticks() < 0) return;  // nothing to sample
+  thread_ = std::thread([this]() { sample_loop(); });
+}
+
+HostMonitor::~HostMonitor() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  stop_.notify_all();
+  if (thread_.joinable()) thread_.join();
+}
+
+void HostMonitor::sample_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!stopping_) {
+    lock.unlock();
+    const Sample sample{now_ns(), idle_ticks() / ticks_per_s_,
+                        process_cpu_seconds()};
+    lock.lock();
+    samples_.push_back(sample);
+    stop_.wait_for(lock, kMonitorPeriod, [this]() { return stopping_; });
+  }
+}
+
+double HostMonitor::interference(std::int64_t from_ns,
+                                 std::int64_t to_ns) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (samples_.size() < 2) return 0.0;
+  // The last sample at or before the start and the first at or after the
+  // end, so the stretch measured covers the one asked about.
+  const auto after_start = std::upper_bound(
+      samples_.begin(), samples_.end(), from_ns,
+      [](std::int64_t t, const Sample& s) { return t < s.at_ns; });
+  const Sample& a =
+      after_start == samples_.begin() ? samples_.front() : *(after_start - 1);
+  const auto at_end = std::lower_bound(
+      samples_.begin(), samples_.end(), to_ns,
+      [](const Sample& s, std::int64_t t) { return s.at_ns < t; });
+  const Sample& b = at_end == samples_.end() ? samples_.back() : *at_end;
+  const double capacity =
+      cpus_ * static_cast<double>(b.at_ns - a.at_ns) / 1e9;
+  if (capacity <= 0) return 0.0;
+  const double other = capacity - (b.idle_s - a.idle_s) - (b.own_s - a.own_s);
+  return std::clamp(other / capacity, 0.0, 1.0);
+}
+
+void HostMonitor::annotate(std::span<Window> windows) const {
+  for (Window& w : windows) w.interference = interference(w.start_ns, w.end_ns);
+}
 
 std::uint64_t digest_scores(std::span<const double> scores) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -145,6 +226,7 @@ ClosedLoopResult closed_loop(const Submit& submit, const Universe& universe,
     --in_flight;
   };
 
+  const double cpu_start = process_cpu_seconds();
   const std::int64_t start = now_ns();
   const std::int64_t end = start + static_cast<std::int64_t>(seconds * 1e9);
   std::int64_t now = start;
@@ -153,7 +235,7 @@ ClosedLoopResult closed_loop(const Submit& submit, const Universe& universe,
     if (in_flight == window) {
       complete_oldest();
       ++result.completed;
-      const auto w = static_cast<std::size_t>((now - start) / kRateWindowNs);
+      const auto w = static_cast<std::size_t>((now - start) / kWindowNs);
       if (per_window.size() <= w) per_window.resize(w + 1, 0);
       ++per_window[w];
     }
@@ -176,11 +258,14 @@ ClosedLoopResult closed_loop(const Submit& submit, const Universe& universe,
   }
   result.throughput_rps = static_cast<double>(result.completed) /
                           (static_cast<double>(now - start) / 1e9);
+  result.cpu_seconds = process_cpu_seconds() - cpu_start;
   // Only whole windows: the last one is cut short by the phase end.
   if (per_window.size() > 1) per_window.pop_back();
-  for (const std::size_t count : per_window) {
-    result.window_rps.push_back(static_cast<double>(count) * 1e9 /
-                                kRateWindowNs);
+  for (std::size_t w = 0; w < per_window.size(); ++w) {
+    const std::int64_t from = start + static_cast<std::int64_t>(w) * kWindowNs;
+    result.windows.push_back(
+        {from, from + kWindowNs,
+         static_cast<double>(per_window[w]) * 1e9 / kWindowNs, 0.0});
   }
   while (in_flight > 0) complete_oldest();
   return result;
@@ -251,10 +336,16 @@ OpenLoopResult open_loop(const Submit& submit, const Universe& universe,
     }
   }
   generator.join();
-  result.window_p50_us = window_percentiles(schedule, result.latency_us,
-                                            kRateWindowNs, 0.50);
-  result.window_p95_us = window_percentiles(schedule, result.latency_us,
-                                            kRateWindowNs, 0.95);
+  result.window_p50_us =
+      window_percentiles(schedule, result.latency_us, kWindowNs, 0.50);
+  result.window_p95_us =
+      window_percentiles(schedule, result.latency_us, kWindowNs, 0.95);
+  for (auto* windows : {&result.window_p50_us, &result.window_p95_us}) {
+    for (Window& w : *windows) {
+      w.start_ns += t0;
+      w.end_ns += t0;
+    }
+  }
   return result;
 }
 

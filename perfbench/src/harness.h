@@ -14,10 +14,13 @@
 // phases, so checking costs nothing inside them.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "bench_stats.h"
@@ -111,11 +114,56 @@ class ReplyLog {
 using Submit = std::function<std::future<muffin::serve::Prediction>(
     const muffin::data::Record&)>;
 
+/// Length of the windows every serving phase is measured in.
+constexpr std::int64_t kWindowNs = 250'000'000;
+
+/// How much of the machine's CPU went to anything but this process: other
+/// processes, and time the hypervisor gave to other guests (steal). A
+/// background thread samples /proc/stat's idle time and this process's
+/// CPU time every 20 ms; what is neither, over a stretch, is interference.
+/// Where /proc/stat cannot be read it reports 0 throughout.
+class HostMonitor {
+ public:
+  HostMonitor();
+  ~HostMonitor();
+  HostMonitor(const HostMonitor&) = delete;
+  HostMonitor& operator=(const HostMonitor&) = delete;
+
+  /// Share of all CPUs, in [0, 1], neither idle nor this process's over
+  /// [from_ns, to_ns] (now_ns() times).
+  [[nodiscard]] double interference(std::int64_t from_ns,
+                                    std::int64_t to_ns) const;
+  /// Fill in `interference` for each window.
+  void annotate(std::span<Window> windows) const;
+
+ private:
+  struct Sample {
+    std::int64_t at_ns;
+    double idle_s;  ///< idle + iowait of all CPUs, from /proc/stat
+    double own_s;   ///< this process's CPU time
+  };
+  void sample_loop();
+
+  double cpus_ = 1.0;
+  double ticks_per_s_ = 100.0;
+  mutable std::mutex mutex_;
+  std::condition_variable stop_;
+  bool stopping_ = false;     ///< guarded by mutex_
+  std::vector<Sample> samples_;  ///< guarded by mutex_
+  std::thread thread_;
+};
+
+/// CPU time this process has used, all threads, in seconds. The kernel
+/// leaves out time the hypervisor gave to other guests (steal), so it
+/// follows the work done rather than how busy the host was.
+[[nodiscard]] double process_cpu_seconds();
+
 struct ClosedLoopResult {
   double throughput_rps = 0.0;  ///< completed per second, whole phase
-  /// Completions per second in each whole 250 ms window of the phase.
-  std::vector<double> window_rps;
+  /// Completions per second in each whole window of the phase.
+  std::vector<Window> windows;
   std::size_t completed = 0;  ///< inside the timed phase
+  double cpu_seconds = 0.0;   ///< process CPU time over the timed phase
 };
 
 /// One client thread, `window` requests in flight, for `seconds`.
@@ -129,8 +177,8 @@ struct OpenLoopResult {
   std::vector<double> lag_us;      ///< actual minus intended send time
   std::vector<double> submit_us;   ///< time inside submit(), traced only
   std::vector<double> wait_us;     ///< submit() return to reply, traced only
-  /// Latency p50 and p95 in each 250 ms window of intended send times.
-  std::vector<double> window_p50_us, window_p95_us;
+  /// Latency p50 and p95 in each window of intended send times.
+  std::vector<Window> window_p50_us, window_p95_us;
 };
 
 /// Poisson arrivals at `rate` per second for `seconds`, schedule drawn

@@ -10,6 +10,7 @@
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_stats.h"
@@ -83,6 +84,49 @@ void test_quartiles_match_python() {
         "quartiles of two values extrapolate like Python");
   check(near(perfbench::quartiles({1.0, 2.0}).spread(), 1.0),
         "spread is the interquartile distance over the median");
+}
+
+void test_windows_and_least_disturbed() {
+  const std::vector<std::int64_t> at = {0, 10, 20, 250, 260, 900};
+  const std::vector<double> values = {3, 1, 2, 9, 7, 5};
+  const std::vector<perfbench::Window> windows =
+      perfbench::window_percentiles(at, values, 250, 0.5);
+  check(windows.size() == 3, "one window per non-empty stretch");
+  check(windows[0].start_ns == 0 && windows[0].end_ns == 250 &&
+            windows[0].value == 2,
+        "first window's median");
+  check(windows[1].value == 7, "second window's median");
+  check(windows[2].start_ns == 750 && windows[2].end_ns == 1000,
+        "an empty stretch is skipped, the next window keeps its place");
+
+  const auto with = [](std::vector<double> interference) {
+    std::vector<perfbench::Window> ws;
+    for (std::size_t i = 0; i < interference.size(); ++i) {
+      ws.push_back({0, 1, static_cast<double>(i), interference[i]});
+    }
+    return ws;
+  };
+  check(perfbench::least_disturbed(with({0.0, 0.01, 0.02, 0.03})).size() == 4,
+        "every quiet window is kept");
+  check(perfbench::least_disturbed(with({0.0, 0.5, 0.01, 0.4, 0.0, 0.02})) ==
+            std::vector<double>({0, 2, 4, 5}),
+        "disturbed windows are dropped when at least half are quiet");
+  check(perfbench::least_disturbed(with({0.3, 0.1, 0.2, 0.4, 0.5})) ==
+            std::vector<double>({1, 2, 0}) ||
+            perfbench::least_disturbed(with({0.3, 0.1, 0.2, 0.4, 0.5})) ==
+                std::vector<double>({0, 1, 2}),
+        "otherwise the less disturbed half is kept");
+  check(perfbench::least_disturbed(with({0.2, 0.2, 0.2})).size() == 3,
+        "ties at the cut are kept");
+  check(perfbench::least_disturbed({}).empty(), "no windows, no values");
+}
+
+void test_host_monitor_reports_a_share() {
+  const perfbench::HostMonitor host;
+  const std::int64_t start = perfbench::now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  const double share = host.interference(start, perfbench::now_ns());
+  check(share >= 0.0 && share <= 1.0, "interference is a share of the CPUs");
 }
 
 void test_generators_are_deterministic_per_seed() {
@@ -222,6 +266,8 @@ void test_self_time_subtracts_nested_spans() {
 int main() {
   test_percentiles_match_exact_quantiles();
   test_quartiles_match_python();
+  test_windows_and_least_disturbed();
+  test_host_monitor_reports_a_share();
   test_generators_are_deterministic_per_seed();
   test_streams_have_their_shape();
   test_oracle_mismatch_is_a_failed_operation();
