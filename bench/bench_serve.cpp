@@ -102,8 +102,16 @@ struct RunResult {
   double seconds = 0.0;
   double requests_per_second = 0.0;
   std::vector<std::size_t> predictions;
-  serve::LatencyStats::Snapshot latency;  // engine runs only
-  serve::EngineCounters counters;         // engine runs only
+  obs::MetricsSnapshot metrics;  // engine runs only
+
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const {
+    return metrics.counter_value(name);
+  }
+  [[nodiscard]] double latency_us(double q) const {
+    const obs::HistogramSnapshot* latency =
+        metrics.find_histogram("engine.latency_us");
+    return latency != nullptr ? latency->percentile(q) : 0.0;
+  }
 };
 
 RunResult run_sequential(const core::FusedModel& fused,
@@ -138,8 +146,7 @@ RunResult run_engine(std::shared_ptr<const core::FusedModel> fused,
   result.seconds = seconds_since(start);
   result.requests_per_second =
       static_cast<double>(trace.size()) / result.seconds;
-  result.latency = engine.latency().snapshot();
-  result.counters = engine.counters();
+  result.metrics = engine.metrics();
   return result;
 }
 
@@ -161,8 +168,7 @@ RunResult run_router(std::shared_ptr<const core::FusedModel> fused,
   result.seconds = seconds_since(start);
   result.requests_per_second =
       static_cast<double>(trace.size()) / result.seconds;
-  result.latency = router.aggregate_latency();
-  result.counters = router.aggregate_counters();
+  result.metrics = router.aggregate_metrics();
   return result;
 }
 
@@ -209,8 +215,7 @@ RunResult run_remote(std::shared_ptr<const core::FusedModel> fused,
   result.seconds = seconds_since(start);
   result.requests_per_second =
       static_cast<double>(trace.size()) / result.seconds;
-  result.latency = router.aggregate_latency();
-  result.counters = router.aggregate_counters();
+  result.metrics = router.aggregate_metrics();
   router.shutdown();
   shard_a.stop();
   shard_b.stop();
@@ -218,9 +223,7 @@ RunResult run_remote(std::shared_ptr<const core::FusedModel> fused,
 }
 
 std::uint64_t obs_counter(const std::string& name) {
-  const obs::MetricsSnapshot snap = obs::registry().snapshot();
-  const obs::CounterSnapshot* counter = snap.find_counter(name);
-  return counter == nullptr ? 0 : counter->value;
+  return obs::registry().snapshot().counter_value(name);
 }
 
 /// Degraded-mode drill: two loopback shard servers behind a router with
@@ -492,7 +495,6 @@ int run_smoke(const std::string& out_path) {
   }
 
   serve::EngineConfig engine_config;
-  engine_config.workers = 4;
   engine_config.max_batch = 32;
   engine_config.max_delay = std::chrono::microseconds(1000);
 
@@ -521,7 +523,7 @@ int run_smoke(const std::string& out_path) {
   json.add("smoke.requests", trace_len);
   json.add("smoke.obs_compiled_in", obs::compiled_in());
   json.add("smoke.failpoints_compiled_in", fail::compiled_in());
-  json.add("smoke.cache_hits", best.counters.cache_hits);
+  json.add("smoke.cache_hits", best.counter("engine.cache_hits"));
   json.add("pass", parity);
   json.write(out_path);
   return parity ? 0 : 1;
@@ -534,11 +536,12 @@ void add_row(TextTable& table, const std::string& name, const RunResult& run,
       std::to_string(static_cast<long long>(run.requests_per_second)),
       format_fixed(run.requests_per_second / baseline_rps, 2) + "x"};
   if (engine_run) {
-    row.push_back(format_fixed(run.latency.p50_us, 0));
-    row.push_back(format_fixed(run.latency.p95_us, 0));
-    row.push_back(format_fixed(run.latency.p99_us, 0));
-    row.push_back(std::to_string(run.counters.consensus_short_circuits));
-    row.push_back(std::to_string(run.counters.cache_hits));
+    row.push_back(format_fixed(run.latency_us(50), 0));
+    row.push_back(format_fixed(run.latency_us(95), 0));
+    row.push_back(format_fixed(run.latency_us(99), 0));
+    row.push_back(
+        std::to_string(run.counter("engine.consensus_short_circuits")));
+    row.push_back(std::to_string(run.counter("engine.cache_hits")));
   } else {
     for (int i = 0; i < 5; ++i) row.push_back("-");
   }
@@ -558,8 +561,8 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke) return run_smoke(out_path);
-  // The bench header promises 4 workers; since engines draw from the
-  // process-wide shared pool, pin its size up front (first-use sizing) so
+  // The bench header promises 4 workers; engines draw from the
+  // process-wide shared pool, so pin its size up front (first-use sizing) so
   // the measured concurrency — and the duplicate-per-batch memo dynamics
   // the affinity check depends on — match the declared setup even on
   // narrow hosts. An explicit MUFFIN_THREADS from the caller wins.
@@ -590,19 +593,17 @@ int main(int argc, char** argv) {
   }
 
   serve::EngineConfig engine_config;
-  engine_config.workers = 4;
   engine_config.max_batch = 32;
   engine_config.max_delay = std::chrono::microseconds(1000);
   serve::EngineConfig no_cache = engine_config;
   no_cache.result_cache_capacity = 0;
   serve::EngineConfig small_batch = engine_config;
   small_batch.max_batch = 8;
-  // Sharded tier: 4 replicas splitting the same worker budget, so the
-  // comparison against the single 4-worker engine is core-for-core fair.
+  // Sharded tier: 4 replicas sharing the same 4-worker pool, so the
+  // comparison against the single engine is core-for-core fair.
   serve::RouterConfig router_config;
   router_config.shards = 4;
   router_config.engine = engine_config;
-  router_config.engine.workers = 1;
 
   std::cout << "trace: " << trace_len << " requests over " << test.size()
             << " distinct records (steady-state) + " << cold_trace.size()
@@ -628,22 +629,20 @@ int main(int argc, char** argv) {
   TextTable table({"steady state", "req/s", "speedup", "p50us", "p95us",
                    "p99us", "consensus", "cache_hits"});
   add_row(table, "sequential", seq, seq.requests_per_second, false);
-  add_row(table, "engine b=8 w=4", eng8, seq.requests_per_second, true);
-  add_row(table, "engine b=32 w=4", eng32, seq.requests_per_second, true);
-  add_row(table, "router s=4 w=1", routed, seq.requests_per_second, true);
+  add_row(table, "engine b=8", eng8, seq.requests_per_second, true);
+  add_row(table, "engine b=32", eng32, seq.requests_per_second, true);
+  add_row(table, "router s=4", routed, seq.requests_per_second, true);
   table.print(std::cout);
   std::cout << "\n";
 
   // --- cross-process tier -----------------------------------------------
-  // Same topology both sides — two shards with two workers each — so the
+  // Same topology both sides — two shards on the shared pool — so the
   // in-process/remote delta isolates exactly the wire format + sockets.
   // Interleaved best-of-2 timing (the bench_batch convention): scheduler
   // noise on a loaded runner must not decide the acceptance gate.
-  serve::EngineConfig half_config = engine_config;
-  half_config.workers = 2;
   serve::RouterConfig inproc2_config;
   inproc2_config.shards = 2;
-  inproc2_config.engine = half_config;
+  inproc2_config.engine = engine_config;
   const std::string uds_a =
       "unix:/tmp/muffin_bench_a_" + std::to_string(::getpid()) + ".sock";
   const std::string uds_b =
@@ -654,20 +653,20 @@ int main(int argc, char** argv) {
   };
   RunResult inproc2 = run_router(fused, trace, inproc2_config);
   const RunResult remote_tcp =
-      run_remote(fused, trace, half_config, "127.0.0.1:0", "127.0.0.1:0");
-  RunResult remote = run_remote(fused, trace, half_config, uds_a, uds_b);
+      run_remote(fused, trace, engine_config, "127.0.0.1:0", "127.0.0.1:0");
+  RunResult remote = run_remote(fused, trace, engine_config, uds_a, uds_b);
   inproc2 = better(std::move(inproc2), run_router(fused, trace,
                                                   inproc2_config));
   remote = better(std::move(remote),
-                  run_remote(fused, trace, half_config, uds_a, uds_b));
+                  run_remote(fused, trace, engine_config, uds_a, uds_b));
   TextTable remote_table({"cross-process (2 shards)", "req/s", "speedup",
                           "p50us", "p95us", "p99us", "consensus",
                           "cache_hits"});
-  add_row(remote_table, "in-process s=2 w=2", inproc2,
+  add_row(remote_table, "in-process s=2", inproc2,
           seq.requests_per_second, true);
-  add_row(remote_table, "remote s=2 w=2 (loopback tcp)", remote_tcp,
+  add_row(remote_table, "remote s=2 (loopback tcp)", remote_tcp,
           seq.requests_per_second, true);
-  add_row(remote_table, "remote s=2 w=2 (unix socket)", remote,
+  add_row(remote_table, "remote s=2 (unix socket)", remote,
           seq.requests_per_second, true);
   remote_table.print(std::cout);
 
@@ -677,7 +676,7 @@ int main(int argc, char** argv) {
   const std::string uds_kill =
       "unix:/tmp/muffin_bench_kill_" + std::to_string(::getpid()) + ".sock";
   const DegradedResult degraded =
-      run_degraded(fused, trace, half_config, uds_kill, uds_b);
+      run_degraded(fused, trace, engine_config, uds_kill, uds_b);
   std::cout << "\ndegraded mode (one of two shards hard-killed):\n"
             << "  warm:       " << degraded.warm_requests << " requests, "
             << degraded.warm_failures << " failures\n"
@@ -706,11 +705,11 @@ int main(int argc, char** argv) {
       "unix:/tmp/muffin_bench_swap_b_" + std::to_string(::getpid()) + ".sock";
   constexpr std::size_t kRolls = 6;
   const HotSwapResult hotswap = run_hotswap(
-      {fused, fused_b}, trace, half_config, uds_swap_a, uds_swap_b, kRolls);
+      {fused, fused_b}, trace, engine_config, uds_swap_a, uds_swap_b, kRolls);
   const double swap_pause_p99_us =
       std::max(0.0, hotswap.roll_p99_us - hotswap.warm_p99_us);
   const double one_batch_us =
-      static_cast<double>(half_config.max_delay.count()) +
+      static_cast<double>(engine_config.max_delay.count()) +
       hotswap.warm_p99_us;
   const bool hotswap_pass =
       hotswap.failures == 0 && hotswap.mismatches == 0 &&
@@ -746,15 +745,15 @@ int main(int argc, char** argv) {
   // of a hot uid land in one in-flight batch (both score as misses),
   // which shifts with batch fill timing, pool width and kernel speed.
   const double engine_hit_rate =
-      static_cast<double>(eng32.counters.cache_hits) /
-      static_cast<double>(eng32.counters.requests);
+      static_cast<double>(eng32.counter("engine.cache_hits")) /
+      static_cast<double>(eng32.counter("engine.requests"));
   const double router_hit_rate =
-      static_cast<double>(routed.counters.cache_hits) /
-      static_cast<double>(routed.counters.requests);
-  const std::size_t engine_misses =
-      eng32.counters.requests - eng32.counters.cache_hits;
-  const std::size_t router_misses =
-      routed.counters.requests - routed.counters.cache_hits;
+      static_cast<double>(routed.counter("engine.cache_hits")) /
+      static_cast<double>(routed.counter("engine.requests"));
+  const std::uint64_t engine_misses =
+      eng32.counter("engine.requests") - eng32.counter("engine.cache_hits");
+  const std::uint64_t router_misses =
+      routed.counter("engine.requests") - routed.counter("engine.cache_hits");
   std::cout << "\nsteady-state memo hit rate: engine "
             << format_percent(engine_hit_rate) << " (" << engine_misses
             << " misses), sharded router " << format_percent(router_hit_rate)
@@ -827,10 +826,11 @@ int main(int argc, char** argv) {
     json.add(key + ".rps", run.requests_per_second);
     json.add(key + ".speedup", run.requests_per_second / baseline_rps);
     if (engine_run) {
-      json.add(key + ".p50_us", run.latency.p50_us);
-      json.add(key + ".p99_us", run.latency.p99_us);
-      json.add(key + ".consensus", run.counters.consensus_short_circuits);
-      json.add(key + ".cache_hits", run.counters.cache_hits);
+      json.add(key + ".p50_us", run.latency_us(50));
+      json.add(key + ".p99_us", run.latency_us(99));
+      json.add(key + ".consensus",
+               run.counter("engine.consensus_short_circuits"));
+      json.add(key + ".cache_hits", run.counter("engine.cache_hits"));
     }
   };
   add_run("cold.sequential", cold_seq, cold_seq.requests_per_second, false);

@@ -9,7 +9,7 @@
 //                      [--pairs K] [--csv FILE]
 //       run the Muffin RL search and print (optionally export) the episode
 //       archive and the best fused structure
-//   muffin_cli serve   [--dataset ...] [--samples N] [--workers W]
+//   muffin_cli serve   [--dataset ...] [--samples N]
 //                      [--batch B] [--requests N] [--listen ADDR]
 //                      [--artifact FILE]
 //       fuse a default two-model muffin and drive the batched serving
@@ -26,7 +26,7 @@
 //       file is created after the default head is trained, so the next
 //       start maps it.
 //   muffin_cli route   [--dataset ...] [--samples N] [--shards S]
-//                      [--workers W] [--batch B] [--requests N]
+//                      [--batch B] [--requests N]
 //                      [--remote A,B,...] [--probe-ms P] [--fail-after K]
 //                      [--retry N]
 //       same trace, but served through the consistent-hash ShardRouter.
@@ -65,8 +65,7 @@
 //
 // Serving concurrency note: engine batches run on the process-wide
 // shared worker pool, sized by the MUFFIN_THREADS environment variable
-// (default: hardware concurrency). --workers is validated and recorded
-// in the engine config but no longer spawns a private pool per engine.
+// (default: hardware concurrency).
 //
 // Exit code 0 on success; errors are reported with context on stderr.
 #include <algorithm>
@@ -99,7 +98,6 @@
 #include "serve/router.h"
 #include "serve/rpc/server.h"
 #include "serve/rpc/wire.h"
-#include "serve/stats.h"
 
 using namespace muffin;
 
@@ -120,7 +118,6 @@ struct CliOptions {
   std::size_t samples = 0;  // 0 = dataset default
   std::size_t episodes = 120;
   std::size_t pairs = 2;
-  std::size_t workers = 4;
   std::size_t batch = 32;
   std::size_t requests = 20000;
   std::size_t shards = 4;
@@ -172,8 +169,6 @@ CliOptions parse(int argc, char** argv) {
       options.episodes = static_cast<std::size_t>(std::stoull(value));
     } else if (key == "--pairs") {
       options.pairs = static_cast<std::size_t>(std::stoull(value));
-    } else if (key == "--workers") {
-      options.workers = static_cast<std::size_t>(std::stoull(value));
     } else if (key == "--batch") {
       options.batch = static_cast<std::size_t>(std::stoull(value));
     } else if (key == "--requests") {
@@ -474,16 +469,14 @@ class StatsTicker {
         }
       }
       const obs::MetricsSnapshot snap = obs::registry().snapshot();
-      const auto counter = [&snap](std::string_view name) -> std::uint64_t {
-        const obs::CounterSnapshot* found = snap.find_counter(name);
-        return found != nullptr ? found->value : 0;
-      };
       const std::uint64_t requests =
-          std::max(counter("engine.requests"), counter("router.routed"));
-      const std::uint64_t hits = counter("engine.cache_hits");
-      const std::uint64_t misses = counter("engine.cache_misses");
-      const std::uint64_t failures = counter("router.submit_failures") +
-                                     counter("rpc.client.request_failures");
+          std::max(snap.counter_value("engine.requests"),
+                   snap.counter_value("router.routed"));
+      const std::uint64_t hits = snap.counter_value("engine.cache_hits");
+      const std::uint64_t misses = snap.counter_value("engine.cache_misses");
+      const std::uint64_t failures =
+          snap.counter_value("router.submit_failures") +
+          snap.counter_value("rpc.client.request_failures");
       const auto elapsed = std::chrono::duration<double>(
           std::chrono::steady_clock::now() - start);
       const double rate =
@@ -493,7 +486,7 @@ class StatsTicker {
       line << "[stats t=" << static_cast<long long>(elapsed.count()) << "s]"
            << " requests=" << requests << " (" << format_fixed(rate, 1)
            << "/s)"
-           << " batches=" << counter("engine.batches");
+           << " batches=" << snap.counter_value("engine.batches");
       if (hits + misses > 0) {
         line << " memo_hit="
              << format_percent(static_cast<double>(hits) /
@@ -513,6 +506,25 @@ class StatsTicker {
   bool stopped_ = false;
   std::thread thread_;
 };
+
+/// Percentile `q` of the engine.latency_us histogram in `metrics`.
+double latency_us(const obs::MetricsSnapshot& metrics, double q) {
+  const obs::HistogramSnapshot* latency =
+      metrics.find_histogram("engine.latency_us");
+  return latency != nullptr ? latency->percentile(q) : 0.0;
+}
+
+/// Requests per second over a trace that took `seconds` of wall time.
+std::string rate(std::uint64_t requests, double seconds) {
+  return std::to_string(static_cast<long long>(
+      seconds > 0.0 ? static_cast<double>(requests) / seconds : 0.0));
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 /// stats subcommand: one Stats RPC round trip against a live shard
 /// server, printing the SERVER'S authoritative accounting (not anything
@@ -542,73 +554,65 @@ int run_stats(const CliOptions& options) {
   const serve::StatsReport report =
       serve::rpc::decode_stats_response(frame->payload);
 
+  const obs::MetricsSnapshot& process = report.process;
   if (options.format == "json") {
-    std::cout << report.metrics.to_json() << "\n";
+    std::cout << process.to_json() << "\n";
     return 0;
   }
   if (options.format == "prom") {
-    std::cout << report.metrics.to_prometheus();
+    std::cout << process.to_prometheus();
     return 0;
   }
 
-  // Table: re-hydrate the latency export through a scratch LatencyStats so
-  // percentiles come out of the same merge machinery the router uses.
-  serve::LatencyStats scratch;
-  scratch.merge_export(report.latency);
-  const serve::LatencyStats::Snapshot snap = scratch.snapshot();
+  // Table: the engine rows come from the server engine's own registry.
+  // The registry keeps no start time, so there is no throughput row, and
+  // max latency is the histogram's 100th percentile (within 1%).
+  const obs::MetricsSnapshot& engine = report.engine;
+  const obs::HistogramSnapshot* latency =
+      engine.find_histogram("engine.latency_us");
   std::cout << "authoritative stats for " << options.connect << ":\n";
-  const auto registry_counter =
-      [&report](std::string_view name) -> std::uint64_t {
-    const obs::CounterSnapshot* found = report.metrics.find_counter(name);
-    return found != nullptr ? found->value : 0;
-  };
-  std::int64_t model_version = 0;
-  for (const obs::GaugeSnapshot& gauge : report.metrics.gauges) {
-    if (gauge.name == "serve.model_version") model_version = gauge.value;
-  }
   TextTable table({"metric", "value"});
-  table.add_row({"model version", std::to_string(model_version)});
+  table.add_row({"model version",
+                 std::to_string(process.gauge_value("serve.model_version"))});
   table.add_row({"model swaps",
-                 std::to_string(registry_counter("serve.swaps_total"))});
-  table.add_row({"retrain rounds",
-                 std::to_string(registry_counter("serve.retrain_rounds"))});
-  table.add_row({"requests", std::to_string(report.counters.requests)});
-  table.add_row({"batches", std::to_string(report.counters.batches)});
-  table.add_row({"cache hits", std::to_string(report.counters.cache_hits)});
-  table.add_row({"consensus short-circuits",
-                 std::to_string(report.counters.consensus_short_circuits)});
-  table.add_row({"head evaluations",
-                 std::to_string(report.counters.head_evaluations)});
+                 std::to_string(process.counter_value("serve.swaps_total"))});
+  table.add_row(
+      {"retrain rounds",
+       std::to_string(process.counter_value("serve.retrain_rounds"))});
+  for (const auto& [row, name] :
+       {std::pair{"requests", "engine.requests"},
+        std::pair{"batches", "engine.batches"},
+        std::pair{"cache hits", "engine.cache_hits"},
+        std::pair{"consensus short-circuits",
+                  "engine.consensus_short_circuits"},
+        std::pair{"head evaluations", "engine.head_evaluations"}}) {
+    table.add_row({row, std::to_string(engine.counter_value(name))});
+  }
   table.add_row({"memo entries", std::to_string(report.cache_entries)});
-  table.add_row({"throughput (req/s)",
-                 format_fixed(snap.requests_per_second, 1)});
-  table.add_row({"mean latency (us)", format_fixed(snap.mean_us, 0)});
-  table.add_row({"p50 latency (us)", format_fixed(snap.p50_us, 0)});
-  table.add_row({"p95 latency (us)", format_fixed(snap.p95_us, 0)});
-  table.add_row({"p99 latency (us)", format_fixed(snap.p99_us, 0)});
-  table.add_row({"max latency (us)", format_fixed(snap.max_us, 0)});
+  table.add_row({"mean latency (us)",
+                 format_fixed(latency != nullptr ? latency->mean() : 0.0, 0)});
+  table.add_row({"p50 latency (us)", format_fixed(latency_us(engine, 50), 0)});
+  table.add_row({"p95 latency (us)", format_fixed(latency_us(engine, 95), 0)});
+  table.add_row({"p99 latency (us)", format_fixed(latency_us(engine, 99), 0)});
+  table.add_row({"max latency (us)", format_fixed(latency_us(engine, 100), 0)});
   table.print(std::cout);
 
-  if (!report.metrics.counters.empty()) {
-    std::cout << "\nserver registry (" << report.metrics.counters.size()
-              << " counters, " << report.metrics.gauges.size() << " gauges, "
-              << report.metrics.histograms.size() << " histograms):\n";
+  if (!process.counters.empty()) {
+    std::cout << "\nserver registry (" << process.counters.size()
+              << " counters, " << process.gauges.size() << " gauges, "
+              << process.histograms.size() << " histograms):\n";
     TextTable registry({"counter", "value"});
-    for (const obs::CounterSnapshot& entry : report.metrics.counters) {
+    for (const obs::CounterSnapshot& entry : process.counters) {
       registry.add_row({entry.name, std::to_string(entry.value)});
     }
-    for (const obs::GaugeSnapshot& entry : report.metrics.gauges) {
+    for (const obs::GaugeSnapshot& entry : process.gauges) {
       registry.add_row({entry.name + " (gauge)",
                         std::to_string(entry.value)});
     }
-    for (const obs::HistogramSnapshot& entry : report.metrics.histograms) {
-      registry.add_row(
-          {entry.name + " (histogram)",
-           std::to_string(entry.count) + " obs, mean " +
-               format_fixed(entry.count > 0
-                                ? entry.sum / static_cast<double>(entry.count)
-                                : 0.0,
-                            1)});
+    for (const obs::HistogramSnapshot& entry : process.histograms) {
+      registry.add_row({entry.name + " (histogram)",
+                        std::to_string(entry.count) + " obs, mean " +
+                            format_fixed(entry.mean(), 1)});
     }
     registry.print(std::cout);
   }
@@ -652,7 +656,6 @@ int run_listen(const CliOptions& options,
                std::shared_ptr<core::FusedModel> fused,
                std::uint64_t artifact_version) {
   serve::rpc::ShardServerConfig server_config;
-  server_config.engine.workers = options.workers;
   server_config.engine.max_batch = options.batch;
   server_config.engine.max_queue = options.max_queue;
   server_config.engine.deadline = std::chrono::milliseconds(options.deadline_ms);
@@ -691,19 +694,20 @@ int run_listen(const CliOptions& options,
     // requests on the wire never sees this shard die.
     server.drain(std::chrono::milliseconds(5000));
     std::cout << "drained cleanly: served "
-              << server.engine().counters().requests << " requests over "
-              << server.connections_accepted() << " connections\n";
+              << server.engine().metrics().counter_value("engine.requests")
+              << " requests over " << server.connections_accepted()
+              << " connections\n";
     return 0;
   }
   std::cout << "stopping: served "
-            << server.engine().counters().requests << " requests over "
-            << server.connections_accepted() << " connections\n";
+            << server.engine().metrics().counter_value("engine.requests")
+            << " requests over " << server.connections_accepted()
+            << " connections\n";
   server.stop();
   return 0;
 }
 
 int run_serve(const CliOptions& options) {
-  MUFFIN_REQUIRE(options.workers > 0, "--workers must be positive");
   MUFFIN_REQUIRE(options.batch > 0, "--batch must be positive");
   MUFFIN_REQUIRE(options.requests > 0, "--requests must be positive");
   const Workbench bench = make_workbench(options);
@@ -717,7 +721,6 @@ int run_serve(const CliOptions& options) {
             << fused->parameter_count() << " params)\n";
 
   serve::EngineConfig engine_config;
-  engine_config.workers = options.workers;
   engine_config.max_batch = options.batch;
   engine_config.max_queue = options.max_queue;
   engine_config.deadline = std::chrono::milliseconds(options.deadline_ms);
@@ -731,30 +734,33 @@ int run_serve(const CliOptions& options) {
   ticker.start(options.stats_every_s);
   std::vector<std::future<serve::Prediction>> futures;
   futures.reserve(options.requests);
+  const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < options.requests; ++i) {
     futures.push_back(
         engine.submit(pool_split.record(trace_rng.index(pool_split.size()))));
   }
   for (auto& future : futures) (void)future.get();
+  const double seconds = seconds_since(start);
   ticker.stop();
   engine.shutdown();
 
-  const serve::LatencyStats::Snapshot snap = engine.latency().snapshot();
-  const serve::EngineCounters counters = engine.counters();
+  // Throughput is over the trace's wall time, first submit to last reply.
+  const obs::MetricsSnapshot metrics = engine.metrics();
+  const std::uint64_t requests = metrics.counter_value("engine.requests");
   TextTable table({"metric", "value"});
-  table.add_row({"requests", std::to_string(counters.requests)});
-  table.add_row({"throughput (req/s)",
-                 std::to_string(static_cast<long long>(
-                     snap.requests_per_second))});
-  table.add_row({"p50 latency (us)", format_fixed(snap.p50_us, 0)});
-  table.add_row({"p95 latency (us)", format_fixed(snap.p95_us, 0)});
-  table.add_row({"p99 latency (us)", format_fixed(snap.p99_us, 0)});
-  table.add_row({"batches", std::to_string(counters.batches)});
-  table.add_row({"consensus short-circuits",
-                 std::to_string(counters.consensus_short_circuits)});
-  table.add_row({"head evaluations",
-                 std::to_string(counters.head_evaluations)});
-  table.add_row({"cache hits", std::to_string(counters.cache_hits)});
+  table.add_row({"requests", std::to_string(requests)});
+  table.add_row({"throughput (req/s)", rate(requests, seconds)});
+  table.add_row({"p50 latency (us)", format_fixed(latency_us(metrics, 50), 0)});
+  table.add_row({"p95 latency (us)", format_fixed(latency_us(metrics, 95), 0)});
+  table.add_row({"p99 latency (us)", format_fixed(latency_us(metrics, 99), 0)});
+  for (const auto& [row, name] :
+       {std::pair{"batches", "engine.batches"},
+        std::pair{"consensus short-circuits",
+                  "engine.consensus_short_circuits"},
+        std::pair{"head evaluations", "engine.head_evaluations"},
+        std::pair{"cache hits", "engine.cache_hits"}}) {
+    table.add_row({row, std::to_string(metrics.counter_value(name))});
+  }
   table.print(std::cout);
   return 0;
 }
@@ -763,13 +769,11 @@ int run_route(const CliOptions& options) {
   const std::vector<std::string> remotes = split_csv_list(options.remote);
   MUFFIN_REQUIRE(!remotes.empty() || options.shards > 0,
                  "--shards must be positive (or pass --remote endpoints)");
-  MUFFIN_REQUIRE(options.workers > 0, "--workers must be positive");
   MUFFIN_REQUIRE(options.batch > 0, "--batch must be positive");
   MUFFIN_REQUIRE(options.requests > 0, "--requests must be positive");
   const Workbench bench = make_workbench(options);
 
   serve::RouterConfig router_config;
-  router_config.engine.workers = options.workers;
   router_config.engine.max_batch = options.batch;
   router_config.engine.max_queue = options.max_queue;
   router_config.engine.deadline = std::chrono::milliseconds(options.deadline_ms);
@@ -792,9 +796,8 @@ int run_route(const CliOptions& options) {
   serve::ShardRouter router(fused, router_config);
   if (remotes.empty()) {
     std::cout << "routing " << fused->name() << " across "
-              << options.shards << " in-process shards (" << options.workers
-              << " workers each, " << router_config.virtual_nodes
-              << " virtual nodes per shard)\n";
+              << options.shards << " in-process shards ("
+              << router_config.virtual_nodes << " virtual nodes per shard)\n";
   } else {
     std::cout << "routing across " << remotes.size()
               << " remote shards (probe every " << options.probe_ms
@@ -810,30 +813,36 @@ int run_route(const CliOptions& options) {
   ticker.start(options.stats_every_s);
   std::vector<std::future<serve::Prediction>> futures;
   futures.reserve(options.requests);
+  const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < options.requests; ++i) {
     futures.push_back(
         router.submit(pool_split.record(trace_rng.index(pool_split.size()))));
   }
   for (auto& future : futures) (void)future.get();
+  const double seconds = seconds_since(start);
   ticker.stop();
 
-  const serve::LatencyStats::Snapshot merged = router.aggregate_latency();
-  const serve::EngineCounters total = router.aggregate_counters();
+  const obs::MetricsSnapshot merged = router.aggregate_metrics();
+  const std::uint64_t requests = merged.counter_value("engine.requests");
+  const std::uint64_t hits = merged.counter_value("engine.cache_hits");
   TextTable aggregate({"aggregate metric", "value"});
-  aggregate.add_row({"requests", std::to_string(total.requests)});
-  aggregate.add_row({"throughput (req/s)",
-                     std::to_string(static_cast<long long>(
-                         merged.requests_per_second))});
-  aggregate.add_row({"p50 latency (us)", format_fixed(merged.p50_us, 0)});
-  aggregate.add_row({"p95 latency (us)", format_fixed(merged.p95_us, 0)});
-  aggregate.add_row({"p99 latency (us)", format_fixed(merged.p99_us, 0)});
-  aggregate.add_row({"consensus short-circuits",
-                     std::to_string(total.consensus_short_circuits)});
-  aggregate.add_row({"cache hits", std::to_string(total.cache_hits)});
+  aggregate.add_row({"requests", std::to_string(requests)});
+  aggregate.add_row({"throughput (req/s)", rate(requests, seconds)});
+  aggregate.add_row(
+      {"p50 latency (us)", format_fixed(latency_us(merged, 50), 0)});
+  aggregate.add_row(
+      {"p95 latency (us)", format_fixed(latency_us(merged, 95), 0)});
+  aggregate.add_row(
+      {"p99 latency (us)", format_fixed(latency_us(merged, 99), 0)});
+  aggregate.add_row(
+      {"consensus short-circuits",
+       std::to_string(merged.counter_value("engine.consensus_short_circuits"))});
+  aggregate.add_row({"cache hits", std::to_string(hits)});
   aggregate.add_row(
       {"memo hit rate",
-       format_percent(static_cast<double>(total.cache_hits) /
-                      static_cast<double>(total.requests))});
+       format_percent(requests > 0 ? static_cast<double>(hits) /
+                                         static_cast<double>(requests)
+                                   : 0.0)});
   aggregate.print(std::cout);
   std::cout << "\n";
 
@@ -845,12 +854,12 @@ int run_route(const CliOptions& options) {
                     : (info.active ? "active"
                                    : (info.auto_drained ? "auto-drained"
                                                         : "drained"));
-    per_shard.add_row({std::to_string(info.shard), info.backend, state,
-                       std::to_string(info.routed),
-                       std::to_string(info.cache_entries),
-                       std::to_string(info.counters.cache_hits),
-                       format_fixed(info.latency.p50_us, 0),
-                       format_fixed(info.latency.p99_us, 0)});
+    per_shard.add_row(
+        {std::to_string(info.shard), info.backend, state,
+         std::to_string(info.routed), std::to_string(info.cache_entries),
+         std::to_string(info.metrics.counter_value("engine.cache_hits")),
+         format_fixed(latency_us(info.metrics, 50), 0),
+         format_fixed(latency_us(info.metrics, 99), 0)});
   }
   per_shard.print(std::cout);
   // Resilience accounting lives in THIS process's registry (retries and
@@ -858,15 +867,12 @@ int run_route(const CliOptions& options) {
   // the wire), so print it here rather than per shard.
   {
     const obs::MetricsSnapshot snap = obs::registry().snapshot();
-    const auto counter = [&snap](std::string_view name) -> std::uint64_t {
-      const obs::CounterSnapshot* found = snap.find_counter(name);
-      return found != nullptr ? found->value : 0;
-    };
-    std::cout << "resilience: retries=" << counter("serve.retries")
-              << " failovers=" << counter("serve.failovers")
-              << " shed=" << counter("serve.shed")
-              << " deadline_drops=" << counter("serve.deadline_drops")
-              << " reconnects=" << counter("rpc.client.reconnects") << "\n";
+    std::cout << "resilience: retries=" << snap.counter_value("serve.retries")
+              << " failovers=" << snap.counter_value("serve.failovers")
+              << " shed=" << snap.counter_value("serve.shed")
+              << " deadline_drops=" << snap.counter_value("serve.deadline_drops")
+              << " reconnects=" << snap.counter_value("rpc.client.reconnects")
+              << "\n";
   }
   router.shutdown();
   return 0;

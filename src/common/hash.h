@@ -7,7 +7,7 @@
 // uniform placement. `mix64` is the splitmix64 finalizer (Steele et al.),
 // the standard cheap bijective mixer; `splitmix64_next` is the matching
 // sequential stream used where a lightweight deterministic RNG is enough
-// (reservoir sampling in LatencyStats, tie-breaking in tests).
+// (failpoint firing, reconnect-backoff jitter, tie-breaking in tests).
 //
 // HashRing implements consistent hashing with virtual nodes: each node
 // owns `virtual_nodes` pseudo-random points on a 64-bit ring and a key is

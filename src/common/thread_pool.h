@@ -8,15 +8,14 @@
 // micro-batches on it, MuffinSearch evaluates controller batches on it,
 // and parallel_for (common/parallel_for.h) splits kernel row-blocks over
 // it. It lives in common (not serve) so the tensor layer can partition
-// GEMMs without depending on the serving runtime; serve/thread_pool.h
-// re-exports it as serve::ThreadPool.
+// GEMMs without depending on the serving runtime.
 //
 // Workers are numbered 0..size()-1; current_worker() returns the index of
 // the pool worker executing the current job (or npos outside a worker).
-// Components that keep per-worker state — e.g. the engine's per-worker
-// muffin-head clones — index it with current_worker(). The index is
-// per-thread, not per-pool: a worker of any pool reports its index, which
-// is also how parallel_for detects nested use and degrades to serial.
+// Components that keep per-worker state index it with current_worker().
+// The index is per-thread, not per-pool: a worker of any pool reports its
+// index, which is also how parallel_for detects nested use and degrades
+// to serial.
 #pragma once
 
 #include <condition_variable>

@@ -68,8 +68,8 @@ class Layer {
   /// Deep copy of this layer's architecture and weights. Gradient
   /// accumulators and forward caches start empty in the clone. A layer
   /// whose weights are borrowed from a mapped artifact clones as another
-  /// borrowing layer (sharing the mapping keepalive), which is what lets
-  /// engine worker-head clones share artifact pages instead of copying.
+  /// borrowing layer (sharing the mapping keepalive), so copies of a
+  /// mapped head share artifact pages instead of copying them.
   [[nodiscard]] virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Parameter blocks (empty for parameter-free layers).

@@ -38,7 +38,8 @@ struct BatcherConfig {
   /// (`<prefix>.size_flushes` / `.deadline_flushes` / `.drain_flushes`)
   /// and queue-depth gauge (`<prefix>.depth`). Empty disables
   /// registration, for throwaway batchers that must not touch the
-  /// process registry.
+  /// process registry. The depth gauge moves by deltas (add on admit,
+  /// subtract on pop), so batchers sharing a prefix sum.
   std::string metrics_prefix = "batcher";
 };
 
@@ -59,6 +60,9 @@ class Batcher {
     }
   }
 
+  /// Items still queued leave the depth gauge with the batcher.
+  ~Batcher() { move_depth(-static_cast<std::int64_t>(queue_.size())); }
+
   /// Enqueue one item. Throws muffin::Error if the batcher is closed,
   /// muffin::Overloaded if the admission bound is reached.
   void push(T item) {
@@ -67,7 +71,7 @@ class Batcher {
       MUFFIN_REQUIRE(!closed_, "cannot push to a closed batcher");
       admit_locked(1);
       queue_.emplace_back(std::move(item), Clock::now());
-      publish_depth_locked();
+      move_depth(1);
     }
     ready_.notify_one();
   }
@@ -87,7 +91,7 @@ class Batcher {
       for (T& item : items) {
         queue_.emplace_back(std::move(item), now);
       }
-      publish_depth_locked();
+      move_depth(static_cast<std::int64_t>(items.size()));
     }
     ready_.notify_all();
   }
@@ -150,7 +154,7 @@ class Batcher {
       queue_.pop_front();
     }
     if (n > 0 && cause != nullptr) cause->inc();
-    publish_depth_locked();
+    move_depth(-static_cast<std::int64_t>(n));
     return batch;
   }
 
@@ -165,10 +169,8 @@ class Batcher {
     }
   }
 
-  void publish_depth_locked() {
-    if (depth_ != nullptr) {
-      depth_->set(static_cast<std::int64_t>(queue_.size()));
-    }
+  void move_depth(std::int64_t delta) {
+    if (depth_ != nullptr) depth_->add(delta);
   }
 
   BatcherConfig config_;

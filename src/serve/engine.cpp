@@ -15,92 +15,64 @@ namespace muffin::serve {
 
 namespace {
 
-/// Process-wide engine metrics (see src/obs/metrics.h for the idiom:
-/// resolve once, then every record is a single relaxed atomic op). These
-/// aggregate over every engine replica in the process; the per-engine
-/// atomics behind counters() stay the per-replica source of truth.
-struct EngineMetrics {
-  obs::Counter& requests = obs::registry().counter("engine.requests");
-  obs::Counter& batches = obs::registry().counter("engine.batches");
-  obs::Counter& cache_hits = obs::registry().counter("engine.cache_hits");
-  obs::Counter& cache_misses = obs::registry().counter("engine.cache_misses");
-  obs::Counter& consensus =
-      obs::registry().counter("engine.consensus_short_circuits");
-  obs::Counter& head_evaluations =
-      obs::registry().counter("engine.head_evaluations");
-  obs::Histogram& batch_size = obs::registry().histogram(
-      "engine.batch_size", obs::batch_size_buckets());
-  obs::Histogram& latency_us = obs::registry().histogram(
-      "engine.latency_us", obs::latency_us_buckets());
-  /// Requests rejected at admission (Overloaded), and how long the
-  /// rejection itself took — the shed path's whole point is that this
-  /// histogram sits far below engine.latency_us.
-  obs::Counter& shed = obs::registry().counter("serve.shed");
-  obs::Histogram& shed_latency_us = obs::registry().histogram(
-      "serve.shed_latency_us", obs::latency_us_buckets());
-  /// Requests dropped unscored because they overstayed config.deadline.
-  obs::Counter& deadline_drops =
-      obs::registry().counter("serve.deadline_drops");
-  /// Model lifecycle: hot-swaps performed (process-wide) and the version
-  /// most recently published by any engine in this process. For the
-  /// one-engine-per-process shard server this gauge IS the shard's live
-  /// version; a multi-engine process reads per-engine model_version().
+/// Process-level model lifecycle metrics: hot-swaps performed and the
+/// version most recently published by any engine in this process. They
+/// stay out of the per-engine registries because a sum of versions means
+/// nothing. For the one-engine-per-process shard server this gauge IS the
+/// shard's live version; a multi-engine process reads per-engine
+/// model_version().
+struct LifecycleMetrics {
   obs::Counter& swaps = obs::registry().counter("serve.swaps_total");
   obs::Gauge& model_version = obs::registry().gauge("serve.model_version");
 
-  static EngineMetrics& get() {
-    static EngineMetrics metrics;
+  static LifecycleMetrics& get() {
+    static LifecycleMetrics metrics;
     return metrics;
   }
 };
 
-obs::Gauge& memo_bytes_gauge() {
-  static obs::Gauge& gauge =
-      obs::registry().gauge("serve.result_memo_bytes");
-  return gauge;
+double micros(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration<double, std::micro>(d).count();
 }
 
 }  // namespace
+
+InferenceEngine::Metrics::Metrics(obs::Registry& registry)
+    : requests(registry.counter("engine.requests")),
+      batches(registry.counter("engine.batches")),
+      cache_hits(registry.counter("engine.cache_hits")),
+      cache_misses(registry.counter("engine.cache_misses")),
+      consensus(registry.counter("engine.consensus_short_circuits")),
+      head_evaluations(registry.counter("engine.head_evaluations")),
+      batch_size(registry.histogram("engine.batch_size",
+                                    obs::batch_size_buckets())),
+      latency_us(registry.histogram("engine.latency_us",
+                                    obs::latency_us_buckets())),
+      shed(registry.counter("serve.shed")),
+      shed_latency_us(registry.histogram("serve.shed_latency_us",
+                                         obs::latency_us_buckets())),
+      deadline_drops(registry.counter("serve.deadline_drops")),
+      memo_bytes(registry.gauge("serve.result_memo_bytes")) {}
 
 InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
                                  EngineConfig config)
     : registry_(std::move(model), config.initial_model_version),
       config_(config),
       num_classes_(0),
+      telemetry_(obs::registry()),
+      metrics_(telemetry_),
       pool_(common::global_pool()),
       batcher_({config.max_batch, config.max_delay, config.max_queue,
                 "engine.batcher"}),
       memo_mode_(tensor::active_quant_mode()) {
-  MUFFIN_REQUIRE(config_.workers > 0, "engine needs at least one worker");
   const std::shared_ptr<const ModelSnapshot> snapshot = registry_.current();
   num_classes_ = snapshot->model->num_classes();
-  // Head clones keep each worker's weights hot in its own cache
-  // hierarchy. Batches can land on any worker of the process-wide pool,
-  // but the clone count is budgeted by config.workers (not the host
-  // width) so a many-shard router on a wide machine does not multiply
-  // head memory by hardware_concurrency; workers map onto clones by
-  // modulo, and sharing a clone is safe because inference forwards are
-  // const and cache-free. Slots track the version their clone came from
-  // so a hot-swap re-clones lazily (head_for).
-  const std::size_t clones = std::min(pool_.size(), config_.workers);
-  head_slots_.reserve(clones);
-  for (std::size_t w = 0; w < clones; ++w) {
-    auto slot = std::make_unique<HeadSlot>();
-    slot->version = snapshot->version;
-    slot->head = std::make_shared<const nn::Mlp>(snapshot->model->head());
-    head_slots_.push_back(std::move(slot));
-  }
-  EngineMetrics::get().model_version.set(
+  LifecycleMetrics::get().model_version.set(
       static_cast<std::int64_t>(snapshot->version));
   dispatcher_ = std::thread([this]() { dispatch_loop(); });
 }
 
-InferenceEngine::~InferenceEngine() {
-  shutdown();
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  memo_bytes_gauge().sub(static_cast<std::int64_t>(memo_bytes_));
-  memo_bytes_ = 0;
-}
+InferenceEngine::~InferenceEngine() { shutdown(); }
 
 std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
   MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped engine");
@@ -110,27 +82,15 @@ std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
   Request request{record, Clock::now(), {},
                   obs::Tracer::instance().sample()};
   std::future<Prediction> future = request.promise.get_future();
-  // Count before publishing to the batcher: a worker may dequeue, score,
-  // and record latency for this request the moment it is pushed, and
-  // observers assert latency.count <= counters().requests mid-flight.
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics::get().requests.inc();
+  // Requests are counted when a batch picks them up (process_batch), so
+  // a shed or a submit that loses the race with shutdown() is never
+  // counted at all.
   try {
     batcher_.push(std::move(request));
   } catch (const Overloaded&) {
     // Admission bound reached: the request never entered the engine.
-    requests_.fetch_sub(1, std::memory_order_relaxed);
-    EngineMetrics& metrics = EngineMetrics::get();
-    metrics.shed.inc();
-    metrics.shed_latency_us.observe(
-        std::chrono::duration<double, std::micro>(Clock::now() -
-                                                  request.enqueued)
-            .count());
-    throw;
-  } catch (...) {
-    // push throws if shutdown() closed the batcher between the stopped_
-    // check and here: the request never entered the engine, so un-count it.
-    requests_.fetch_sub(1, std::memory_order_relaxed);
+    metrics_.shed.inc();
+    metrics_.shed_latency_us.observe(micros(Clock::now() - request.enqueued));
     throw;
   }
   return future;
@@ -162,23 +122,12 @@ std::vector<std::future<Prediction>> InferenceEngine::submit_batch(
     futures.push_back(request.promise.get_future());
     requests.push_back(std::move(request));
   }
-  // Same count-before-publish ordering as submit(), for the same reason.
-  requests_.fetch_add(n, std::memory_order_relaxed);
-  EngineMetrics::get().requests.inc(n);
   try {
     batcher_.push_many(std::move(requests));
   } catch (const Overloaded&) {
     // Shed whole: push_many admits all records or none.
-    requests_.fetch_sub(n, std::memory_order_relaxed);
-    EngineMetrics& metrics = EngineMetrics::get();
-    metrics.shed.inc(n);
-    metrics.shed_latency_us.observe(
-        std::chrono::duration<double, std::micro>(Clock::now() - now).count());
-    throw;
-  } catch (...) {
-    // push_many is all-or-nothing: on a shutdown race no record entered
-    // the engine, so un-count the whole span.
-    requests_.fetch_sub(n, std::memory_order_relaxed);
+    metrics_.shed.inc(n);
+    metrics_.shed_latency_us.observe(micros(Clock::now() - now));
     throw;
   }
   return futures;
@@ -232,46 +181,13 @@ std::uint64_t InferenceEngine::swap_model(
   const std::shared_ptr<const ModelSnapshot> installed =
       registry_.publish(std::move(model), version);
   swaps_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics& metrics = EngineMetrics::get();
-  metrics.swaps.inc();
-  metrics.model_version.set(static_cast<std::int64_t>(installed->version));
+  LifecycleMetrics& lifecycle = LifecycleMetrics::get();
+  lifecycle.swaps.inc();
+  lifecycle.model_version.set(static_cast<std::int64_t>(installed->version));
   // No flush, no pause: in-flight batches hold their own snapshot pins,
-  // worker head slots refresh lazily on their next batch (head_for), and
-  // version-keyed memo entries from older versions die on first lookup.
+  // and version-keyed memo entries from older versions die on first
+  // lookup.
   return installed->version;
-}
-
-std::shared_ptr<const nn::Mlp> InferenceEngine::head_for(
-    std::size_t worker, const ModelSnapshot& snapshot) {
-  HeadSlot& slot =
-      *head_slots_[worker == ThreadPool::npos ? 0
-                                              : worker % head_slots_.size()];
-  const std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.version == snapshot.version) return slot.head;
-  if (slot.version < snapshot.version) {
-    // Lazy epoch advance: first batch on the new version pays one head
-    // clone; later batches on this slot reuse it. The displaced clone
-    // stays alive for any batch still holding its shared_ptr.
-    slot.head = std::make_shared<const nn::Mlp>(snapshot.model->head());
-    slot.version = snapshot.version;
-    return slot.head;
-  }
-  // A batch that pinned an older version than the slot raced a swap:
-  // score it on its snapshot's own head rather than rolling the slot
-  // backwards (const inference forwards are thread-safe).
-  return {snapshot.model, &snapshot.model->head()};
-}
-
-EngineCounters InferenceEngine::counters() const {
-  EngineCounters counters;
-  counters.requests = requests_.load(std::memory_order_relaxed);
-  counters.batches = batches_.load(std::memory_order_relaxed);
-  counters.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  counters.consensus_short_circuits =
-      consensus_short_circuits_.load(std::memory_order_relaxed);
-  counters.head_evaluations =
-      head_evaluations_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 void InferenceEngine::dispatch_loop() {
@@ -291,8 +207,9 @@ void InferenceEngine::dispatch_loop() {
 }
 
 void InferenceEngine::process_batch(std::vector<Request> batch) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics& metrics = EngineMetrics::get();
+  // Admission is counted here, before the deadline filter, so every
+  // request that will ever be timed (or dropped) is already counted.
+  metrics_.requests.inc(batch.size());
   // Deadline propagation: requests that overstayed their deadline in the
   // queue are failed here, before any scoring work is spent on them. A
   // backlogged engine thus spends its cycles only on answers someone is
@@ -303,7 +220,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     live.reserve(batch.size());
     for (Request& request : batch) {
       if (request.enqueued < cutoff) {
-        metrics.deadline_drops.inc();
+        metrics_.deadline_drops.inc();
         request.promise.set_exception(std::make_exception_ptr(
             Error("request deadline exceeded before scoring")));
       } else {
@@ -319,8 +236,8 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     }
   }
   const std::size_t n = batch.size();
-  metrics.batches.inc();
-  metrics.batch_size.observe(static_cast<double>(n));
+  metrics_.batches.inc();
+  metrics_.batch_size.observe(static_cast<double>(n));
   // Tracing: one serve.batch span if any request in the batch was picked
   // by the edge sampler; sampled requests additionally emit their queue
   // wait (enqueue -> batch formation) and end-to-end serve.request spans.
@@ -357,14 +274,12 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     std::vector<std::size_t> misses;
     misses.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (cache_lookup(batch[i].record.uid, pinned->version, results[i])) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        metrics.cache_hits.inc();
-      } else {
+      if (!cache_lookup(batch[i].record.uid, pinned->version, results[i])) {
         misses.push_back(i);
       }
     }
-    metrics.cache_misses.inc(misses.size());
+    metrics_.cache_hits.inc(n - misses.size());
+    metrics_.cache_misses.inc(misses.size());
 
     // 2. Body scores for the misses as one record span through the shared
     // gather (every body model's score_batch override over the whole
@@ -390,25 +305,17 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       }();
 
       // 3. Row-wise consensus gate + one batched head forward over the
-      // disagreement rows, on this worker's head clone (re-cloned lazily
-      // at epoch advance). Bit-identical to FusedModel::scores by
-      // construction: fuse_gathered_batch rows match core::fuse_gathered,
-      // and worker heads are value copies of the pinned version's head.
-      const std::shared_ptr<const nn::Mlp> head =
-          head_for(ThreadPool::current_worker(), *pinned);
+      // disagreement rows, on the pinned version's head. Bit-identical to
+      // FusedModel::scores by construction: fuse_gathered_batch rows
+      // match core::fuse_gathered.
       core::FusedBatch fused = [&]() {
         const obs::TraceSpan span("serve.fuse", any_traced);
-        return core::fuse_gathered_batch(gathered, *head, body_size,
+        return core::fuse_gathered_batch(gathered, model.head(), body_size,
                                          num_classes_,
                                          model.head_only_on_disagreement());
       }();
-      const std::size_t consensus_rows = misses.size() - fused.head_rows;
-      consensus_short_circuits_.fetch_add(consensus_rows,
-                                          std::memory_order_relaxed);
-      head_evaluations_.fetch_add(fused.head_rows,
-                                  std::memory_order_relaxed);
-      metrics.consensus.inc(consensus_rows);
-      metrics.head_evaluations.inc(fused.head_rows);
+      metrics_.consensus.inc(misses.size() - fused.head_rows);
+      metrics_.head_evaluations.inc(fused.head_rows);
       for (std::size_t k = 0; k < misses.size(); ++k) {
         const std::size_t i = misses[k];
         Prediction& prediction = results[i];
@@ -430,10 +337,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     const obs::TraceSpan reply_span("serve.reply", any_traced);
     const double now_us = any_traced ? tracer.to_us(now) : 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      latency_.record(now - batch[i].enqueued);
-      metrics.latency_us.observe(
-          std::chrono::duration<double, std::micro>(now - batch[i].enqueued)
-              .count());
+      metrics_.latency_us.observe(micros(now - batch[i].enqueued));
       if (batch[i].traced) {
         const double enqueued_us = tracer.to_us(batch[i].enqueued);
         tracer.record("serve.request", enqueued_us, now_us - enqueued_us,
@@ -572,8 +476,8 @@ void InferenceEngine::cache_store(std::uint64_t uid, MemoEntry entry) {
     existing = std::move(entry);
     memo_bytes_ += new_bytes;
     memo_bytes_ -= old_bytes;
-    memo_bytes_gauge().add(static_cast<std::int64_t>(new_bytes) -
-                           static_cast<std::int64_t>(old_bytes));
+    metrics_.memo_bytes.add(static_cast<std::int64_t>(new_bytes) -
+                            static_cast<std::int64_t>(old_bytes));
     cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
     return;
   }
@@ -581,11 +485,11 @@ void InferenceEngine::cache_store(std::uint64_t uid, MemoEntry entry) {
   cache_order_.emplace_front(uid, std::move(entry));
   cache_index_.emplace(uid, cache_order_.begin());
   memo_bytes_ += added;
-  memo_bytes_gauge().add(static_cast<std::int64_t>(added));
+  metrics_.memo_bytes.add(static_cast<std::int64_t>(added));
   while (cache_order_.size() > config_.result_cache_capacity) {
     const std::size_t evicted = cache_order_.back().second.payload_bytes();
     memo_bytes_ -= evicted;
-    memo_bytes_gauge().sub(static_cast<std::int64_t>(evicted));
+    metrics_.memo_bytes.sub(static_cast<std::int64_t>(evicted));
     cache_index_.erase(cache_order_.back().first);
     cache_order_.pop_back();
   }

@@ -12,9 +12,7 @@
 //    hardware); on multi-core hosts independent batches score in
 //    parallel. Every engine replica, MuffinSearch and the kernel-level
 //    parallel_for draw from this one pool, so components never compete
-//    through oversubscribed per-component threads. EngineConfig::workers
-//    no longer sizes a private pool; it is kept (and validated) as the
-//    requested concurrency hint.
+//    through oversubscribed per-component threads.
 //  * **Matrix-in/Matrix-out batch scoring.** Each batch's memo misses are
 //    scored as one record span: every body model scores the whole span via
 //    its Model::score_batch override (batched GEMM for network-backed
@@ -26,10 +24,6 @@
 //    single batched forward over the disagreement sub-batch only — on
 //    well-calibrated pools that removes the head from the majority of
 //    requests and shrinks the one GEMM that remains.
-//  * **Per-worker head clones.** Each worker scores its batches on its own
-//    copy of the muffin head. The const inference forwards make the shared
-//    head safe to use concurrently, but worker-local clones keep each
-//    worker's head weights hot in its own cache hierarchy.
 //  * **Result memoization.** Model scores are deterministic per record
 //    (the Model contract), so completed predictions are kept in a bounded
 //    LRU keyed by (model version, record uid); repeated requests — the
@@ -44,8 +38,14 @@
 //    Each batch pins one snapshot for its whole lifetime (epoch/RCU via
 //    shared_ptr), so in-flight batches finish — bit-identically — on
 //    the version they started with, while the next batch picks up the
-//    new one. Worker head clones re-clone lazily the first time a
-//    worker sees a newer epoch.
+//    new one. A batch scores on its pinned snapshot's own head (const
+//    inference forwards are safe to share across workers).
+//  * **Accounting.** Each engine records into its own child of the
+//    process metrics registry (obs/metrics.h), under the process-wide
+//    names: engine.requests counts requests admitted to a batch (sheds
+//    are serve.shed), engine.latency_us times each one from enqueue to
+//    reply. metrics() is this engine's view; obs::registry() sums every
+//    engine in the process.
 //
 // Engine outputs are bit-identical to FusedModel::scores on every record
 // within one model version: the batch path replicates its arithmetic
@@ -64,21 +64,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/fused.h"
+#include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
-#include "serve/stats.h"
-#include "serve/thread_pool.h"
 #include "tensor/quant.h"
 
 namespace muffin::serve {
 
+/// Batches run on the shared process-wide pool (common::global_pool());
+/// size that pool with the MUFFIN_THREADS environment variable.
 struct EngineConfig {
-  /// Requested concurrency (validated > 0). Batches run on the shared
-  /// process-wide pool (common::global_pool()); size that pool with the
-  /// MUFFIN_THREADS environment variable. This field budgets the
-  /// per-engine head-clone count (min(workers, pool size)).
-  std::size_t workers = 4;
   std::size_t max_batch = 32;                 ///< size-flush threshold
   std::chrono::microseconds max_delay{1000};  ///< deadline-flush threshold
   /// Max memoized predictions; 0 disables the result cache.
@@ -104,15 +101,6 @@ struct Prediction {
   bool consensus = false;      ///< body agreed; head was skipped
   bool cached = false;         ///< answered from the result memo
   std::uint64_t model_version = 0;  ///< version that scored this reply
-};
-
-/// Monotonic counters describing how the engine served its traffic.
-struct EngineCounters {
-  std::size_t requests = 0;
-  std::size_t batches = 0;
-  std::size_t cache_hits = 0;
-  std::size_t consensus_short_circuits = 0;
-  std::size_t head_evaluations = 0;
 };
 
 /// The serving tier's all-or-error rule, in one place: wait for every
@@ -183,8 +171,14 @@ class InferenceEngine {
     return swaps_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
-  [[nodiscard]] const LatencyStats& latency() const { return latency_; }
-  [[nodiscard]] EngineCounters counters() const;
+  /// This engine's accounting: engine.requests / .batches / .cache_hits /
+  /// .consensus_short_circuits / .head_evaluations, the engine.latency_us
+  /// histogram and the serve.* shed, deadline and memo metrics. All read
+  /// 0 in a -DMUFFIN_OBS=OFF build. (engine.batcher.* flush counters and
+  /// depth are process-wide.)
+  [[nodiscard]] obs::MetricsSnapshot metrics() const {
+    return telemetry_.snapshot();
+  }
 
   // Shard-local memo introspection (used by ShardRouter and the sharding
   // tests to verify uid affinity without perturbing the LRU order).
@@ -233,28 +227,30 @@ class InferenceEngine {
     [[nodiscard]] std::size_t payload_bytes() const;
   };
 
-  /// One lazily re-cloned worker head: shared-pool workers map onto
-  /// slots by modulo, and each slot tracks which model version its
-  /// clone was taken from. A batch that pins a newer version than the
-  /// slot holds refreshes the clone (publish-then-use under the slot
-  /// mutex is a pointer swap; the old clone stays alive for any batch
-  /// still holding it); a batch pinned to an *older* version — one that
-  /// raced a swap — scores on its snapshot's own head instead of
-  /// thrashing the slot backwards.
-  struct HeadSlot {
-    std::mutex mutex;
-    std::uint64_t version = 0;
-    std::shared_ptr<const nn::Mlp> head;
+  /// This engine's metrics, resolved once against its child registry.
+  struct Metrics {
+    explicit Metrics(obs::Registry& registry);
+    obs::Counter& requests;
+    obs::Counter& batches;
+    obs::Counter& cache_hits;
+    obs::Counter& cache_misses;
+    obs::Counter& consensus;
+    obs::Counter& head_evaluations;
+    obs::Histogram& batch_size;
+    obs::Histogram& latency_us;
+    /// Requests rejected at admission (Overloaded), and how long the
+    /// rejection itself took — the shed path's whole point is that this
+    /// histogram sits far below engine.latency_us.
+    obs::Counter& shed;
+    obs::Histogram& shed_latency_us;
+    /// Requests dropped unscored because they overstayed config.deadline.
+    obs::Counter& deadline_drops;
+    /// Score-payload bytes held by the memo.
+    obs::Gauge& memo_bytes;
   };
 
   void dispatch_loop();
   void process_batch(std::vector<Request> batch);
-
-  /// The head to score `snapshot`'s disagreement rows with on `worker`:
-  /// the slot clone when it is (or can be refreshed to) the snapshot's
-  /// version, the snapshot's own head otherwise.
-  [[nodiscard]] std::shared_ptr<const nn::Mlp> head_for(
-      std::size_t worker, const ModelSnapshot& snapshot);
 
   /// Quantize `prediction.scores` into a MemoEntry and replace them with
   /// the dequantized (canonical) values; sets prediction.predicted from
@@ -269,15 +265,17 @@ class InferenceEngine {
   EngineConfig config_;
   std::size_t num_classes_;
 
-  ThreadPool& pool_;  ///< the shared process-wide pool (never owned)
+  /// Child of the process registry; declared before everything that
+  /// records into it, so it is destroyed (and folds into the process
+  /// totals) after them.
+  obs::Registry telemetry_;
+  Metrics metrics_;
+  common::ThreadPool& pool_;  ///< the shared process-wide pool (never owned)
   Batcher<Request> batcher_;
-  /// One slot per budgeted worker (min(pool size, config.workers));
-  /// unique_ptr because slots hold a mutex and the vector is sized once.
-  std::vector<std::unique_ptr<HeadSlot>> head_slots_;
 
   // Bounded LRU result memo: uid -> (version, quantized reply), most
   // recent at the front. memo_bytes_ tracks the score-payload footprint
-  // (mirrored on the "serve.result_memo_bytes" gauge).
+  // (mirrored on the serve.result_memo_bytes gauge).
   tensor::QuantMode memo_mode_ = tensor::QuantMode::Off;
   mutable std::mutex cache_mutex_;
   std::list<std::pair<std::uint64_t, MemoEntry>> cache_order_;
@@ -291,13 +289,7 @@ class InferenceEngine {
   std::condition_variable inflight_done_;
   std::size_t inflight_batches_ = 0;
 
-  LatencyStats latency_;
   std::atomic<std::size_t> swaps_{0};
-  std::atomic<std::size_t> requests_{0};
-  std::atomic<std::size_t> batches_{0};
-  std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> consensus_short_circuits_{0};
-  std::atomic<std::size_t> head_evaluations_{0};
 
   std::atomic<bool> stopped_{false};
   std::thread dispatcher_;

@@ -7,12 +7,15 @@
 // owns topology (ring membership, drain state, routed counters); the
 // backend owns transport and scoring.
 //
-// Stats semantics differ by locality and are part of the contract:
-//  * A local replica reports its engine's own counters and latency.
+// Stats semantics differ by locality and are part of the contract. Both
+// kinds report a metrics snapshot under the engine's names
+// (engine.requests, engine.latency_us, ...), so the router merges them
+// by name:
+//  * A local replica reports its engine's own registry.
 //  * A remote replica reports *client-observed* accounting: round-trip
 //    latency as measured by this process, counters reconstructed from
 //    the response flags (cached/consensus per prediction). The remote
-//    server's engine keeps its own authoritative counters in its own
+//    server's engine keeps its own authoritative numbers in its own
 //    process. cache_entries()/cache_contains() are unknowable across the
 //    wire and report 0/false.
 //  * probe() is the health check the router's monitor thread calls:
@@ -39,19 +42,16 @@
 namespace muffin::serve {
 
 /// Server-authoritative accounting for one replica, as shipped by the
-/// Stats RPC (serve/rpc/wire.h): the serving engine's own counters and
-/// memo size, its latency accounting in transferable form (the reservoir
-/// travels, so merged percentiles behave as if recorded in one process),
-/// and — when the report crosses a process boundary — the server
-/// process's metrics registry snapshot. In-process replicas leave
-/// `metrics` empty: the registry is process-wide, so every local replica
-/// would ship the same duplicate copy; callers snapshot obs::registry()
-/// once themselves.
+/// Stats RPC (serve/rpc/wire.h): the serving engine's memo size and its
+/// own registry snapshot (counters and latency histogram, which merge
+/// exactly across replicas), and — when the report crosses a process
+/// boundary — the server process's registry snapshot. In-process
+/// replicas leave `process` empty: every local replica would ship the
+/// same duplicate copy; callers snapshot obs::registry() once themselves.
 struct StatsReport {
-  EngineCounters counters;
   std::size_t cache_entries = 0;
-  LatencyStats::Export latency;
-  obs::MetricsSnapshot metrics;
+  obs::MetricsSnapshot engine;
+  obs::MetricsSnapshot process;
 };
 
 class ReplicaBackend {
@@ -83,13 +83,13 @@ class ReplicaBackend {
   /// Human-readable placement ("local" or the endpoint).
   [[nodiscard]] virtual std::string describe() const = 0;
 
-  [[nodiscard]] virtual EngineCounters counters() const = 0;
-  [[nodiscard]] virtual const LatencyStats& latency() const = 0;
+  /// This replica's accounting as seen from this process (see above).
+  [[nodiscard]] virtual obs::MetricsSnapshot metrics() const = 0;
   [[nodiscard]] virtual std::size_t cache_entries() const = 0;
   [[nodiscard]] virtual bool cache_contains(std::uint64_t uid) const = 0;
 
   /// Authoritative accounting, as opposed to the client-observed
-  /// counters()/latency() above: local replicas answer from their own
+  /// metrics() above: local replicas answer from their own
   /// engine; remote replicas fetch the *server's* stats over the Stats
   /// RPC (so latency is what the server measured, counters include
   /// traffic from every client of that server). May block on the network
@@ -132,11 +132,8 @@ class LocalReplica final : public ReplicaBackend {
   [[nodiscard]] bool probe() override { return !stopped_; }
   [[nodiscard]] bool remote() const override { return false; }
   [[nodiscard]] std::string describe() const override { return "local"; }
-  [[nodiscard]] EngineCounters counters() const override {
-    return engine_.counters();
-  }
-  [[nodiscard]] const LatencyStats& latency() const override {
-    return engine_.latency();
+  [[nodiscard]] obs::MetricsSnapshot metrics() const override {
+    return engine_.metrics();
   }
   [[nodiscard]] std::size_t cache_entries() const override {
     return engine_.cache_entries();
@@ -146,10 +143,9 @@ class LocalReplica final : public ReplicaBackend {
   }
   [[nodiscard]] std::optional<StatsReport> authoritative_stats() override {
     StatsReport report;
-    report.counters = engine_.counters();
     report.cache_entries = engine_.cache_entries();
-    report.latency = engine_.latency().to_export();
-    return report;  // metrics stay empty: same process, same registry
+    report.engine = engine_.metrics();
+    return report;  // process stays empty: same process, same registry
   }
   [[nodiscard]] std::uint64_t reload(
       const std::string& artifact_path) override {

@@ -363,9 +363,7 @@ void ShardRouter::remove_replica(std::size_t shard) {
     // Freeze-at-removal, preliminary: snapshot every stat the aggregates
     // and operator tables consume so observers never touch a retiring
     // backend. Refined below once the drain completes.
-    replica.frozen_counters = replica.backend->counters();
-    replica.frozen_latency = std::make_unique<LatencyStats>();
-    replica.frozen_latency->merge(replica.backend->latency());
+    replica.frozen_metrics = replica.backend->metrics();
     replica.frozen_cache_entries = replica.backend->cache_entries();
     replica.state = State::Removed;
     retired = std::move(replica.backend);
@@ -385,9 +383,7 @@ void ShardRouter::remove_replica(std::size_t shard) {
   {
     const std::unique_lock<std::shared_mutex> lock(mutex_);
     Replica& replica = *replicas_[shard];
-    replica.frozen_counters = retired->counters();
-    replica.frozen_latency = std::make_unique<LatencyStats>();
-    replica.frozen_latency->merge(retired->latency());
+    replica.frozen_metrics = retired->metrics();
     replica.frozen_cache_entries = retired->cache_entries();
   }
 }
@@ -418,38 +414,19 @@ const InferenceEngine& ShardRouter::replica(std::size_t shard) const {
   return *engine;
 }
 
-LatencyStats::Snapshot ShardRouter::aggregate_latency() const {
+obs::MetricsSnapshot ShardRouter::aggregate_metrics() const {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
-  LatencyStats merged;
+  obs::MetricsSnapshot merged;
   for (const std::unique_ptr<Replica>& replica : replicas_) {
-    if (replica->state == State::Removed) {
-      merged.merge(*replica->frozen_latency);
-    } else {
-      merged.merge(replica->backend->latency());
-    }
+    merged.merge(replica->state == State::Removed
+                     ? replica->frozen_metrics
+                     : replica->backend->metrics());
   }
-  return merged.snapshot();
-}
-
-EngineCounters ShardRouter::aggregate_counters() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  EngineCounters total;
-  for (const std::unique_ptr<Replica>& replica : replicas_) {
-    const EngineCounters c = replica->state == State::Removed
-                                 ? replica->frozen_counters
-                                 : replica->backend->counters();
-    total.requests += c.requests;
-    total.batches += c.batches;
-    total.cache_hits += c.cache_hits;
-    total.consensus_short_circuits += c.consensus_short_circuits;
-    total.head_evaluations += c.head_evaluations;
-  }
-  return total;
+  return merged;
 }
 
 StatsReport ShardRouter::authoritative_stats() const {
   StatsReport total;
-  LatencyStats merged;
   // Phase 1 (shared lock): fold the frozen snapshots of removed replicas
   // and collect live backends. shared_ptrs keep backends alive across
   // the unlocked fetches even if a replica is removed meanwhile (the
@@ -460,14 +437,8 @@ StatsReport ShardRouter::authoritative_stats() const {
     const std::shared_lock<std::shared_mutex> lock(mutex_);
     for (const std::unique_ptr<Replica>& replica : replicas_) {
       if (replica->state == State::Removed) {
-        const EngineCounters& c = replica->frozen_counters;
-        total.counters.requests += c.requests;
-        total.counters.batches += c.batches;
-        total.counters.cache_hits += c.cache_hits;
-        total.counters.consensus_short_circuits += c.consensus_short_circuits;
-        total.counters.head_evaluations += c.head_evaluations;
+        total.engine.merge(replica->frozen_metrics);
         total.cache_entries += replica->frozen_cache_entries;
-        merged.merge(*replica->frozen_latency);
       } else {
         backends.push_back(replica->backend);
       }
@@ -477,30 +448,17 @@ StatsReport ShardRouter::authoritative_stats() const {
   // connect/request deadlines; routing stays live meanwhile.
   for (const std::shared_ptr<ReplicaBackend>& backend : backends) {
     if (std::optional<StatsReport> report = backend->authoritative_stats()) {
-      const EngineCounters& c = report->counters;
-      total.counters.requests += c.requests;
-      total.counters.batches += c.batches;
-      total.counters.cache_hits += c.cache_hits;
-      total.counters.consensus_short_circuits += c.consensus_short_circuits;
-      total.counters.head_evaluations += c.head_evaluations;
+      total.engine.merge(report->engine);
       total.cache_entries += report->cache_entries;
-      merged.merge_export(report->latency);
     } else {
       // Unreachable (or pre-Stats) remote: degrade to this client's
       // observed accounting rather than dropping the shard's traffic
       // from the aggregate.
-      const EngineCounters c = backend->counters();
-      total.counters.requests += c.requests;
-      total.counters.batches += c.batches;
-      total.counters.cache_hits += c.cache_hits;
-      total.counters.consensus_short_circuits += c.consensus_short_circuits;
-      total.counters.head_evaluations += c.head_evaluations;
+      total.engine.merge(backend->metrics());
       total.cache_entries += backend->cache_entries();
-      merged.merge(backend->latency());
     }
   }
-  total.latency = merged.to_export();
-  total.metrics = obs::registry().snapshot();
+  total.process = obs::registry().snapshot();
   return total;
 }
 
@@ -560,12 +518,10 @@ std::vector<ShardInfo> ShardRouter::shard_infos() const {
     info.routed = replica.routed.load(std::memory_order_relaxed);
     if (replica.state == State::Removed) {
       info.cache_entries = replica.frozen_cache_entries;
-      info.counters = replica.frozen_counters;
-      info.latency = replica.frozen_latency->snapshot();
+      info.metrics = replica.frozen_metrics;
     } else {
       info.cache_entries = replica.backend->cache_entries();
-      info.counters = replica.backend->counters();
-      info.latency = replica.backend->latency().snapshot();
+      info.metrics = replica.backend->metrics();
     }
     infos.push_back(std::move(info));
   }

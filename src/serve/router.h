@@ -21,7 +21,7 @@
 //  * drain(shard) takes a replica off the ring without stopping it —
 //    the degraded-mode path; restore(shard) puts it back.
 //  * remove_replica(shard) permanently retires a replica. Its stats
-//    FREEZE AT REMOVAL: the router snapshots counters/latency/memo size
+//    FREEZE AT REMOVAL: the router snapshots its metrics and memo size
 //    before shutting the backend down and destroys the backend; every
 //    aggregate and shard_infos() view reports the frozen snapshot from
 //    then on. One rule, shared by operator removal and remote shards
@@ -130,8 +130,7 @@ struct ShardInfo {
   std::string backend;     ///< "local" or the remote endpoint
   std::size_t routed = 0;  ///< requests this router sent to the shard
   std::size_t cache_entries = 0;
-  EngineCounters counters;
-  LatencyStats::Snapshot latency;
+  obs::MetricsSnapshot metrics;  ///< ReplicaBackend::metrics(), or frozen
 };
 
 struct RouterTestAccess;  // test-only backdoor (tests/serve)
@@ -196,13 +195,12 @@ class ShardRouter {
   /// removed shards (removed backends are destroyed at removal).
   [[nodiscard]] const InferenceEngine& replica(std::size_t shard) const;
 
-  /// Merged accounting across every replica that ever served traffic
-  /// (removed replicas contribute their frozen snapshots): exact
-  /// count/mean/max, reservoir-merged percentiles, wall-clock throughput
-  /// (LatencyStats::merge semantics). Remote replicas contribute
-  /// client-observed stats (see serve/replica.h).
-  [[nodiscard]] LatencyStats::Snapshot aggregate_latency() const;
-  [[nodiscard]] EngineCounters aggregate_counters() const;
+  /// Every replica's metrics merged by name, over every replica that
+  /// ever served traffic (removed replicas contribute their frozen
+  /// snapshots): counters add, latency histograms add bucket by bucket.
+  /// Remote replicas contribute client-observed stats (see
+  /// serve/replica.h).
+  [[nodiscard]] obs::MetricsSnapshot aggregate_metrics() const;
   [[nodiscard]] std::vector<ShardInfo> shard_infos() const;
 
   /// Authoritative fleet view, as opposed to the client-observed
@@ -213,9 +211,10 @@ class ShardRouter {
   /// server. Network fetches run off the router locks, like health
   /// probes. A remote replica whose fetch fails — and removed replicas —
   /// fall back to their frozen/client-observed accounting, so the report
-  /// is always complete. The report's `metrics` field is THIS process's
-  /// registry snapshot (per-server registries are visible via
-  /// rpc::RemoteShard::fetch_stats / `muffin_cli stats`).
+  /// is always complete. The report's `engine` field is the merged fleet
+  /// view; its `process` field is THIS process's registry snapshot
+  /// (per-server registries are visible via rpc::RemoteShard::fetch_stats
+  /// / `muffin_cli stats`).
   [[nodiscard]] StatsReport authoritative_stats() const;
 
   /// Hot-swap one shard's model to the head artifact at `artifact_path`
@@ -259,8 +258,7 @@ class ShardRouter {
     std::string describe;  ///< survives removal for post-mortem tables
     bool is_remote = false;
     // Freeze-at-removal snapshot (meaningful once state == Removed).
-    EngineCounters frozen_counters;
-    std::unique_ptr<LatencyStats> frozen_latency;
+    obs::MetricsSnapshot frozen_metrics;
     std::size_t frozen_cache_entries = 0;
   };
 

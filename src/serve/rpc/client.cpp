@@ -47,10 +47,20 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
+RemoteShard::Metrics::Metrics(obs::Registry& registry)
+    : requests(registry.counter("engine.requests")),
+      batches(registry.counter("engine.batches")),
+      cache_hits(registry.counter("engine.cache_hits")),
+      consensus(registry.counter("engine.consensus_short_circuits")),
+      head_evaluations(registry.counter("engine.head_evaluations")),
+      latency_us(registry.histogram("engine.latency_us",
+                                    obs::latency_us_buckets())) {}
+
 RemoteShard::RemoteShard(const std::string& endpoint,
                          RemoteShardConfig config)
     : endpoint_(common::Endpoint::parse(endpoint)),
       config_(config),
+      metrics_(telemetry_),
       batcher_({config.max_batch, config.max_delay, 0,
                 "rpc.client.batcher"}) {
   MUFFIN_REQUIRE(config_.connections > 0,
@@ -127,18 +137,6 @@ bool RemoteShard::probe() {
 
 void RemoteShard::reset_failures() {
   consecutive_failures_.store(0, std::memory_order_relaxed);
-}
-
-EngineCounters RemoteShard::counters() const {
-  EngineCounters counters;
-  counters.requests = requests_.load(std::memory_order_relaxed);
-  counters.batches = batches_.load(std::memory_order_relaxed);
-  counters.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  counters.consensus_short_circuits =
-      consensus_short_circuits_.load(std::memory_order_relaxed);
-  counters.head_evaluations =
-      head_evaluations_.load(std::memory_order_relaxed);
-  return counters;
 }
 
 void RemoteShard::dispatch_loop() {
@@ -375,11 +373,15 @@ void RemoteShard::reader_loop(Connection& connection) {
 void RemoteShard::deliver(PendingBatch batch,
                           std::vector<Prediction> predictions) {
   const Clock::time_point now = Clock::now();
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.batches.inc();
+  metrics_.requests.inc(batch.requests.size());
   obs::Tracer& tracer = obs::Tracer::instance();
   const double now_us = batch.traced ? tracer.now_us() : 0.0;
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    latency_.record(now - batch.requests[i].enqueued);
+    metrics_.latency_us.observe(
+        std::chrono::duration<double, std::micro>(now -
+                                                  batch.requests[i].enqueued)
+            .count());
     if (batch.requests[i].traced) {
       // Client-observed round trip: submit (incl. client batching delay)
       // to response delivery — the client-side mirror of serve.request.
@@ -389,14 +391,13 @@ void RemoteShard::deliver(PendingBatch batch,
                     "\"uid\":" +
                         std::to_string(batch.requests[i].record.uid));
     }
-    requests_.fetch_add(1, std::memory_order_relaxed);
     const Prediction& prediction = predictions[i];
     if (prediction.cached) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.cache_hits.inc();
     } else if (prediction.consensus) {
-      consensus_short_circuits_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.consensus.inc();
     } else {
-      head_evaluations_.fetch_add(1, std::memory_order_relaxed);
+      metrics_.head_evaluations.inc();
     }
     batch.requests[i].promise.set_value(std::move(predictions[i]));
   }

@@ -32,11 +32,16 @@
 // probe-alive but request-dead server cannot launder its failure
 // history.
 //
-// Stats are client-observed: latency() is the round trip measured here
-// (submit to response, including client batching delay — what a caller
-// of this process actually waits), counters() are reconstructed from the
-// per-prediction response flags. cache_entries()/cache_contains() are
-// unknowable across the wire and report 0/false.
+// Stats are client-observed and recorded under the engine's names into a
+// registry of this shard's own: engine.latency_us is the round trip
+// measured here (submit to response, including client batching delay —
+// what a caller of this process actually waits), and engine.requests /
+// .batches / .cache_hits / .consensus_short_circuits / .head_evaluations
+// are reconstructed from the per-prediction response flags. That registry
+// is detached from the process registry on purpose: in a one-process
+// topology the serving engine already counts each request there, and a
+// second count would double the process totals. cache_entries()/
+// cache_contains() are unknowable across the wire and report 0/false.
 #pragma once
 
 #include <atomic>
@@ -100,9 +105,8 @@ class RemoteShard final : public ReplicaBackend {
   [[nodiscard]] std::string describe() const override {
     return endpoint_.to_string();
   }
-  [[nodiscard]] EngineCounters counters() const override;
-  [[nodiscard]] const LatencyStats& latency() const override {
-    return latency_;
+  [[nodiscard]] obs::MetricsSnapshot metrics() const override {
+    return telemetry_.snapshot();
   }
   [[nodiscard]] std::size_t cache_entries() const override { return 0; }
   [[nodiscard]] bool cache_contains(std::uint64_t) const override {
@@ -176,8 +180,21 @@ class RemoteShard final : public ReplicaBackend {
                   const std::string& why);
   void deliver(PendingBatch batch, std::vector<Prediction> predictions);
 
+  /// Client-observed accounting (detached; see the header comment).
+  struct Metrics {
+    explicit Metrics(obs::Registry& registry);
+    obs::Counter& requests;
+    obs::Counter& batches;
+    obs::Counter& cache_hits;
+    obs::Counter& consensus;
+    obs::Counter& head_evaluations;
+    obs::Histogram& latency_us;
+  };
+
   common::Endpoint endpoint_;
   RemoteShardConfig config_;
+  obs::Registry telemetry_;
+  Metrics metrics_;
 
   /// Arm the reconnect backoff window after a failed dial. Dispatcher-
   /// thread-only (send_batch runs solely on the dispatcher), like the
@@ -191,14 +208,8 @@ class RemoteShard final : public ReplicaBackend {
   Clock::time_point next_connect_attempt_{};  ///< epoch: first dial is free
   std::atomic<std::uint64_t> connect_attempts_{0};
 
-  LatencyStats latency_;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> consecutive_failures_{0};
-  std::atomic<std::size_t> requests_{0};
-  std::atomic<std::size_t> batches_{0};
-  std::atomic<std::size_t> cache_hits_{0};
-  std::atomic<std::size_t> consensus_short_circuits_{0};
-  std::atomic<std::size_t> head_evaluations_{0};
 
   std::atomic<bool> stopped_{false};
   std::thread dispatcher_;

@@ -224,10 +224,9 @@ void ShardServer::reader_loop(Connection& connection) {
           metrics.stats_requests.inc();
           response.type = MsgType::StatsResponse;
           StatsReport report;
-          report.counters = engine_.counters();
           report.cache_entries = engine_.cache_entries();
-          report.latency = engine_.latency().to_export();
-          report.metrics = obs::registry().snapshot();
+          report.engine = engine_.metrics();
+          report.process = obs::registry().snapshot();
           response.raw_frame = encode_stats_response(response.seq, report);
           break;
         }

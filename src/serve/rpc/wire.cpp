@@ -1,5 +1,6 @@
 #include "serve/rpc/wire.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/error.h"
@@ -193,38 +194,8 @@ std::string read_name(common::ByteReader& reader) {
   return std::string(bytes.begin(), bytes.end());
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_stats_request(std::uint64_t seq) {
-  std::vector<std::uint8_t> frame = begin_frame(MsgType::StatsRequest, seq);
-  finish_frame(frame);
-  return frame;
-}
-
-std::vector<std::uint8_t> encode_stats_response(std::uint64_t seq,
-                                                const StatsReport& report) {
-  std::vector<std::uint8_t> frame = begin_frame(MsgType::StatsResponse, seq);
-  common::put_u64(frame, report.counters.requests);
-  common::put_u64(frame, report.counters.batches);
-  common::put_u64(frame, report.counters.cache_hits);
-  common::put_u64(frame, report.counters.consensus_short_circuits);
-  common::put_u64(frame, report.counters.head_evaluations);
-  common::put_u64(frame, report.cache_entries);
-
-  const LatencyStats::Export& latency = report.latency;
-  MUFFIN_REQUIRE(
-      latency.samples_us.size() <=
-          std::numeric_limits<std::uint32_t>::max(),
-      "latency reservoir too large for the wire format");
-  common::put_u64(frame, latency.count);
-  common::put_f64(frame, latency.sum_us);
-  common::put_f64(frame, latency.max_us);
-  common::put_f64(frame, latency.elapsed_seconds);
-  common::put_u32(frame,
-                  static_cast<std::uint32_t>(latency.samples_us.size()));
-  common::put_f64_span(frame, latency.samples_us);
-
-  const obs::MetricsSnapshot& metrics = report.metrics;
+void put_snapshot(std::vector<std::uint8_t>& frame,
+                  const obs::MetricsSnapshot& metrics) {
   common::put_u32(frame, static_cast<std::uint32_t>(metrics.counters.size()));
   for (const obs::CounterSnapshot& counter : metrics.counters) {
     put_name(frame, counter.name);
@@ -248,6 +219,81 @@ std::vector<std::uint8_t> encode_stats_response(std::uint64_t seq,
     common::put_u64(frame, histogram.count);
     common::put_f64(frame, histogram.sum);
   }
+}
+
+obs::MetricsSnapshot read_snapshot(common::ByteReader& reader) {
+  obs::MetricsSnapshot metrics;
+  const std::uint32_t n_counters = reader.u32();
+  reader.require_count(n_counters, 10);  // 2-byte name length + u64
+  metrics.counters.reserve(n_counters);
+  for (std::uint32_t i = 0; i < n_counters; ++i) {
+    obs::CounterSnapshot counter;
+    counter.name = read_name(reader);
+    counter.value = reader.u64();
+    metrics.counters.push_back(std::move(counter));
+  }
+  const std::uint32_t n_gauges = reader.u32();
+  reader.require_count(n_gauges, 10);
+  metrics.gauges.reserve(n_gauges);
+  for (std::uint32_t i = 0; i < n_gauges; ++i) {
+    obs::GaugeSnapshot gauge;
+    gauge.name = read_name(reader);
+    gauge.value = static_cast<std::int64_t>(reader.u64());
+    metrics.gauges.push_back(std::move(gauge));
+  }
+  const std::uint32_t n_histograms = reader.u32();
+  // Minimum histogram: empty name, zero bounds, one +Inf bucket count,
+  // count, sum.
+  reader.require_count(n_histograms, 2 + 4 + 8 + 8 + 8);
+  metrics.histograms.reserve(n_histograms);
+  for (std::uint32_t i = 0; i < n_histograms; ++i) {
+    obs::HistogramSnapshot histogram;
+    histogram.name = read_name(reader);
+    const std::uint32_t n_bounds = reader.u32();
+    reader.require_count(n_bounds, 16);  // a bound and its bucket count
+    reader.f64_into(histogram.bounds, n_bounds);
+    for (std::uint32_t b = 0; b < n_bounds; ++b) {
+      MUFFIN_REQUIRE(std::isfinite(histogram.bounds[b]) &&
+                         (b == 0 ||
+                          histogram.bounds[b - 1] < histogram.bounds[b]),
+                     "histogram '" + histogram.name +
+                         "' bounds are not finite and strictly increasing");
+    }
+    // Percentiles and merges trust count == the sum of the buckets.
+    std::uint64_t total = 0;
+    histogram.counts.reserve(static_cast<std::size_t>(n_bounds) + 1);
+    for (std::uint32_t b = 0; b <= n_bounds; ++b) {
+      const std::uint64_t count = reader.u64();
+      MUFFIN_REQUIRE(count <= std::numeric_limits<std::uint64_t>::max() - total,
+                     "histogram '" + histogram.name +
+                         "' bucket counts overflow");
+      total += count;
+      histogram.counts.push_back(count);
+    }
+    histogram.count = reader.u64();
+    MUFFIN_REQUIRE(histogram.count == total,
+                   "histogram '" + histogram.name +
+                       "' count differs from the sum of its buckets");
+    histogram.sum = reader.f64();
+    metrics.histograms.push_back(std::move(histogram));
+  }
+  return metrics;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_stats_request(std::uint64_t seq) {
+  std::vector<std::uint8_t> frame = begin_frame(MsgType::StatsRequest, seq);
+  finish_frame(frame);
+  return frame;
+}
+
+std::vector<std::uint8_t> encode_stats_response(std::uint64_t seq,
+                                                const StatsReport& report) {
+  std::vector<std::uint8_t> frame = begin_frame(MsgType::StatsResponse, seq);
+  common::put_u64(frame, report.cache_entries);
+  put_snapshot(frame, report.engine);
+  put_snapshot(frame, report.process);
   finish_frame(frame);
   return frame;
 }
@@ -255,68 +301,9 @@ std::vector<std::uint8_t> encode_stats_response(std::uint64_t seq,
 StatsReport decode_stats_response(std::span<const std::uint8_t> payload) {
   common::ByteReader reader(payload);
   StatsReport report;
-  report.counters.requests = static_cast<std::size_t>(reader.u64());
-  report.counters.batches = static_cast<std::size_t>(reader.u64());
-  report.counters.cache_hits = static_cast<std::size_t>(reader.u64());
-  report.counters.consensus_short_circuits =
-      static_cast<std::size_t>(reader.u64());
-  report.counters.head_evaluations = static_cast<std::size_t>(reader.u64());
   report.cache_entries = static_cast<std::size_t>(reader.u64());
-
-  LatencyStats::Export& latency = report.latency;
-  latency.count = static_cast<std::size_t>(reader.u64());
-  latency.sum_us = reader.f64();
-  latency.max_us = reader.f64();
-  latency.elapsed_seconds = reader.f64();
-  const std::uint32_t n_samples = reader.u32();
-  reader.require_count(n_samples, 8);
-  reader.f64_into(latency.samples_us, n_samples);
-  // merge_export weighs each reservoir entry as count/samples requests;
-  // a hostile report claiming recorded requests with an empty (or
-  // impossibly over-full) reservoir must fail here, not divide by zero
-  // in the importer.
-  MUFFIN_REQUIRE(latency.count == 0 || !latency.samples_us.empty(),
-                 "latency export has requests but no reservoir samples");
-  MUFFIN_REQUIRE(latency.samples_us.size() <= latency.count,
-                 "latency export reservoir larger than its request count");
-
-  const std::uint32_t n_counters = reader.u32();
-  reader.require_count(n_counters, 10);  // 2-byte name length + u64
-  report.metrics.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    obs::CounterSnapshot counter;
-    counter.name = read_name(reader);
-    counter.value = reader.u64();
-    report.metrics.counters.push_back(std::move(counter));
-  }
-  const std::uint32_t n_gauges = reader.u32();
-  reader.require_count(n_gauges, 10);
-  report.metrics.gauges.reserve(n_gauges);
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    obs::GaugeSnapshot gauge;
-    gauge.name = read_name(reader);
-    gauge.value = static_cast<std::int64_t>(reader.u64());
-    report.metrics.gauges.push_back(std::move(gauge));
-  }
-  const std::uint32_t n_histograms = reader.u32();
-  // Minimum histogram: empty name, zero bounds, one +Inf bucket count,
-  // count, sum.
-  reader.require_count(n_histograms, 2 + 4 + 8 + 8 + 8);
-  report.metrics.histograms.reserve(n_histograms);
-  for (std::uint32_t i = 0; i < n_histograms; ++i) {
-    obs::HistogramSnapshot histogram;
-    histogram.name = read_name(reader);
-    const std::uint32_t n_bounds = reader.u32();
-    reader.require_count(n_bounds, 8);
-    reader.f64_into(histogram.bounds, n_bounds);
-    histogram.counts.reserve(static_cast<std::size_t>(n_bounds) + 1);
-    for (std::uint32_t b = 0; b <= n_bounds; ++b) {
-      histogram.counts.push_back(reader.u64());
-    }
-    histogram.count = reader.u64();
-    histogram.sum = reader.f64();
-    report.metrics.histograms.push_back(std::move(histogram));
-  }
+  report.engine = read_snapshot(reader);
+  report.process = read_snapshot(reader);
   MUFFIN_REQUIRE(reader.done(), "trailing bytes after stats response");
   return report;
 }

@@ -25,7 +25,7 @@
 // hot end to end instead of degrading the remote hop to per-record
 // round trips.
 //
-// Messages (version 2):
+// Messages (version 3):
 //   ScoreRequest   u32 count, then `count` records (data/serialize.h)
 //   ScoreResponse  u32 rows, u32 num_classes, rows*num_classes f64
 //                  (row-major score matrix), then per row:
@@ -39,17 +39,15 @@
 //                  ScoreResponse when the server failed that request
 //   StatsRequest   empty payload; the server answers StatsResponse
 //   StatsResponse  the server's authoritative StatsReport:
-//                  5x u64 engine counters (requests, batches, cache_hits,
-//                  consensus_short_circuits, head_evaluations),
-//                  u64 cache_entries,
-//                  latency export: u64 count, f64 sum_us, f64 max_us,
-//                  f64 elapsed_seconds, u32 n + n*f64 reservoir samples,
-//                  metrics snapshot: u32 n_counters x {u16 name_len,
-//                  name bytes, u64 value}, u32 n_gauges x {u16 name_len,
-//                  name bytes, u64 two's-complement value}, u32 n_hists
-//                  x {u16 name_len, name bytes, u32 n_bounds, n_bounds*
-//                  f64 upper bounds, (n_bounds+1)*u64 bucket counts,
-//                  u64 count, f64 sum}
+//                  u64 cache_entries, then two metrics snapshots — the
+//                  serving engine's registry, then the server process's —
+//                  each: u32 n_counters x {u16 name_len, name bytes,
+//                  u64 value}, u32 n_gauges x {u16 name_len, name bytes,
+//                  u64 two's-complement value}, u32 n_hists x {u16
+//                  name_len, name bytes, u32 n_bounds, n_bounds*f64 upper
+//                  bounds, (n_bounds+1)*u64 bucket counts, u64 count,
+//                  f64 sum}. The size depends only on which metrics are
+//                  registered, never on how much traffic was served.
 //   Reload         u32 byte length + UTF-8 artifact path: swap the
 //                  server's model to that (server-local) artifact. The
 //                  server answers ReloadAck on success, Error otherwise;
@@ -58,8 +56,11 @@
 //
 // Version 2 widened ScoreResponse rows with the model version that
 // scored them (the zero-downtime lifecycle needs the caller to see
-// which epoch answered) and added the Reload pair; v1 peers fail
-// cleanly on the version check.
+// which epoch answered) and added the Reload pair. Version 3 replaced
+// the StatsResponse's hand-written engine counters and latency
+// reservoir (8 bytes per served request, up to 512 KiB) with the
+// engine's registry snapshot. Older peers fail cleanly on the version
+// check.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +79,7 @@
 namespace muffin::serve::rpc {
 
 inline constexpr std::uint32_t kMagic = 0x4E46'554DU;  // "MUFN" little-endian
-inline constexpr std::uint16_t kVersion = 2;
+inline constexpr std::uint16_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
 /// Default payload ceiling; generous for any sane batch, small enough
 /// that a corrupt length field cannot exhaust memory.
@@ -147,8 +148,9 @@ void encode_header(std::vector<std::uint8_t>& out, MsgType type,
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_response(
     std::uint64_t seq, const StatsReport& report);
 /// Bounds-checked decode; hostile payloads (truncation, counts that
-/// cannot fit, a latency export claiming recorded requests but shipping
-/// no samples) throw muffin::Error.
+/// cannot fit, histogram bounds that are not finite and strictly
+/// increasing, a histogram count that differs from the sum of its bucket
+/// counts) throw muffin::Error.
 [[nodiscard]] StatsReport decode_stats_response(
     std::span<const std::uint8_t> payload);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/hash.h"
 
 namespace muffin::serve {
 
@@ -23,188 +22,6 @@ double percentile(std::vector<double> samples, double q) {
                    samples.begin() + static_cast<std::ptrdiff_t>(index),
                    samples.end());
   return samples[index];
-}
-
-namespace {
-
-/// Uniform double in (0, 1] from the splitmix64 stream (never exactly 0,
-/// so it is safe under a logarithm).
-double next_unit(std::uint64_t& state) {
-  const std::uint64_t bits = splitmix64_next(state) >> 11;  // 53 bits
-  return (static_cast<double>(bits) + 1.0) / 9007199254740993.0;  // 2^53 + 1
-}
-
-}  // namespace
-
-LatencyStats::LatencyStats(std::size_t reservoir_capacity)
-    : capacity_(reservoir_capacity),
-      rng_state_(0x1a7e9c5ULL),
-      start_(Clock::now()) {
-  MUFFIN_REQUIRE(capacity_ > 0, "latency reservoir needs capacity >= 1");
-  reservoir_us_.reserve(std::min<std::size_t>(capacity_, 1024));
-}
-
-void LatencyStats::record(std::chrono::nanoseconds latency) {
-  const double us =
-      std::chrono::duration<double, std::micro>(latency).count();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++count_;
-  sum_us_ += us;
-  max_us_ = std::max(max_us_, us);
-  if (reservoir_us_.size() < capacity_) {
-    reservoir_us_.push_back(us);
-  } else {
-    // Algorithm R: keep each of the count_ samples with equal probability.
-    const std::size_t slot =
-        static_cast<std::size_t>(splitmix64_next(rng_state_) % count_);
-    if (slot < capacity_) reservoir_us_[slot] = us;
-  }
-}
-
-void LatencyStats::merge(const LatencyStats& other) {
-  MUFFIN_REQUIRE(&other != this, "cannot merge LatencyStats into itself");
-  // Copy the other side first so the two locks are never held together
-  // (merge(a, b) concurrent with merge(b, a) must not deadlock).
-  std::vector<double> other_samples;
-  std::size_t other_count = 0;
-  double other_sum = 0.0;
-  double other_max = 0.0;
-  Clock::time_point other_start;
-  {
-    const std::lock_guard<std::mutex> lock(other.mutex_);
-    other_samples = other.reservoir_us_;
-    other_count = other.count_;
-    other_sum = other.sum_us_;
-    other_max = other.max_us_;
-    other_start = other.start_;
-  }
-  merge_state(other_samples, other_count, other_sum, other_max, other_start);
-}
-
-LatencyStats::Export LatencyStats::to_export() const {
-  Export out;
-  Clock::time_point start;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out.count = count_;
-    out.sum_us = sum_us_;
-    out.max_us = max_us_;
-    out.samples_us = reservoir_us_;
-    start = start_;
-  }
-  out.elapsed_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  return out;
-}
-
-void LatencyStats::merge_export(const Export& other) {
-  // Remote steady clocks are meaningless here; anchor the remote start
-  // so elapsed time (and therefore wall-clock throughput) is preserved.
-  const Clock::time_point other_start =
-      Clock::now() - std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             std::max(0.0, other.elapsed_seconds)));
-  merge_state(other.samples_us, other.count, other.sum_us, other.max_us,
-              other_start);
-}
-
-void LatencyStats::merge_state(const std::vector<double>& other_samples,
-                               std::size_t other_count, double other_sum,
-                               double other_max,
-                               Clock::time_point other_start) {
-  if (other_count == 0) return;
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // The union is the complete merged sample only when BOTH sides still
-  // hold every sample they ever recorded (a saturated side's reservoir is
-  // already a subsample standing for count/size requests each, and may
-  // not be concatenated unweighted) and the union fits this reservoir.
-  const bool exact = count_ == reservoir_us_.size() &&
-                     other_count == other_samples.size() &&
-                     reservoir_us_.size() + other_samples.size() <= capacity_;
-  // Per-sample weight: how many recorded requests one reservoir entry
-  // stands for on each side.
-  const double weight_this =
-      reservoir_us_.empty()
-          ? 0.0
-          : static_cast<double>(count_) /
-                static_cast<double>(reservoir_us_.size());
-  const double weight_other = static_cast<double>(other_count) /
-                              static_cast<double>(other_samples.size());
-  count_ += other_count;
-  sum_us_ += other_sum;
-  max_us_ = std::max(max_us_, other_max);
-  start_ = std::min(start_, other_start);
-  if (exact) {
-    reservoir_us_.insert(reservoir_us_.end(), other_samples.begin(),
-                         other_samples.end());
-    return;
-  }
-  // Weighted sampling without replacement (Efraimidis–Spirakis A-ES):
-  // keep the entries with the largest u^(1/w) keys, so each side
-  // contributes in proportion to the request count it represents. The
-  // kept size is the effective sample size total/max_weight — after the
-  // draw every retained entry stands for roughly max_weight requests, so
-  // snapshot percentiles over the (unweighted) reservoir stay consistent
-  // even when one side's entries each represent far more traffic.
-  std::vector<std::pair<double, double>> keyed;  // (key, sample)
-  keyed.reserve(reservoir_us_.size() + other_samples.size());
-  for (const double us : reservoir_us_) {
-    keyed.emplace_back(std::pow(next_unit(rng_state_), 1.0 / weight_this),
-                       us);
-  }
-  for (const double us : other_samples) {
-    keyed.emplace_back(std::pow(next_unit(rng_state_), 1.0 / weight_other),
-                       us);
-  }
-  const double max_weight = std::max(weight_this, weight_other);
-  const std::size_t effective = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(count_) / max_weight));
-  const std::size_t keep = std::min({capacity_, keyed.size(), effective});
-  if (keep < keyed.size()) {
-    std::nth_element(
-        keyed.begin(), keyed.begin() + static_cast<std::ptrdiff_t>(keep - 1),
-        keyed.end(),
-        [](const auto& a, const auto& b) { return a.first > b.first; });
-  }
-  reservoir_us_.clear();
-  for (std::size_t i = 0; i < keep; ++i) {
-    reservoir_us_.push_back(keyed[i].second);
-  }
-}
-
-void LatencyStats::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  reservoir_us_.clear();
-  count_ = 0;
-  sum_us_ = 0.0;
-  max_us_ = 0.0;
-  start_ = Clock::now();
-}
-
-LatencyStats::Snapshot LatencyStats::snapshot() const {
-  Snapshot snap;
-  std::vector<double> samples;
-  Clock::time_point start;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    samples = reservoir_us_;
-    start = start_;
-    snap.count = count_;
-    snap.mean_us = count_ > 0 ? sum_us_ / static_cast<double>(count_) : 0.0;
-    snap.max_us = max_us_;
-  }
-  snap.elapsed_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (snap.elapsed_seconds > 0.0) {
-    snap.requests_per_second =
-        static_cast<double>(snap.count) / snap.elapsed_seconds;
-  }
-  if (samples.empty()) return snap;
-  snap.p50_us = percentile(samples, 50.0);
-  snap.p95_us = percentile(samples, 95.0);
-  snap.p99_us = percentile(samples, 99.0);
-  return snap;
 }
 
 }  // namespace muffin::serve

@@ -1,112 +1,13 @@
-// Serving-side latency and throughput accounting.
-//
-// LatencyStats accumulates per-request latencies (thread-safe) and reports
-// the numbers a serving operator watches: p50/p95/p99 tail latencies, mean
-// and max, and sustained throughput since the last reset. Count, mean and
-// max are exact over every recorded request; percentiles come from a
-// bounded uniform reservoir (Vitter's Algorithm R), so memory stays
-// constant no matter how long the serving process lives. Below the
-// reservoir capacity the sample is complete and percentiles are exact too.
-//
-// Sharded serving adds `merge`: fold another instance's accounting into
-// this one, so a router can present one aggregate view over per-replica
-// stats. Count, mean and max merge exactly; merged percentiles are exact
-// while both sides' reservoirs are complete (no side has recorded past
-// its capacity) and their union fits this reservoir, and come from a
-// count-weighted subsample (Efraimidis–Spirakis) beyond that. Within the
-// exact regime merge is commutative and associative (the percentile of a
-// sample set does not depend on concatenation order), which is what makes
-// shard-then-aggregate report the same numbers as one global collector.
+// Exact sample percentiles, for benches and tests that hold every
+// sample. Serving-path latency lives in the obs registry's histograms
+// (obs/metrics.h), whose percentiles track this function within 1%.
 #pragma once
 
-#include <chrono>
-#include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace muffin::serve {
 
 /// Nearest-rank percentile of an unsorted sample set, q in [0, 100].
 [[nodiscard]] double percentile(std::vector<double> samples, double q);
-
-class LatencyStats {
- public:
-  /// `reservoir_capacity` bounds the percentile sample (and the memory
-  /// footprint); count/mean/max stay exact regardless.
-  explicit LatencyStats(std::size_t reservoir_capacity = 1 << 16);
-
-  /// Record one request latency; safe to call concurrently.
-  void record(std::chrono::nanoseconds latency);
-
-  /// Fold `other`'s accounting into this instance (other is unchanged).
-  /// Safe against concurrent record/snapshot on either side; merging an
-  /// instance into itself is an error. The throughput clock becomes the
-  /// earlier of the two start times, so an aggregate over replicas that
-  /// ran in parallel reports wall-clock throughput, not summed time.
-  ///
-  /// Intended pattern: fold shards into a scratch instance, snapshot,
-  /// discard (ShardRouter::aggregate_latency). Continuing to record()
-  /// into an instance after a non-exact merge (one where a side had
-  /// overflowed its reservoir) is safe but mixes per-entry sample
-  /// weights, so subsequent percentiles lean toward post-merge traffic;
-  /// count/mean/max stay exact regardless.
-  void merge(const LatencyStats& other);
-
-  /// Serializable accounting state: exact totals plus the percentile
-  /// reservoir. This is what the Stats RPC ships — a server exports its
-  /// engine's authoritative stats, the client imports them with
-  /// merge_export, and percentile merging behaves exactly as if the two
-  /// LatencyStats instances had been merged in one process. Clocks are
-  /// not comparable across processes, so the start time travels as
-  /// elapsed seconds and is re-anchored against the importer's clock.
-  struct Export {
-    std::size_t count = 0;
-    double sum_us = 0.0;
-    double max_us = 0.0;
-    double elapsed_seconds = 0.0;
-    std::vector<double> samples_us;  ///< the reservoir (uniform subsample)
-  };
-
-  [[nodiscard]] Export to_export() const;
-
-  /// Fold exported state into this instance; merge() semantics, with the
-  /// remote start time reconstructed as now - elapsed_seconds.
-  void merge_export(const Export& other);
-
-  /// Drop all samples and restart the throughput clock.
-  void reset();
-
-  struct Snapshot {
-    std::size_t count = 0;               ///< exact, all requests
-    double mean_us = 0.0;                ///< exact, all requests
-    double p50_us = 0.0;
-    double p95_us = 0.0;
-    double p99_us = 0.0;
-    double max_us = 0.0;                 ///< exact, all requests
-    double elapsed_seconds = 0.0;        ///< since construction/reset
-    double requests_per_second = 0.0;    ///< count / elapsed
-  };
-
-  [[nodiscard]] Snapshot snapshot() const;
-
- private:
-  using Clock = std::chrono::steady_clock;
-
-  /// The locked merge body shared by merge() and merge_export(): fold
-  /// (samples, count, sum, max, start) — a copied-out peer state — in.
-  void merge_state(const std::vector<double>& other_samples,
-                   std::size_t other_count, double other_sum,
-                   double other_max, Clock::time_point other_start);
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::vector<double> reservoir_us_;
-  std::size_t count_ = 0;
-  double sum_us_ = 0.0;
-  double max_us_ = 0.0;
-  std::uint64_t rng_state_;  ///< splitmix64 stream for Algorithm R
-  Clock::time_point start_;
-};
 
 }  // namespace muffin::serve

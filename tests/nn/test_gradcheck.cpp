@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "common/rng.h"
 #include "nn/linear.h"
@@ -100,6 +101,16 @@ struct MlpCase {
   std::vector<std::size_t> hidden;
   Activation activation;
 };
+
+// Without this gtest prints the case as raw bytes, vector pointers included,
+// so the discovered test names would change from one process to the next.
+void PrintTo(const MlpCase& c, std::ostream* os) {
+  *os << "hidden {";
+  for (std::size_t i = 0; i < c.hidden.size(); ++i) {
+    *os << (i ? "," : "") << c.hidden[i];
+  }
+  *os << "} " << to_string(c.activation);
+}
 
 class MlpGradCheck : public ::testing::TestWithParam<MlpCase> {};
 

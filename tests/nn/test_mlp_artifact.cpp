@@ -114,7 +114,7 @@ TEST(MlpArtifact, CopiesOfMappedHeadShareThePages) {
       const data::Artifact artifact = data::Artifact::map_file(path);
       mapped_size = static_cast<std::int64_t>(artifact.byte_size());
       const Mlp mapped = Mlp::map_artifact(artifact, "head");
-      return mapped;  // copies (worker-head clones) keep the pages alive
+      return mapped;  // copies keep the pages alive
     }();
     EXPECT_TRUE(copy.mapped());
     // The artifact object is gone; the copy's keepalive holds the mapping

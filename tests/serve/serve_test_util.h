@@ -15,6 +15,7 @@
 #include "core/head_trainer.h"
 #include "data/generators.h"
 #include "models/pool.h"
+#include "obs/metrics.h"
 #include "tensor/quant.h"
 
 namespace muffin::serve::testutil {
@@ -43,6 +44,13 @@ inline tensor::Vector canonical_scores(tensor::Vector scores) {
     }
   }
   return scores;
+}
+
+/// Requests timed by the engine.latency_us histogram in `metrics`.
+inline std::uint64_t latency_count(const obs::MetricsSnapshot& metrics) {
+  const obs::HistogramSnapshot* latency =
+      metrics.find_histogram("engine.latency_us");
+  return latency != nullptr ? latency->count : 0;
 }
 
 /// Train and fuse the standard two-model test muffin over `dataset`.

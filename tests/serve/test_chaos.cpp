@@ -71,9 +71,7 @@ tensor::Vector expected_scores(const data::Record& record) {
 }
 
 std::uint64_t counter_value(std::string_view name) {
-  const obs::MetricsSnapshot snap = obs::registry().snapshot();
-  const obs::CounterSnapshot* counter = snap.find_counter(name);
-  return counter != nullptr ? counter->value : 0;
+  return obs::registry().snapshot().counter_value(name);
 }
 
 /// Wait until `predicate` holds or `deadline_ms` expires.
@@ -90,7 +88,6 @@ bool eventually(const std::function<bool()>& predicate,
 
 rpc::ShardServerConfig small_server() {
   rpc::ShardServerConfig config;
-  config.engine.workers = 2;
   config.engine.max_batch = 16;
   config.engine.max_delay = 200us;
   return config;
@@ -102,7 +99,7 @@ rpc::ShardServerConfig small_server() {
 
 TEST(ChaosEngine, ScoringDelayNeverChangesAnswers) {
   const fail::ScopedFailpoints guard("serve.engine.score=delay:20ms");
-  InferenceEngine engine(make_fused(), {.workers = 2, .max_batch = 8});
+  InferenceEngine engine(make_fused(), {.max_batch = 8});
   std::span<const data::Record> records = chaos_dataset().records();
   const std::vector<Prediction> predictions =
       engine.predict_batch(records.subspan(0, 48));
@@ -115,7 +112,7 @@ TEST(ChaosEngine, ScoringDelayNeverChangesAnswers) {
 }
 
 TEST(ChaosEngine, ScoreErrorFailsWholeBatchThenRecovers) {
-  InferenceEngine engine(make_fused(), {.workers = 2, .max_batch = 16});
+  InferenceEngine engine(make_fused(), {.max_batch = 16});
   std::span<const data::Record> records = chaos_dataset().records();
   {
     const fail::ScopedFailpoints guard("serve.engine.score=error");
@@ -142,7 +139,7 @@ TEST(ChaosEngine, InjectedSwapFaultNeverTouchesTheServingModel) {
   // before the registry publish, so a failed rollout leaves the serving
   // model, its version and its memo exactly as they were — and the same
   // swap succeeds once the fault clears.
-  InferenceEngine engine(make_fused(), {.workers = 2, .max_batch = 8});
+  InferenceEngine engine(make_fused(), {.max_batch = 8});
   const data::Record& record = chaos_dataset().record(0);
   ASSERT_EQ(engine.predict(record).scores, expected_scores(record));
   const auto replacement =
@@ -170,7 +167,6 @@ TEST(ChaosShed, OverloadRejectsFastAndKeepsAcceptedAnswersExact) {
   // A long deadline flush with a huge size threshold keeps submissions
   // queued: admission is exercised by the queue bound alone.
   EngineConfig config;
-  config.workers = 2;
   config.max_batch = 1000;
   config.max_delay = 150ms;
   config.max_queue = 4;
@@ -206,13 +202,17 @@ TEST(ChaosShed, OverloadRejectsFastAndKeepsAcceptedAnswersExact) {
     const Prediction prediction = accepted[i].get();
     ASSERT_EQ(prediction.scores, expected_scores(records[accepted_idx[i]]));
   }
+  // A shed request is counted once, as a shed: the engine's request count
+  // holds only the admitted four.
+  const obs::MetricsSnapshot metrics = engine.metrics();
+  EXPECT_EQ(metrics.counter_value("engine.requests"), 4u);
+  EXPECT_EQ(metrics.counter_value("serve.shed"), 16u);
   engine.shutdown();
 }
 
 TEST(ChaosShed, DeadlineDropsStaleRequestsBeforeScoring) {
   const std::uint64_t drops_before = counter_value("serve.deadline_drops");
   EngineConfig config;
-  config.workers = 2;
   config.max_batch = 8;
   // Deadline well under the flush delay (so partial batches always
   // overstay it) but generous against scheduler noise — the full batch
@@ -254,7 +254,6 @@ TEST(ChaosShed, DeadlineDropsStaleRequestsBeforeScoring) {
 RouterConfig local_router(std::size_t shards, std::size_t max_attempts) {
   RouterConfig config;
   config.shards = shards;
-  config.engine.workers = 2;
   config.engine.max_batch = 8;
   config.engine.max_delay = 200us;
   config.retry.max_attempts = max_attempts;

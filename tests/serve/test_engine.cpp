@@ -38,14 +38,13 @@ std::shared_ptr<core::FusedModel> make_fused(bool head_only_on_disagreement) {
 TEST(InferenceEngine, RejectsBadConstruction) {
   EXPECT_THROW(InferenceEngine(nullptr), Error);
   EngineConfig config;
-  config.workers = 0;
+  config.max_batch = 0;
   EXPECT_THROW(InferenceEngine(make_fused(true), config), Error);
 }
 
 TEST(InferenceEngine, BatchedOutputBitIdenticalToSequentialScores) {
   const auto fused = make_fused(true);
   EngineConfig config;
-  config.workers = 4;
   config.max_batch = 32;
   InferenceEngine engine(fused, config);
 
@@ -67,7 +66,6 @@ TEST(InferenceEngine, SubmitBatchMatchesPerRecordSubmit) {
   // enqueue, one future per record, same arithmetic as submit().
   const auto fused = make_fused(true);
   EngineConfig config;
-  config.workers = 2;
   config.max_batch = 16;
   InferenceEngine engine(fused, config);
 
@@ -80,12 +78,12 @@ TEST(InferenceEngine, SubmitBatchMatchesPerRecordSubmit) {
               testutil::canonical_scores(fused->scores(records[i])))
         << "record " << i;
   }
-  EXPECT_EQ(engine.counters().requests, 100u);
+  EXPECT_EQ(engine.metrics().counter_value("engine.requests"), 100u);
 
   // All-or-nothing on a stopped engine: no partial prefix, no count.
   engine.shutdown();
   EXPECT_THROW((void)engine.submit_batch(records.subspan(0, 8)), Error);
-  EXPECT_EQ(engine.counters().requests, 100u);
+  EXPECT_EQ(engine.metrics().counter_value("engine.requests"), 100u);
 }
 
 TEST(InferenceEngine, ParityHoldsWithHeadEverywhere) {
@@ -118,9 +116,10 @@ TEST(InferenceEngine, ConsensusFlagMatchesBodyAgreement) {
     }
   }
   EXPECT_GT(consensus_seen, 0u);
-  const EngineCounters counters = engine.counters();
-  EXPECT_EQ(counters.consensus_short_circuits, consensus_seen);
-  EXPECT_EQ(counters.requests, 300u);
+  const obs::MetricsSnapshot metrics = engine.metrics();
+  EXPECT_EQ(metrics.counter_value("engine.consensus_short_circuits"),
+            consensus_seen);
+  EXPECT_EQ(metrics.counter_value("engine.requests"), 300u);
 }
 
 TEST(InferenceEngine, RepeatedRequestsAreServedFromCache) {
@@ -138,7 +137,7 @@ TEST(InferenceEngine, RepeatedRequestsAreServedFromCache) {
   }
   // Every repeat must hit the memo (capacity far exceeds 200 records).
   EXPECT_EQ(cached, second.size());
-  EXPECT_GE(engine.counters().cache_hits, cached);
+  EXPECT_GE(engine.metrics().counter_value("engine.cache_hits"), cached);
 }
 
 TEST(InferenceEngine, CacheDisabledStillBitIdentical) {
@@ -153,7 +152,7 @@ TEST(InferenceEngine, CacheDisabledStillBitIdentical) {
     EXPECT_EQ(first[i].scores, second[i].scores);
     EXPECT_FALSE(second[i].cached);
   }
-  EXPECT_EQ(engine.counters().cache_hits, 0u);
+  EXPECT_EQ(engine.metrics().counter_value("engine.cache_hits"), 0u);
 }
 
 TEST(InferenceEngine, DisabledCacheNeverMemoizesEvenUnderConcurrency) {
@@ -164,7 +163,6 @@ TEST(InferenceEngine, DisabledCacheNeverMemoizesEvenUnderConcurrency) {
   const auto fused = make_fused(true);
   EngineConfig config;
   config.result_cache_capacity = 0;
-  config.workers = 2;
   config.max_batch = 8;
   InferenceEngine engine(fused, config);
   std::span<const data::Record> records = engine_dataset().records();
@@ -183,7 +181,7 @@ TEST(InferenceEngine, DisabledCacheNeverMemoizesEvenUnderConcurrency) {
   }
   for (auto& client : clients) client.join();
   EXPECT_EQ(cached_answers.load(), 0u);
-  EXPECT_EQ(engine.counters().cache_hits, 0u);
+  EXPECT_EQ(engine.metrics().counter_value("engine.cache_hits"), 0u);
   EXPECT_EQ(engine.cache_entries(), 0u);
   EXPECT_FALSE(engine.cache_contains(records[0].uid));
 }
@@ -228,7 +226,6 @@ TEST(InferenceEngine, TinyCacheEvictsButStaysCorrect) {
 TEST(InferenceEngine, ConcurrentSubmittersAllGetCorrectAnswers) {
   const auto fused = make_fused(true);
   EngineConfig config;
-  config.workers = 2;
   config.max_batch = 16;
   InferenceEngine engine(fused, config);
   std::span<const data::Record> records = engine_dataset().records();
@@ -271,17 +268,57 @@ TEST(InferenceEngine, ShutdownDrainsAndRejectsNewWork) {
   engine.shutdown();  // idempotent
 }
 
-TEST(InferenceEngine, LatencyStatsCoverEveryRequest) {
-  const auto fused = make_fused(true);
-  InferenceEngine engine(fused);
+TEST(InferenceEngine, LatencyHistogramCoversEveryRequest) {
+  InferenceEngine engine(make_fused(true));
   std::span<const data::Record> records = engine_dataset().records();
   (void)engine.predict_batch(records.subspan(0, 128));
-  const LatencyStats::Snapshot snap = engine.latency().snapshot();
-  EXPECT_EQ(snap.count, 128u);
-  EXPECT_GT(snap.p50_us, 0.0);
-  EXPECT_LE(snap.p50_us, snap.p95_us);
-  EXPECT_LE(snap.p95_us, snap.p99_us);
-  EXPECT_LE(snap.p99_us, snap.max_us);
+  const obs::MetricsSnapshot metrics = engine.metrics();
+  EXPECT_EQ(testutil::latency_count(metrics), 128u);
+  const obs::HistogramSnapshot& latency =
+      *metrics.find_histogram("engine.latency_us");
+  EXPECT_GT(latency.percentile(50), 0.0);
+  EXPECT_LE(latency.percentile(50), latency.percentile(95));
+  EXPECT_LE(latency.percentile(95), latency.percentile(99));
+  EXPECT_LE(latency.percentile(99), latency.percentile(100));
+}
+
+TEST(InferenceEngine, BatcherDepthGaugeSumsAcrossEngines) {
+  // The process view of engine.batcher.depth is the total queued, not
+  // whichever engine's queue moved last.
+  EngineConfig config;
+  config.max_batch = 1000;
+  config.max_delay = std::chrono::seconds(10);
+  InferenceEngine a(make_fused(true), config);
+  InferenceEngine b(make_fused(true), config);
+  std::span<const data::Record> records = engine_dataset().records();
+  auto queued_a = a.submit_batch(records.subspan(0, 3));
+  auto queued_b = b.submit_batch(records.subspan(3, 2));
+  const auto depth = []() {
+    return obs::registry().snapshot().gauge_value("engine.batcher.depth");
+  };
+  EXPECT_EQ(depth(), 5);
+  a.shutdown();  // drains now instead of after 10 s
+  b.shutdown();
+  EXPECT_EQ(depth(), 0);
+  EXPECT_EQ(collect_all_or_error(std::move(queued_a)).size(), 3u);
+  EXPECT_EQ(collect_all_or_error(std::move(queued_b)).size(), 2u);
+}
+
+TEST(InferenceEngine, ProcessRegistrySumsEnginesAndKeepsDestroyedOnes) {
+  std::span<const data::Record> records = engine_dataset().records();
+  const auto process_requests = []() {
+    return obs::registry().snapshot().counter_value("engine.requests");
+  };
+  const std::uint64_t before = process_requests();
+  {
+    InferenceEngine a(make_fused(true));
+    InferenceEngine b(make_fused(true));
+    (void)a.predict_batch(records.subspan(0, 30));
+    (void)b.predict_batch(records.subspan(0, 12));
+    EXPECT_EQ(a.metrics().counter_value("engine.requests"), 30u);
+    EXPECT_EQ(process_requests(), before + 42);
+  }
+  EXPECT_EQ(process_requests(), before + 42);
 }
 
 }  // namespace

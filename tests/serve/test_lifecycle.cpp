@@ -211,7 +211,6 @@ TEST(EngineLifecycle, SwapUnderLoadServesEveryReplyFromOneCleanVersion) {
   // scores of the version it reports — no torn weight reads, no reply
   // blending two epochs, no stale memo leak across any swap.
   EngineConfig config;
-  config.workers = 2;
   config.max_batch = 8;
   config.max_delay = std::chrono::microseconds(200);
   InferenceEngine engine(model_a(), config);
@@ -270,7 +269,8 @@ TEST(EngineLifecycle, SwapUnderLoadServesEveryReplyFromOneCleanVersion) {
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(engine.swaps(), 0u);
-  EXPECT_EQ(engine.counters().requests, kClients * kPerClient);
+  EXPECT_EQ(engine.metrics().counter_value("engine.requests"),
+            kClients * kPerClient);
   // The engine still serves the final version correctly after the churn.
   const std::uint64_t final_version = engine.model_version();
   const Prediction last = engine.predict(records[200]);

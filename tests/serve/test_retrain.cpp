@@ -139,7 +139,6 @@ TEST(HeadRetrainer, ConcurrentRoundsNeverCorruptTheEngine) {
   // (The loser of a race returns 0 — that's the designed outcome, not a
   // failure.)
   EngineConfig config;
-  config.workers = 2;
   config.max_batch = 8;
   InferenceEngine engine(retrain_fused(), config);
   LabelBuffer buffer(512);

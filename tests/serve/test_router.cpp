@@ -50,7 +50,6 @@ std::shared_ptr<core::FusedModel> make_fused() {
 RouterConfig small_router(std::size_t shards) {
   RouterConfig config;
   config.shards = shards;
-  config.engine.workers = 2;
   config.engine.max_batch = 16;
   config.engine.max_delay = std::chrono::microseconds(200);
   return config;
@@ -126,7 +125,8 @@ TEST(ShardRouter, RepeatsAreServedFromOwnerShardMemo) {
     EXPECT_EQ(second[i].scores, first[i].scores);
     EXPECT_TRUE(second[i].cached) << "record " << i;
   }
-  EXPECT_EQ(router.aggregate_counters().cache_hits, second.size());
+  EXPECT_EQ(router.aggregate_metrics().counter_value("engine.cache_hits"),
+            second.size());
 }
 
 TEST(ShardRouter, ReshardMovesAtMostTwiceKOverN) {
@@ -251,7 +251,7 @@ TEST(ShardRouter, RemoveReplicaPermanentlyReroutes) {
 
   const std::size_t removed = router.shard_for(records[0].uid);
   const std::size_t served_before =
-      router.shard_infos()[removed].counters.requests;
+      router.shard_infos()[removed].metrics.counter_value("engine.requests");
   router.remove_replica(removed);
   EXPECT_FALSE(router.active(removed));
   EXPECT_FALSE(router.shard_infos()[removed].alive);
@@ -267,7 +267,7 @@ TEST(ShardRouter, RemoveReplicaPermanentlyReroutes) {
     ASSERT_EQ(repeat[i].scores, testutil::canonical_scores(fused->scores(records[i])));
   }
   // The removed shard's accounting survives for post-mortem inspection.
-  EXPECT_EQ(router.shard_infos()[removed].counters.requests, served_before);
+  EXPECT_EQ(router.shard_infos()[removed].metrics.counter_value("engine.requests"), served_before);
 }
 
 TEST(ShardRouter, AggregateViewsCoverEveryShard) {
@@ -277,27 +277,34 @@ TEST(ShardRouter, AggregateViewsCoverEveryShard) {
   const std::size_t k = 400;
   (void)router.predict_batch(records.subspan(0, k));
 
-  const EngineCounters total = router.aggregate_counters();
-  EXPECT_EQ(total.requests, k);
-  EXPECT_EQ(total.consensus_short_circuits + total.head_evaluations, k);
+  const obs::MetricsSnapshot total = router.aggregate_metrics();
+  EXPECT_EQ(total.counter_value("engine.requests"), k);
+  EXPECT_EQ(total.counter_value("engine.consensus_short_circuits") +
+                total.counter_value("engine.head_evaluations"),
+            k);
 
-  const LatencyStats::Snapshot merged = router.aggregate_latency();
-  EXPECT_EQ(merged.count, k);
-  EXPECT_GT(merged.p50_us, 0.0);
-  EXPECT_LE(merged.p50_us, merged.p99_us);
-  EXPECT_GT(merged.requests_per_second, 0.0);
+  const obs::HistogramSnapshot* merged =
+      total.find_histogram("engine.latency_us");
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->count, k);
+  EXPECT_GT(merged->percentile(50), 0.0);
+  EXPECT_LE(merged->percentile(50), merged->percentile(99));
 
   std::size_t routed = 0;
   std::size_t per_shard_count = 0;
   for (const ShardInfo& info : router.shard_infos()) {
     routed += info.routed;
-    per_shard_count += info.latency.count;
-    EXPECT_EQ(info.routed, info.counters.requests);
+    per_shard_count += testutil::latency_count(info.metrics);
+    EXPECT_EQ(info.routed, info.metrics.counter_value("engine.requests"));
     // The merged max is at least every shard's max.
-    EXPECT_GE(merged.max_us, info.latency.max_us);
+    if (testutil::latency_count(info.metrics) > 0) {
+      EXPECT_GE(merged->percentile(100),
+                info.metrics.find_histogram("engine.latency_us")
+                    ->percentile(100));
+    }
   }
   EXPECT_EQ(routed, k);
-  EXPECT_EQ(per_shard_count, merged.count);
+  EXPECT_EQ(per_shard_count, merged->count);
 }
 
 TEST(ShardRouter, DisabledResultCacheNeverMemoizesThroughRouter) {
@@ -312,7 +319,7 @@ TEST(ShardRouter, DisabledResultCacheNeverMemoizesThroughRouter) {
     EXPECT_EQ(second[i].scores, first[i].scores);
     EXPECT_FALSE(second[i].cached);
   }
-  EXPECT_EQ(router.aggregate_counters().cache_hits, 0u);
+  EXPECT_EQ(router.aggregate_metrics().counter_value("engine.cache_hits"), 0u);
   for (const ShardInfo& info : router.shard_infos()) {
     EXPECT_EQ(info.cache_entries, 0u);
   }
@@ -375,8 +382,9 @@ TEST(ShardRouter, PredictBatchQuiescesInFlightPrefixOnFailure) {
   // moment predict_batch rethrows, every submitted request has fully
   // completed (latency recorded), not merely been enqueued. Without the
   // await this check races the engine's workers.
-  EXPECT_EQ(router.aggregate_counters().requests, 12u);
-  EXPECT_EQ(router.aggregate_latency().count, 12u);
+  const obs::MetricsSnapshot total = router.aggregate_metrics();
+  EXPECT_EQ(total.counter_value("engine.requests"), 12u);
+  EXPECT_EQ(testutil::latency_count(total), 12u);
 
   // The router is immediately usable for records routed to live shards.
   const Prediction after = router.predict(batch[0]);
@@ -395,34 +403,41 @@ TEST(ShardRouter, RemovedReplicaStatsFreezeAtRemoval) {
 
   const std::size_t removed = router.shard_for(records[0].uid);
   const ShardInfo before = router.shard_infos()[removed];
-  ASSERT_GT(before.counters.requests, 0u);
+  ASSERT_GT(before.metrics.counter_value("engine.requests"), 0u);
   ASSERT_GT(before.cache_entries, 0u);
-  const EngineCounters total_before = router.aggregate_counters();
-  const std::size_t latency_before = router.aggregate_latency().count;
+  const obs::MetricsSnapshot total_before = router.aggregate_metrics();
+  const std::uint64_t requests_before =
+      total_before.counter_value("engine.requests");
 
   router.remove_replica(removed);
 
   // Frozen view: identical counters/memo/latency after removal…
   const ShardInfo after = router.shard_infos()[removed];
   EXPECT_FALSE(after.alive);
-  EXPECT_EQ(after.counters.requests, before.counters.requests);
-  EXPECT_EQ(after.counters.cache_hits, before.counters.cache_hits);
+  EXPECT_EQ(after.metrics.counter_value("engine.requests"),
+            before.metrics.counter_value("engine.requests"));
+  EXPECT_EQ(after.metrics.counter_value("engine.cache_hits"),
+            before.metrics.counter_value("engine.cache_hits"));
   EXPECT_EQ(after.cache_entries, before.cache_entries);
-  EXPECT_EQ(after.latency.count, before.latency.count);
+  EXPECT_EQ(testutil::latency_count(after.metrics),
+            testutil::latency_count(before.metrics));
   EXPECT_EQ(after.routed, before.routed);
   // …and the aggregates still include the removed shard's history.
-  EXPECT_EQ(router.aggregate_counters().requests, total_before.requests);
-  EXPECT_EQ(router.aggregate_latency().count, latency_before);
+  const obs::MetricsSnapshot total_after = router.aggregate_metrics();
+  EXPECT_EQ(total_after.counter_value("engine.requests"), requests_before);
+  EXPECT_EQ(testutil::latency_count(total_after),
+            testutil::latency_count(total_before));
 
   // The backend is retired: the engine view is gone for good.
   EXPECT_THROW((void)router.replica(removed), Error);
 
   // Serving continues and new traffic keeps the frozen stats frozen.
   (void)router.predict_batch(records.subspan(300, 100));
-  EXPECT_EQ(router.shard_infos()[removed].counters.requests,
-            before.counters.requests);
-  EXPECT_EQ(router.aggregate_counters().requests,
-            total_before.requests + 100);
+  EXPECT_EQ(
+      router.shard_infos()[removed].metrics.counter_value("engine.requests"),
+      before.metrics.counter_value("engine.requests"));
+  EXPECT_EQ(router.aggregate_metrics().counter_value("engine.requests"),
+            requests_before + 100);
 }
 
 TEST(ShardRouter, RemoveReplicaMidFlightKeepsFrozenStatsConsistent) {
@@ -448,8 +463,9 @@ TEST(ShardRouter, RemoveReplicaMidFlightKeepsFrozenStatsConsistent) {
 
   const ShardInfo frozen = router.shard_infos()[victim];
   EXPECT_FALSE(frozen.alive);
-  EXPECT_EQ(frozen.counters.requests, inflight.size());
-  EXPECT_EQ(frozen.latency.count, frozen.counters.requests)
+  EXPECT_EQ(frozen.metrics.counter_value("engine.requests"), inflight.size());
+  EXPECT_EQ(testutil::latency_count(frozen.metrics),
+            frozen.metrics.counter_value("engine.requests"))
       << "latency recorded during the drain must be in the frozen view";
 }
 

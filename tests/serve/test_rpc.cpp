@@ -62,7 +62,6 @@ std::shared_ptr<core::FusedModel> make_fused() {
 
 rpc::ShardServerConfig small_server() {
   rpc::ShardServerConfig config;
-  config.engine.workers = 2;
   config.engine.max_batch = 16;
   config.engine.max_delay = std::chrono::microseconds(200);
   return config;
@@ -108,7 +107,7 @@ TEST(RemoteShard, BitIdenticalOverTcp) {
     ASSERT_EQ(prediction.scores, expected) << "record " << i;
     ASSERT_EQ(prediction.predicted, tensor::argmax(expected));
   }
-  EXPECT_EQ(shard.counters().requests, 200u);
+  EXPECT_EQ(shard.metrics().counter_value("engine.requests"), 200u);
   EXPECT_EQ(shard.consecutive_failures(), 0u);
   shard.shutdown();
   server.stop();
@@ -153,9 +152,10 @@ TEST(RemoteShard, PipelinedBatchesFromManyThreads) {
   }
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(shard.counters().requests, kClients * kPerClient);
+  const obs::MetricsSnapshot observed = shard.metrics();
+  EXPECT_EQ(observed.counter_value("engine.requests"), kClients * kPerClient);
   // Micro-batching must actually batch: far fewer frames than requests.
-  EXPECT_LT(shard.counters().batches, kClients * kPerClient);
+  EXPECT_LT(observed.counter_value("engine.batches"), kClients * kPerClient);
   shard.shutdown();
   server.stop();
 }
@@ -180,7 +180,7 @@ TEST(RemoteShard, RepeatsAreServedFromTheServerMemo) {
     if (future.get().cached) ++cached;
   }
   EXPECT_EQ(cached, 50u);
-  EXPECT_EQ(shard.counters().cache_hits, 50u);
+  EXPECT_EQ(shard.metrics().counter_value("engine.cache_hits"), 50u);
   shard.shutdown();
   server.stop();
 }
@@ -244,10 +244,11 @@ TEST(ShardRouterRpc, RemoteReplicasMatchFusedScores) {
   for (const ShardInfo& info : infos) {
     EXPECT_TRUE(info.remote);
     EXPECT_GT(info.routed, 0u);
-    EXPECT_EQ(info.counters.requests, info.routed);
+    EXPECT_EQ(info.metrics.counter_value("engine.requests"), info.routed);
   }
-  EXPECT_EQ(router.aggregate_counters().requests, records.size());
-  EXPECT_EQ(router.aggregate_latency().count, records.size());
+  const obs::MetricsSnapshot total = router.aggregate_metrics();
+  EXPECT_EQ(total.counter_value("engine.requests"), records.size());
+  EXPECT_EQ(testutil::latency_count(total), records.size());
   // replica() is an in-process-only view.
   EXPECT_THROW((void)router.replica(0), Error);
   router.shutdown();
@@ -261,7 +262,6 @@ TEST(ShardRouterRpc, MixedLocalAndRemoteReplicas) {
 
   RouterConfig config;
   config.shards = 1;
-  config.engine.workers = 2;
   config.engine.max_batch = 16;
   config.engine.max_delay = std::chrono::microseconds(200);
   config.remote_endpoints = {server.address()};
@@ -536,36 +536,59 @@ TEST(RemoteShard, FetchStatsReturnsServerAuthoritativeCounters) {
 
   const StatsReport report = shard.fetch_stats();
   // The report is the SERVER engine's own accounting, not the client's
-  // reconstruction — field for field.
-  const EngineCounters server_counters = server.engine().counters();
-  EXPECT_EQ(report.counters.requests, server_counters.requests);
-  EXPECT_EQ(report.counters.requests, 150u);
-  EXPECT_EQ(report.counters.batches, server_counters.batches);
-  EXPECT_EQ(report.counters.cache_hits, server_counters.cache_hits);
-  EXPECT_EQ(report.counters.head_evaluations,
-            server_counters.head_evaluations);
+  // reconstruction — counter for counter.
+  const obs::MetricsSnapshot server_metrics = server.engine().metrics();
+  for (const char* name :
+       {"engine.requests", "engine.batches", "engine.cache_hits",
+        "engine.consensus_short_circuits", "engine.head_evaluations"}) {
+    EXPECT_EQ(report.engine.counter_value(name),
+              server_metrics.counter_value(name))
+        << name;
+  }
+  EXPECT_EQ(report.engine.counter_value("engine.requests"), 150u);
   EXPECT_EQ(report.cache_entries, server.engine().cache_entries());
   EXPECT_GT(report.cache_entries, 0u);  // repeats populated the memo
-  // Server-measured latency travels whole: exact aggregates plus the
-  // percentile reservoir (complete below capacity).
-  EXPECT_EQ(report.latency.count, 150u);
-  EXPECT_EQ(report.latency.samples_us.size(), 150u);
-  EXPECT_GT(report.latency.max_us, 0.0);
-  EXPECT_GT(report.latency.elapsed_seconds, 0.0);
-  // The registry snapshot rides along; servers and tests share this
-  // process's registry here, so only presence/consistency is asserted.
-  const obs::CounterSnapshot* engine_requests =
-      report.metrics.find_counter("engine.requests");
-  ASSERT_NE(engine_requests, nullptr);
-  EXPECT_GE(engine_requests->value, 150u);
-  EXPECT_NE(report.metrics.find_counter("rpc.server.frames_received"),
+  // Server-measured latency travels whole as a histogram.
+  EXPECT_EQ(testutil::latency_count(report.engine), 150u);
+  EXPECT_GT(report.engine.find_histogram("engine.latency_us")->percentile(100),
+            0.0);
+  // The process registry snapshot rides along; servers and tests share
+  // this process's registry here, so only presence/consistency is
+  // asserted.
+  EXPECT_GE(report.process.counter_value("engine.requests"), 150u);
+  EXPECT_NE(report.process.find_counter("rpc.server.frames_received"),
             nullptr);
-  EXPECT_NE(report.metrics.find_histogram("engine.batch_size"), nullptr);
+  EXPECT_NE(report.process.find_histogram("engine.batch_size"), nullptr);
 
   // The ReplicaBackend surface maps a live fetch to a populated optional.
   const std::optional<StatsReport> authoritative = shard.authoritative_stats();
   ASSERT_TRUE(authoritative.has_value());
-  EXPECT_EQ(authoritative->counters.requests, 150u);
+  EXPECT_EQ(authoritative->engine.counter_value("engine.requests"), 150u);
+  shard.shutdown();
+  server.stop();
+}
+
+TEST(RemoteShard, StatsResponseSizeIsIndependentOfTraffic) {
+  // Registry snapshots, not per-request samples: the size depends on
+  // which metrics exist, never on how much traffic was served.
+  rpc::ShardServer server(make_fused(), "127.0.0.1:0", small_server());
+  rpc::RemoteShardConfig config = fast_client();
+  config.max_batch = 256;
+  rpc::RemoteShard shard(server.address(), config);
+  std::span<const data::Record> records = rpc_dataset().records();
+  std::size_t served = 0;
+  const auto encoded_size_after = [&](std::size_t total) {
+    std::vector<std::future<Prediction>> futures;
+    for (; served < total; ++served) {
+      futures.push_back(shard.submit(records[served % records.size()]));
+    }
+    for (std::future<Prediction>& future : futures) (void)future.get();
+    const StatsReport report = shard.fetch_stats();
+    EXPECT_EQ(report.engine.counter_value("engine.requests"), total);
+    return rpc::encode_stats_response(/*seq=*/0, report).size();
+  };
+  const std::size_t after_1k = encoded_size_after(1'000);
+  EXPECT_EQ(encoded_size_after(70'000), after_1k);
   shard.shutdown();
   server.stop();
 }
@@ -608,19 +631,17 @@ TEST(ShardRouterRpc, AuthoritativeStatsFoldsServerSideAccounting) {
 
   const StatsReport fleet = router.authoritative_stats();
   // Server-side totals across both shards account for exactly the routed
-  // traffic, and the latency reservoir is the union of what the two
-  // SERVERS measured (120 entries — client-observed stats would also
-  // have 120, but these travel over the Stats RPC; the per-server checks
-  // below pin that).
-  EXPECT_EQ(fleet.counters.requests, 120u);
-  EXPECT_EQ(fleet.latency.count, 120u);
-  EXPECT_EQ(fleet.latency.samples_us.size(), 120u);
-  EXPECT_EQ(fleet.counters.requests,
-            server_a.engine().counters().requests +
-                server_b.engine().counters().requests);
+  // traffic, and the latency histogram is the merge of what the two
+  // SERVERS measured (client-observed stats would also count 120, but
+  // these travel over the Stats RPC; the per-server sum below pins that).
+  EXPECT_EQ(fleet.engine.counter_value("engine.requests"), 120u);
+  EXPECT_EQ(testutil::latency_count(fleet.engine), 120u);
+  EXPECT_EQ(fleet.engine.counter_value("engine.requests"),
+            server_a.engine().metrics().counter_value("engine.requests") +
+                server_b.engine().metrics().counter_value("engine.requests"));
   EXPECT_EQ(fleet.cache_entries, server_a.engine().cache_entries() +
                                      server_b.engine().cache_entries());
-  EXPECT_GT(fleet.counters.batches, 0u);
+  EXPECT_GT(fleet.engine.counter_value("engine.batches"), 0u);
   router.shutdown();
   server_a.stop();
   server_b.stop();
@@ -780,7 +801,6 @@ TEST(ShardRouterRpc, ReloadShardTargetsOneLocalOrRemoteReplica) {
 
   RouterConfig config;
   config.shards = 1;
-  config.engine.workers = 2;
   config.engine.max_batch = 16;
   config.remote_endpoints = {server.address()};
   config.remote = fast_client();

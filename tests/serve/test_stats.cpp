@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -25,352 +23,6 @@ TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW((void)percentile({}, 50.0), Error);
   EXPECT_THROW((void)percentile({1.0}, -1.0), Error);
   EXPECT_THROW((void)percentile({1.0}, 101.0), Error);
-}
-
-TEST(LatencyStats, EmptySnapshotIsZero) {
-  const LatencyStats stats;
-  const auto snap = stats.snapshot();
-  EXPECT_EQ(snap.count, 0u);
-  EXPECT_DOUBLE_EQ(snap.p50_us, 0.0);
-  EXPECT_DOUBLE_EQ(snap.requests_per_second, 0.0);
-}
-
-TEST(LatencyStats, SnapshotSummarizesSamples) {
-  LatencyStats stats;
-  for (int us = 1; us <= 100; ++us) {
-    stats.record(std::chrono::microseconds(us));
-  }
-  const auto snap = stats.snapshot();
-  EXPECT_EQ(snap.count, 100u);
-  EXPECT_DOUBLE_EQ(snap.p50_us, 50.0);
-  EXPECT_DOUBLE_EQ(snap.p95_us, 95.0);
-  EXPECT_DOUBLE_EQ(snap.p99_us, 99.0);
-  EXPECT_DOUBLE_EQ(snap.max_us, 100.0);
-  EXPECT_NEAR(snap.mean_us, 50.5, 1e-9);
-  EXPECT_GT(snap.elapsed_seconds, 0.0);
-  EXPECT_GT(snap.requests_per_second, 0.0);
-}
-
-TEST(LatencyStats, ResetClearsSamplesAndRestartsClock) {
-  LatencyStats stats;
-  stats.record(std::chrono::milliseconds(5));
-  stats.reset();
-  const auto snap = stats.snapshot();
-  EXPECT_EQ(snap.count, 0u);
-}
-
-TEST(LatencyStats, ReservoirBoundsMemoryButKeepsExactAggregates) {
-  LatencyStats stats(/*reservoir_capacity=*/64);
-  for (int us = 1; us <= 10000; ++us) {
-    stats.record(std::chrono::microseconds(us));
-  }
-  const auto snap = stats.snapshot();
-  // Count/mean/max are exact over all 10k samples despite the tiny
-  // reservoir; percentiles come from the sample but must stay in range
-  // and ordered.
-  EXPECT_EQ(snap.count, 10000u);
-  EXPECT_NEAR(snap.mean_us, 5000.5, 1e-9);
-  EXPECT_DOUBLE_EQ(snap.max_us, 10000.0);
-  EXPECT_GE(snap.p50_us, 1.0);
-  EXPECT_LE(snap.p50_us, snap.p95_us);
-  EXPECT_LE(snap.p95_us, snap.p99_us);
-  EXPECT_LE(snap.p99_us, 10000.0);
-}
-
-TEST(LatencyStats, RejectsZeroCapacity) {
-  EXPECT_THROW(LatencyStats(0), Error);
-}
-
-TEST(LatencyStats, QuantilesOnKnownSkewedDistribution) {
-  // Classic serving shape: 90% fast, 9% slower, 1% tail. With 1000
-  // samples (below reservoir capacity) percentiles are exact
-  // nearest-rank values.
-  LatencyStats stats;
-  for (int i = 0; i < 900; ++i) stats.record(std::chrono::microseconds(1));
-  for (int i = 0; i < 90; ++i) stats.record(std::chrono::microseconds(10));
-  for (int i = 0; i < 10; ++i) stats.record(std::chrono::microseconds(100));
-  const auto snap = stats.snapshot();
-  EXPECT_EQ(snap.count, 1000u);
-  EXPECT_DOUBLE_EQ(snap.p50_us, 1.0);
-  EXPECT_DOUBLE_EQ(snap.p95_us, 10.0);
-  EXPECT_DOUBLE_EQ(snap.p99_us, 10.0);  // tail starts past rank 990
-  EXPECT_DOUBLE_EQ(snap.max_us, 100.0);
-  EXPECT_NEAR(snap.mean_us, (900.0 + 900.0 + 1000.0) / 1000.0, 1e-9);
-}
-
-TEST(LatencyStats, QuantilesOnBimodalDistribution) {
-  LatencyStats stats;
-  for (int i = 0; i < 50; ++i) stats.record(std::chrono::microseconds(2));
-  for (int i = 0; i < 50; ++i) stats.record(std::chrono::microseconds(8));
-  const auto snap = stats.snapshot();
-  EXPECT_DOUBLE_EQ(snap.p50_us, 2.0);   // rank 50 is the last fast sample
-  EXPECT_DOUBLE_EQ(snap.p95_us, 8.0);
-  EXPECT_NEAR(snap.mean_us, 5.0, 1e-9);
-}
-
-namespace {
-
-/// Fill one stats instance with `n` samples of `us` microseconds each.
-void fill(LatencyStats& stats, int n, int us) {
-  for (int i = 0; i < n; ++i) stats.record(std::chrono::microseconds(us));
-}
-
-/// The fields merge must reproduce exactly in the below-capacity regime.
-void expect_same_view(const LatencyStats::Snapshot& a,
-                      const LatencyStats::Snapshot& b) {
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_DOUBLE_EQ(a.mean_us, b.mean_us);
-  EXPECT_DOUBLE_EQ(a.max_us, b.max_us);
-  EXPECT_DOUBLE_EQ(a.p50_us, b.p50_us);
-  EXPECT_DOUBLE_EQ(a.p95_us, b.p95_us);
-  EXPECT_DOUBLE_EQ(a.p99_us, b.p99_us);
-}
-
-}  // namespace
-
-TEST(LatencyStatsMerge, CombinesExactAggregatesAndExactPercentiles) {
-  LatencyStats a;
-  LatencyStats b;
-  for (int us = 1; us <= 100; ++us) a.record(std::chrono::microseconds(us));
-  for (int us = 101; us <= 200; ++us) {
-    b.record(std::chrono::microseconds(us));
-  }
-  a.merge(b);
-  const auto merged = a.snapshot();
-  EXPECT_EQ(merged.count, 200u);
-  EXPECT_NEAR(merged.mean_us, 100.5, 1e-9);
-  EXPECT_DOUBLE_EQ(merged.max_us, 200.0);
-  EXPECT_DOUBLE_EQ(merged.p50_us, 100.0);
-  EXPECT_DOUBLE_EQ(merged.p95_us, 190.0);
-  EXPECT_DOUBLE_EQ(merged.p99_us, 198.0);
-  // The merged-from side is unchanged.
-  EXPECT_EQ(b.snapshot().count, 100u);
-}
-
-TEST(LatencyStatsMerge, IsCommutativeBelowCapacity) {
-  LatencyStats a;
-  LatencyStats b;
-  fill(a, 300, 5);
-  fill(b, 100, 50);
-  LatencyStats ab;
-  ab.merge(a);
-  ab.merge(b);
-  LatencyStats ba;
-  ba.merge(b);
-  ba.merge(a);
-  expect_same_view(ab.snapshot(), ba.snapshot());
-}
-
-TEST(LatencyStatsMerge, IsAssociativeBelowCapacity) {
-  LatencyStats a;
-  LatencyStats b;
-  LatencyStats c;
-  fill(a, 200, 3);
-  fill(b, 150, 30);
-  fill(c, 50, 300);
-  // (a ⊕ b) ⊕ c
-  LatencyStats left;
-  left.merge(a);
-  left.merge(b);
-  left.merge(c);
-  // a ⊕ (b ⊕ c)
-  LatencyStats bc;
-  bc.merge(b);
-  bc.merge(c);
-  LatencyStats right;
-  right.merge(a);
-  right.merge(bc);
-  expect_same_view(left.snapshot(), right.snapshot());
-  EXPECT_EQ(left.snapshot().count, 400u);
-}
-
-TEST(LatencyStatsMerge, EmptySidesAreIdentity) {
-  LatencyStats a;
-  fill(a, 10, 7);
-  const auto before = a.snapshot();
-  LatencyStats empty;
-  a.merge(empty);  // merging nothing changes nothing
-  expect_same_view(a.snapshot(), before);
-  LatencyStats fresh;
-  fresh.merge(a);  // merging into a fresh accumulator copies the view
-  expect_same_view(fresh.snapshot(), before);
-}
-
-TEST(LatencyStatsMerge, SelfMergeThrows) {
-  LatencyStats stats;
-  EXPECT_THROW(stats.merge(stats), Error);
-}
-
-TEST(LatencyStatsMerge, BeyondCapacityKeepsExactAggregates) {
-  LatencyStats a(/*reservoir_capacity=*/64);
-  LatencyStats b(/*reservoir_capacity=*/64);
-  for (int us = 1; us <= 1000; ++us) {
-    a.record(std::chrono::microseconds(us));
-    b.record(std::chrono::microseconds(us + 1000));
-  }
-  a.merge(b);
-  const auto snap = a.snapshot();
-  // Count/mean/max merge exactly no matter the reservoir pressure.
-  EXPECT_EQ(snap.count, 2000u);
-  EXPECT_NEAR(snap.mean_us, 1000.5, 1e-9);
-  EXPECT_DOUBLE_EQ(snap.max_us, 2000.0);
-  // Percentiles come from the weighted subsample: in range and ordered.
-  EXPECT_GE(snap.p50_us, 1.0);
-  EXPECT_LE(snap.p50_us, snap.p95_us);
-  EXPECT_LE(snap.p95_us, snap.p99_us);
-  EXPECT_LE(snap.p99_us, 2000.0);
-}
-
-TEST(LatencyStatsMerge, SaturatedSideKeepsItsWeightInMergedPercentiles) {
-  // A saturated tiny reservoir stands for many requests per entry; an
-  // exact side stands for one each. The merged percentile view must
-  // reflect request counts, not reservoir entry counts.
-  LatencyStats exact_side;  // 100 requests at 1us, complete sample
-  fill(exact_side, 100, 1);
-  LatencyStats saturated(/*reservoir_capacity=*/64);  // 1000 req at 100us
-  fill(saturated, 1000, 100);
-  exact_side.merge(saturated);
-  const auto snap = exact_side.snapshot();
-  EXPECT_EQ(snap.count, 1100u);
-  // ~91% of the traffic is 100us, so the median must be the slow mode —
-  // an unweighted union (164 entries, 61% fast) would report 1us here.
-  EXPECT_DOUBLE_EQ(snap.p50_us, 100.0);
-  EXPECT_DOUBLE_EQ(snap.p99_us, 100.0);
-}
-
-TEST(LatencyStatsMerge, ConcurrentMergeAndRecordIsSafe) {
-  // Shards keep recording while an aggregator thread repeatedly merges
-  // them into a scratch view — the router's aggregate_latency pattern.
-  LatencyStats shard_a;
-  LatencyStats shard_b;
-  std::thread recorder_a(
-      [&]() { fill(shard_a, 2000, 3); });
-  std::thread recorder_b(
-      [&]() { fill(shard_b, 2000, 9); });
-  for (int i = 0; i < 50; ++i) {
-    LatencyStats scratch;
-    scratch.merge(shard_a);
-    scratch.merge(shard_b);
-    const auto snap = scratch.snapshot();
-    EXPECT_LE(snap.count, 4000u);
-  }
-  recorder_a.join();
-  recorder_b.join();
-  LatencyStats final_view;
-  final_view.merge(shard_a);
-  final_view.merge(shard_b);
-  EXPECT_EQ(final_view.snapshot().count, 4000u);
-}
-
-TEST(LatencyStatsExport, RoundTripMatchesDirectMerge) {
-  // merge_export(to_export(x)) must behave exactly like merge(x) — this
-  // equivalence is what lets the Stats RPC ship accounting across
-  // processes without changing any merged number.
-  LatencyStats source;
-  for (int us = 1; us <= 500; ++us) {
-    source.record(std::chrono::microseconds(us));
-  }
-  LatencyStats via_merge;
-  via_merge.merge(source);
-  LatencyStats via_export;
-  via_export.merge_export(source.to_export());
-  expect_same_view(via_merge.snapshot(), via_export.snapshot());
-  EXPECT_EQ(via_export.snapshot().count, 500u);
-}
-
-TEST(LatencyStatsExport, CarriesExactAggregatesAndFullReservoir) {
-  LatencyStats stats;
-  fill(stats, 100, 40);
-  const LatencyStats::Export exported = stats.to_export();
-  EXPECT_EQ(exported.count, 100u);
-  EXPECT_DOUBLE_EQ(exported.sum_us, 4000.0);
-  EXPECT_DOUBLE_EQ(exported.max_us, 40.0);
-  EXPECT_GT(exported.elapsed_seconds, 0.0);
-  EXPECT_EQ(exported.samples_us.size(), 100u);  // below capacity: complete
-}
-
-TEST(LatencyStatsExport, ReanchorsRemoteClock) {
-  // Clocks are not comparable across processes: elapsed travels as
-  // seconds and the importer reconstructs start = now - elapsed, so
-  // throughput (count / elapsed) survives the hop.
-  LatencyStats::Export exported;
-  exported.count = 1000;
-  exported.sum_us = 1000.0;
-  exported.max_us = 1.0;
-  exported.elapsed_seconds = 10.0;
-  exported.samples_us = std::vector<double>(1000, 1.0);
-  LatencyStats imported;
-  imported.merge_export(exported);
-  const auto snap = imported.snapshot();
-  EXPECT_EQ(snap.count, 1000u);
-  EXPECT_GE(snap.elapsed_seconds, 10.0);
-  EXPECT_NEAR(snap.requests_per_second, 100.0, 5.0);
-}
-
-TEST(LatencyStatsMerge, NonExactPercentilesTrackThePooledSample) {
-  // The non-exact regime: both reservoirs overflowed, so merged
-  // percentiles come from a count-weighted subsample. They are not
-  // exact, but they must land near the pooled ground truth —
-  // count/mean/max stay exact regardless.
-  LatencyStats a(/*reservoir_capacity=*/256);
-  LatencyStats b(/*reservoir_capacity=*/256);
-  std::vector<double> pooled;
-  pooled.reserve(10000);
-  for (int us = 1; us <= 5000; ++us) {
-    a.record(std::chrono::microseconds(us));
-    b.record(std::chrono::microseconds(us + 5000));
-    pooled.push_back(static_cast<double>(us));
-    pooled.push_back(static_cast<double>(us + 5000));
-  }
-  LatencyStats scratch;  // merge-into-scratch, the aggregation pattern
-  scratch.merge(a);
-  scratch.merge(b);
-  const auto snap = scratch.snapshot();
-  EXPECT_EQ(snap.count, 10000u);
-  EXPECT_NEAR(snap.mean_us, 5000.5, 1e-9);
-  EXPECT_DOUBLE_EQ(snap.max_us, 10000.0);
-  // ~512 subsampled entries: a sample quantile's standard error is
-  // range * sqrt(q(1-q)/n) — ~220us at the median here. 15% of the
-  // range is > 6 sigma, so this cannot flake while still catching
-  // weighting bugs (an unweighted or one-sided merge shifts the median
-  // by thousands).
-  EXPECT_NEAR(percentile(pooled, 50.0), snap.p50_us, 1500.0);
-  EXPECT_NEAR(percentile(pooled, 95.0), snap.p95_us, 1500.0);
-  EXPECT_LE(snap.p50_us, snap.p95_us);
-  EXPECT_LE(snap.p95_us, snap.p99_us);
-  EXPECT_LE(snap.p99_us, snap.max_us);
-}
-
-TEST(LatencyStatsExport, NonExactExportMergeMatchesDirectMergeRegime) {
-  // Export/import in the overflowed regime: same invariants as direct
-  // merge (exact aggregates, in-range ordered percentiles).
-  LatencyStats a(/*reservoir_capacity=*/128);
-  fill(a, 4000, 10);
-  LatencyStats b(/*reservoir_capacity=*/128);
-  fill(b, 4000, 1000);
-  LatencyStats scratch;
-  scratch.merge_export(a.to_export());
-  scratch.merge_export(b.to_export());
-  const auto snap = scratch.snapshot();
-  EXPECT_EQ(snap.count, 8000u);
-  EXPECT_NEAR(snap.mean_us, 505.0, 1e-9);
-  EXPECT_DOUBLE_EQ(snap.max_us, 1000.0);
-  EXPECT_GE(snap.p50_us, 10.0);
-  EXPECT_LE(snap.p99_us, 1000.0);
-}
-
-TEST(LatencyStats, ConcurrentRecordingIsLossless) {
-  LatencyStats stats;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&stats]() {
-      for (int i = 0; i < 250; ++i) {
-        stats.record(std::chrono::microseconds(10));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(stats.snapshot().count, 1000u);
 }
 
 }  // namespace

@@ -59,7 +59,6 @@ const std::vector<std::size_t>& expected_argmax() {
 RouterConfig stress_router(std::size_t shards) {
   RouterConfig config;
   config.shards = shards;
-  config.engine.workers = 2;
   config.engine.max_batch = 8;
   config.engine.max_delay = std::chrono::microseconds(200);
   return config;
@@ -90,8 +89,9 @@ TEST(ShardRouterStress, ConcurrentClientsAreBitIdentical) {
   }
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(router.aggregate_counters().requests, kClients * kPerClient);
-  EXPECT_EQ(router.aggregate_latency().count, kClients * kPerClient);
+  const obs::MetricsSnapshot total = router.aggregate_metrics();
+  EXPECT_EQ(total.counter_value("engine.requests"), kClients * kPerClient);
+  EXPECT_EQ(testutil::latency_count(total), kClients * kPerClient);
 }
 
 TEST(ShardRouterStress, TopologyChurnDuringTraffic) {
@@ -146,7 +146,8 @@ TEST(ShardRouterStress, TopologyChurnDuringTraffic) {
   mutator.join();
 
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(router.aggregate_counters().requests, kClients * kPerClient);
+  EXPECT_EQ(router.aggregate_metrics().counter_value("engine.requests"),
+            kClients * kPerClient);
   // Every replica that is still active must serve correctly afterwards.
   const auto after = router.predict_batch(records.subspan(0, 64));
   for (std::size_t i = 0; i < after.size(); ++i) {
@@ -166,9 +167,10 @@ TEST(ShardRouterStress, ObserversDoNotDisturbServing) {
       const std::vector<ShardInfo> infos = router.shard_infos();
       std::size_t routed = 0;
       for (const ShardInfo& info : infos) routed += info.routed;
-      const LatencyStats::Snapshot merged = router.aggregate_latency();
-      // Monotonic sanity only: totals never run backwards mid-flight.
-      EXPECT_LE(merged.count, router.aggregate_counters().requests);
+      const obs::MetricsSnapshot merged = router.aggregate_metrics();
+      // Every timed request is already counted, even mid-flight.
+      EXPECT_LE(testutil::latency_count(merged),
+                merged.counter_value("engine.requests"));
       (void)routed;
       (void)router.shard_for(records[0].uid);
     }
@@ -227,7 +229,8 @@ TEST(ShardRouterStress, ShutdownRaceWithSubmitters) {
   // rejected cleanly — never dropped, never wrong.
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(delivered.load() + rejected.load(), 0u);
-  EXPECT_GE(router.aggregate_counters().requests, delivered.load());
+  EXPECT_GE(router.aggregate_metrics().counter_value("engine.requests"),
+            delivered.load());
 }
 
 }  // namespace

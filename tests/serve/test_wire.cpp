@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/hash.h"
 #include "data/serialize.h"
@@ -363,29 +365,37 @@ TEST(Wire, FuzzedPayloadsNeverCrash) {
 
 StatsReport make_stats_report() {
   StatsReport report;
-  report.counters.requests = 12345;
-  report.counters.batches = 678;
-  report.counters.cache_hits = 910;
-  report.counters.consensus_short_circuits = 11;
-  report.counters.head_evaluations = 1213;
   report.cache_entries = 1415;
-  report.latency.count = 5;
-  report.latency.sum_us = 123.5;
-  report.latency.max_us = 99.25;
-  report.latency.elapsed_seconds = 3.75;
-  report.latency.samples_us = {1.5, 2.25, 20.0, 99.25, 0.5};
-  report.metrics.counters = {{"engine.requests", 12345},
+  report.engine.counters = {{"engine.batches", 678},
+                            {"engine.cache_hits", 910},
+                            {"engine.consensus_short_circuits", 11},
+                            {"engine.head_evaluations", 1213},
+                            {"engine.requests", 12345}};
+  obs::HistogramSnapshot latency;
+  latency.name = "engine.latency_us";
+  latency.bounds = {1.0, 2.0, 4.0};
+  latency.counts = {1, 2, 0, 2};  // per-bucket, last is +Inf
+  latency.count = 5;
+  latency.sum = 123.5;
+  report.engine.histograms = {latency};
+  report.process.counters = {{"engine.requests", 12345},
                              {"rpc.server.frames_received", 42}};
-  report.metrics.gauges = {{"batcher.depth", -3},
+  report.process.gauges = {{"engine.batcher.depth", -3},
                            {"rpc.server.open_connections", 2}};
-  obs::HistogramSnapshot hist;
-  hist.name = "engine.batch_size";
-  hist.bounds = {1.0, 8.0, 32.0};
-  hist.counts = {4, 3, 2, 1};  // per-bucket, last is +Inf
-  hist.count = 10;
-  hist.sum = 161.5;
-  report.metrics.histograms = {hist};
+  obs::HistogramSnapshot batch_size;
+  batch_size.name = "engine.batch_size";
+  batch_size.bounds = {1.0, 8.0, 32.0};
+  batch_size.counts = {4, 3, 2, 1};
+  batch_size.count = 10;
+  batch_size.sum = 161.5;
+  report.process.histograms = {batch_size};
   return report;
+}
+
+StatsReport round_trip(const StatsReport& report) {
+  const std::vector<std::uint8_t> frame = encode_stats_response(1, report);
+  return decode_stats_response(
+      {frame.data() + kHeaderBytes, frame.size() - kHeaderBytes});
 }
 
 TEST(Wire, StatsRequestIsAnEmptyPayloadControlFrame) {
@@ -405,45 +415,21 @@ TEST(Wire, StatsResponseRoundTripsEveryField) {
   EXPECT_EQ(header.seq, 77u);
   const StatsReport decoded = decode_stats_response(
       {frame.data() + kHeaderBytes, frame.size() - kHeaderBytes});
-  EXPECT_EQ(decoded.counters.requests, report.counters.requests);
-  EXPECT_EQ(decoded.counters.batches, report.counters.batches);
-  EXPECT_EQ(decoded.counters.cache_hits, report.counters.cache_hits);
-  EXPECT_EQ(decoded.counters.consensus_short_circuits,
-            report.counters.consensus_short_circuits);
-  EXPECT_EQ(decoded.counters.head_evaluations,
-            report.counters.head_evaluations);
   EXPECT_EQ(decoded.cache_entries, report.cache_entries);
-  EXPECT_EQ(decoded.latency.count, report.latency.count);
-  EXPECT_DOUBLE_EQ(decoded.latency.sum_us, report.latency.sum_us);
-  EXPECT_DOUBLE_EQ(decoded.latency.max_us, report.latency.max_us);
-  EXPECT_DOUBLE_EQ(decoded.latency.elapsed_seconds,
-                   report.latency.elapsed_seconds);
-  EXPECT_EQ(decoded.latency.samples_us, report.latency.samples_us);
-  ASSERT_EQ(decoded.metrics.counters.size(), 2u);
-  EXPECT_EQ(decoded.metrics.counters[0].name, "engine.requests");
-  EXPECT_EQ(decoded.metrics.counters[0].value, 12345u);
-  ASSERT_EQ(decoded.metrics.gauges.size(), 2u);
-  EXPECT_EQ(decoded.metrics.gauges[0].name, "batcher.depth");
-  EXPECT_EQ(decoded.metrics.gauges[0].value, -3);  // signed across the wire
-  ASSERT_EQ(decoded.metrics.histograms.size(), 1u);
-  EXPECT_EQ(decoded.metrics.histograms[0].name, "engine.batch_size");
-  EXPECT_EQ(decoded.metrics.histograms[0].bounds,
-            report.metrics.histograms[0].bounds);
-  EXPECT_EQ(decoded.metrics.histograms[0].counts,
-            report.metrics.histograms[0].counts);
-  EXPECT_EQ(decoded.metrics.histograms[0].count, 10u);
-  EXPECT_DOUBLE_EQ(decoded.metrics.histograms[0].sum, 161.5);
+  // The JSON exposition renders every name, value, bound and count.
+  EXPECT_EQ(decoded.engine.to_json(), report.engine.to_json());
+  EXPECT_EQ(decoded.process.to_json(), report.process.to_json());
+  EXPECT_EQ(decoded.process.gauge_value("engine.batcher.depth"), -3);
+  EXPECT_EQ(decoded.engine.histograms[0].count, 5u);
+  EXPECT_DOUBLE_EQ(decoded.engine.histograms[0].sum, 123.5);
 }
 
 TEST(Wire, EmptyStatsResponseRoundTrips) {
-  const StatsReport empty;
-  const std::vector<std::uint8_t> frame = encode_stats_response(1, empty);
-  const StatsReport decoded = decode_stats_response(
-      {frame.data() + kHeaderBytes, frame.size() - kHeaderBytes});
-  EXPECT_EQ(decoded.counters.requests, 0u);
-  EXPECT_EQ(decoded.latency.count, 0u);
-  EXPECT_TRUE(decoded.latency.samples_us.empty());
-  EXPECT_TRUE(decoded.metrics.counters.empty());
+  const StatsReport decoded = round_trip(StatsReport{});
+  EXPECT_EQ(decoded.cache_entries, 0u);
+  EXPECT_TRUE(decoded.engine.counters.empty());
+  EXPECT_TRUE(decoded.engine.histograms.empty());
+  EXPECT_TRUE(decoded.process.counters.empty());
 }
 
 TEST(Wire, TruncatedStatsResponseThrowsAtEveryCut) {
@@ -458,39 +444,73 @@ TEST(Wire, TruncatedStatsResponseThrowsAtEveryCut) {
   EXPECT_NO_THROW((void)decode_stats_response(payload));
 }
 
-TEST(Wire, StatsResponseRejectsInconsistentLatencyExport) {
-  // count > 0 with an empty reservoir would divide by zero inside
-  // LatencyStats::merge_export; the decoder must refuse to construct it.
-  StatsReport no_samples = make_stats_report();
-  no_samples.latency.samples_us.clear();
-  std::vector<std::uint8_t> frame = encode_stats_response(1, no_samples);
-  EXPECT_THROW((void)decode_stats_response(
-                   {frame.data() + kHeaderBytes,
-                    frame.size() - kHeaderBytes}),
-               Error);
+TEST(Wire, StatsResponseRejectsBadHistogramBounds) {
+  // Percentiles binary-search and merges compare bounds, so a decoded
+  // histogram must have finite, strictly increasing bounds.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& bounds :
+       std::vector<std::vector<double>>{{1.0, 1.0, 4.0},
+                                        {4.0, 2.0, 1.0},
+                                        {1.0, nan, 4.0},
+                                        {1.0, 2.0, inf}}) {
+    StatsReport report = make_stats_report();
+    report.engine.histograms[0].bounds = bounds;
+    EXPECT_THROW((void)round_trip(report), Error);
+  }
+}
 
-  // A reservoir larger than the request count is impossible (it is a
-  // subsample) and would distort merge weighting.
+TEST(Wire, StatsResponseRejectsHistogramCountMismatch) {
+  // The count must equal the sum of the bucket counts: a percentile rank
+  // taken from a lying count would walk past the last bucket.
   StatsReport inflated = make_stats_report();
-  inflated.latency.count = 2;  // but 5 samples travel
-  frame = encode_stats_response(1, inflated);
-  EXPECT_THROW((void)decode_stats_response(
-                   {frame.data() + kHeaderBytes,
-                    frame.size() - kHeaderBytes}),
-               Error);
+  inflated.engine.histograms[0].count = 6;  // buckets sum to 5
+  EXPECT_THROW((void)round_trip(inflated), Error);
+  StatsReport deflated = make_stats_report();
+  deflated.process.histograms[0].count = 9;  // buckets sum to 10
+  EXPECT_THROW((void)round_trip(deflated), Error);
+  // Bucket counts whose sum overflows u64 cannot match any count.
+  StatsReport overflow = make_stats_report();
+  overflow.engine.histograms[0].counts = {
+      std::numeric_limits<std::uint64_t>::max(), 2, 0, 0};
+  overflow.engine.histograms[0].count = 1;
+  EXPECT_THROW((void)round_trip(overflow), Error);
+}
+
+TEST(Wire, DecodedSnapshotsMergeOnlyWithMatchingBounds) {
+  // Merging decoded fleet views adds same-named histograms bucket by
+  // bucket; the same name with different bounds is a conflict.
+  const StatsReport a = round_trip(make_stats_report());
+  obs::MetricsSnapshot merged = a.engine;
+  merged.merge(round_trip(make_stats_report()).engine);
+  EXPECT_EQ(merged.counter_value("engine.requests"), 2 * 12345u);
+  EXPECT_EQ(merged.find_histogram("engine.latency_us")->count, 10u);
+
+  StatsReport other = make_stats_report();
+  other.engine.histograms[0].bounds = {1.0, 2.0, 8.0};
+  const StatsReport b = round_trip(other);
+  obs::MetricsSnapshot conflicted = a.engine;
+  EXPECT_THROW(conflicted.merge(b.engine), Error);
 }
 
 TEST(Wire, LyingStatsCountsFailBeforeAllocation) {
-  // Hand-built payload: valid counters/latency, then a metrics section
-  // claiming 2^32-1 registered counters in a few bytes.
+  // Hand-built payloads: a valid prefix, then a metrics section claiming
+  // 2^32-1 entries in a few bytes.
   std::vector<std::uint8_t> payload;
-  for (int i = 0; i < 6; ++i) common::put_u64(payload, 1);  // counters+cache
-  common::put_u64(payload, 0);                              // latency count
-  common::put_f64(payload, 0.0);                            // sum
-  common::put_f64(payload, 0.0);                            // max
-  common::put_f64(payload, 0.0);                            // elapsed
-  common::put_u32(payload, 0);                              // no samples
-  common::put_u32(payload, 0xFFFF'FFFFU);                   // counter count
+  common::put_u64(payload, 1);             // cache_entries
+  common::put_u32(payload, 0xFFFF'FFFFU);  // counter count
+  EXPECT_THROW((void)decode_stats_response(payload), Error);
+
+  // One histogram whose bound count claims far more than the payload.
+  payload.clear();
+  common::put_u64(payload, 1);             // cache_entries
+  common::put_u32(payload, 0);             // no counters
+  common::put_u32(payload, 0);             // no gauges
+  common::put_u32(payload, 1);             // one histogram
+  common::put_u16(payload, 1);             // name length
+  payload.push_back('h');
+  common::put_u32(payload, 0xFFFF'FFFFU);  // bound count
+  for (int i = 0; i < 8; ++i) common::put_u64(payload, 0);
   EXPECT_THROW((void)decode_stats_response(payload), Error);
 }
 
