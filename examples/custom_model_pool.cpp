@@ -4,10 +4,8 @@
 // parameter_count / scores). This example trains three real MLP
 // classifiers with different capacities on the synthetic features, puts
 // them in a pool next to two calibrated zoo models, runs a Muffin search,
-// and saves the winning head to disk (and loads it back).
-#include <fstream>
+// and round-trips the winning head through a model artifact.
 #include <iostream>
-#include <sstream>
 
 #include "core/search.h"
 #include "data/generators.h"
@@ -72,11 +70,11 @@ int main() {
             << report.accuracy << ", U(age) " << report.unfairness_for("age")
             << ", U(site) " << report.unfairness_for("site") << "\n";
 
-  // Persist the trained head and load it back.
-  std::ostringstream saved;
-  fused->head().save(saved);
-  std::istringstream stream(saved.str());
-  nn::Mlp reloaded = nn::Mlp::load(stream);
+  // Persist the trained head as a model artifact and load it back.
+  data::ArtifactWriter writer;
+  fused->head().save_artifact(writer, "head");
+  const nn::Mlp reloaded = nn::Mlp::from_artifact(
+      data::Artifact::from_bytes(writer.bytes()), "head");
   std::cout << "head round-trips through serialization: spec "
             << reloaded.spec().to_string() << " ("
             << reloaded.parameter_count() << " parameters)\n";

@@ -29,8 +29,8 @@ ScoreCache::ScoreCache(const models::ModelPool& pool,
   MUFFIN_REQUIRE(num_classes_ <= 256,
                  "score cache stores predictions as one byte; datasets with "
                  "more than 256 classes are not supported");
-  const std::size_t plane = num_records_ * num_classes_;
   predictions_.reserve(pool.size());
+  scores_.reserve(pool.size());
   for (std::size_t m = 0; m < pool.size(); ++m) {
     const models::Model& model = pool.at(m);
     MUFFIN_REQUIRE(model.num_classes() == num_classes_,
@@ -48,52 +48,14 @@ ScoreCache::ScoreCache(const models::ModelPool& pool,
       preds[i] =
           static_cast<std::uint8_t>(tensor::argmax(score_matrix.row(i)));
     }
+    // int8 scales are per class column: class score ranges differ (and a
+    // single hot class must not flatten the others' grid).
+    scores_.emplace_back(mode_, num_records_, num_classes_,
+                         score_matrix.flat().data(), score_matrix.stride(),
+                         /*col_stride=*/1);
+    footprint_bytes_ += scores_.back().footprint_bytes() + preds.size();
     predictions_.push_back(std::move(preds));
-    const std::span<const double> flat = score_matrix.flat();
-    switch (mode_) {
-      case tensor::QuantMode::Off: {
-        planes_f64_.emplace_back(flat.begin(), flat.end());
-        break;
-      }
-      case tensor::QuantMode::Bf16: {
-        std::vector<std::uint16_t> q(plane);
-        for (std::size_t i = 0; i < plane; ++i) {
-          q[i] = tensor::bf16_from_double(flat[i]);
-        }
-        planes_bf16_.push_back(std::move(q));
-        break;
-      }
-      case tensor::QuantMode::Int8: {
-        // Symmetric per-class-column scales: class score ranges differ
-        // (and a single hot class must not flatten the others' grid).
-        std::vector<double> scales(num_classes_);
-        for (std::size_t c = 0; c < num_classes_; ++c) {
-          double maxabs = 0.0;
-          for (std::size_t i = 0; i < num_records_; ++i) {
-            const double v = score_matrix(i, c);
-            const double a = v < 0.0 ? -v : v;
-            if (a > maxabs) maxabs = a;
-          }
-          scales[c] = tensor::i8_scale_from_maxabs(maxabs);
-        }
-        std::vector<std::int8_t> q(plane);
-        for (std::size_t i = 0; i < num_records_; ++i) {
-          for (std::size_t c = 0; c < num_classes_; ++c) {
-            q[i * num_classes_ + c] =
-                tensor::i8_from_double(score_matrix(i, c), scales[c]);
-          }
-        }
-        planes_i8_.push_back(std::move(q));
-        scales_.push_back(std::move(scales));
-        break;
-      }
-    }
   }
-  for (const auto& p : planes_f64_) footprint_bytes_ += p.size() * 8;
-  for (const auto& p : planes_bf16_) footprint_bytes_ += p.size() * 2;
-  for (const auto& p : planes_i8_) footprint_bytes_ += p.size();
-  for (const auto& s : scales_) footprint_bytes_ += s.size() * 8;
-  for (const auto& p : predictions_) footprint_bytes_ += p.size();
   footprint_gauge().add(static_cast<std::int64_t>(footprint_bytes_));
 }
 
@@ -112,10 +74,7 @@ ScoreCache::ScoreCache(ScoreCache&& other) noexcept
       model_version_(other.model_version_),
       mode_(other.mode_),
       footprint_bytes_(std::exchange(other.footprint_bytes_, 0)),
-      planes_f64_(std::move(other.planes_f64_)),
-      planes_bf16_(std::move(other.planes_bf16_)),
-      planes_i8_(std::move(other.planes_i8_)),
-      scales_(std::move(other.scales_)),
+      scores_(std::move(other.scores_)),
       predictions_(std::move(other.predictions_)) {}
 
 ScoreCache& ScoreCache::operator=(ScoreCache&& other) noexcept {
@@ -126,10 +85,7 @@ ScoreCache& ScoreCache::operator=(ScoreCache&& other) noexcept {
   model_version_ = other.model_version_;
   mode_ = other.mode_;
   footprint_bytes_ = std::exchange(other.footprint_bytes_, 0);
-  planes_f64_ = std::move(other.planes_f64_);
-  planes_bf16_ = std::move(other.planes_bf16_);
-  planes_i8_ = std::move(other.planes_i8_);
-  scales_ = std::move(other.scales_);
+  scores_ = std::move(other.scores_);
   predictions_ = std::move(other.predictions_);
   return *this;
 }
@@ -137,32 +93,7 @@ ScoreCache& ScoreCache::operator=(ScoreCache&& other) noexcept {
 tensor::Matrix ScoreCache::scores_dense(std::size_t model) const {
   MUFFIN_REQUIRE(model < num_models(), "model index out of range");
   tensor::Matrix out(num_records_, num_classes_);
-  const std::span<double> flat = out.flat();
-  switch (mode_) {
-    case tensor::QuantMode::Off: {
-      const auto& p = planes_f64_[model];
-      std::copy(p.begin(), p.end(), flat.begin());
-      break;
-    }
-    case tensor::QuantMode::Bf16: {
-      const auto& p = planes_bf16_[model];
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        flat[i] = tensor::bf16_to_double(p[i]);
-      }
-      break;
-    }
-    case tensor::QuantMode::Int8: {
-      const auto& p = planes_i8_[model];
-      const auto& scales = scales_[model];
-      for (std::size_t i = 0; i < num_records_; ++i) {
-        for (std::size_t c = 0; c < num_classes_; ++c) {
-          flat[i * num_classes_ + c] =
-              tensor::i8_to_double(p[i * num_classes_ + c], scales[c]);
-        }
-      }
-      break;
-    }
-  }
+  scores_[model].decode(out.flat());
   return out;
 }
 
@@ -178,34 +109,11 @@ void ScoreCache::gather(std::span<const std::size_t> model_indices,
   MUFFIN_REQUIRE(record < num_records_, "record index out of range");
   MUFFIN_REQUIRE(out.size() == model_indices.size() * num_classes_,
                  "gather output span has the wrong size");
-  const std::size_t base = record * num_classes_;
   std::size_t cursor = 0;
   for (const std::size_t m : model_indices) {
     MUFFIN_REQUIRE(m < num_models(), "model index out of range");
-    switch (mode_) {
-      case tensor::QuantMode::Off: {
-        const double* row = planes_f64_[m].data() + base;
-        for (std::size_t c = 0; c < num_classes_; ++c) {
-          out[cursor++] = row[c];
-        }
-        break;
-      }
-      case tensor::QuantMode::Bf16: {
-        const std::uint16_t* row = planes_bf16_[m].data() + base;
-        for (std::size_t c = 0; c < num_classes_; ++c) {
-          out[cursor++] = tensor::bf16_to_double(row[c]);
-        }
-        break;
-      }
-      case tensor::QuantMode::Int8: {
-        const std::int8_t* row = planes_i8_[m].data() + base;
-        const double* scales = scales_[m].data();
-        for (std::size_t c = 0; c < num_classes_; ++c) {
-          out[cursor++] = tensor::i8_to_double(row[c], scales[c]);
-        }
-        break;
-      }
-    }
+    scores_[m].decode_row(record, out.subspan(cursor, num_classes_));
+    cursor += num_classes_;
   }
 }
 

@@ -6,14 +6,15 @@
 // gather operation building the muffin head's input: the concatenation of
 // the selected body models' score vectors for one record.
 //
-// Score planes are stored in the cache's quant mode (tensor/quant.h):
-// float64, bf16, or int8 with one scale per class column. gather()
-// dequantizes on the fly; consensus() never dequantizes at all — argmax
-// predictions are computed from the full-precision scores *before*
-// quantization and stored exactly (one byte per record), so the
-// consensus fast path is bit-for-bit unaffected by the score encoding.
-// At 8 classes, int8 planes plus byte predictions cut the per-record
-// score-state footprint ~7x against float64 (bf16: ~3.8x).
+// Each model's scores are one records x classes tensor::QuantMatrix in
+// the cache's quant mode (tensor/quant.h): float64, bf16, or int8 with
+// one scale per class column. gather() decodes one row per selected
+// model; consensus() never dequantizes at all — argmax predictions are
+// computed from the full-precision scores *before* quantization and
+// stored exactly (one byte per record), so the consensus fast path is
+// bit-for-bit unaffected by the score encoding. At 8 classes, int8
+// planes plus byte predictions cut the per-record score-state footprint
+// ~7x against float64 (bf16: ~3.8x).
 #pragma once
 
 #include <cstdint>
@@ -89,11 +90,7 @@ class ScoreCache {
   std::uint64_t model_version_ = 0;
   tensor::QuantMode mode_ = tensor::QuantMode::Off;
   std::size_t footprint_bytes_ = 0;
-  // Exactly one plane vector per model is populated, per mode_.
-  std::vector<std::vector<double>> planes_f64_;
-  std::vector<std::vector<std::uint16_t>> planes_bf16_;
-  std::vector<std::vector<std::int8_t>> planes_i8_;
-  std::vector<std::vector<double>> scales_;  ///< int8: one per class column
+  std::vector<tensor::QuantMatrix> scores_;  ///< one per model
   std::vector<std::vector<std::uint8_t>> predictions_;
 };
 

@@ -56,7 +56,7 @@ Linear& Linear::operator=(const Linear& other) {
   mapped_weights_ = other.mapped_weights_;
   mapped_bias_ = other.mapped_bias_;
   keepalive_ = other.keepalive_;
-  std::shared_ptr<const tensor::QuantizedGemmB> pack;
+  std::shared_ptr<const tensor::QuantMatrix> pack;
   {
     const std::lock_guard<std::mutex> lock(other.qpack_mutex_);
     pack = other.qpack_;
@@ -77,12 +77,15 @@ void Linear::invalidate_pack() const {
   qpack_.reset();
 }
 
-std::shared_ptr<const tensor::QuantizedGemmB> Linear::quant_pack(
+std::shared_ptr<const tensor::QuantMatrix> Linear::quant_pack(
     tensor::QuantMode mode) const {
   const std::lock_guard<std::mutex> lock(qpack_mutex_);
-  if (qpack_ == nullptr || qpack_->mode != mode) {
-    qpack_ = std::make_shared<const tensor::QuantizedGemmB>(
-        tensor::build_quant_pack(weight_data(), out_dim_, in_dim_, mode));
+  if (qpack_ == nullptr || qpack_->mode() != mode) {
+    // The transposed (in x out) view of the row-major weights: k-major,
+    // with one int8 scale per output column.
+    qpack_ = std::make_shared<const tensor::QuantMatrix>(
+        mode, in_dim_, out_dim_, weight_data(), /*row_stride=*/1,
+        /*col_stride=*/in_dim_);
   }
   return qpack_;
 }

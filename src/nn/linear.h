@@ -107,7 +107,7 @@ class Linear final : public Layer {
   void invalidate_pack() const;
   /// The k-major quantized pack for `mode`, built on first use under the
   /// pack mutex and shared until the weights change or the mode does.
-  [[nodiscard]] std::shared_ptr<const tensor::QuantizedGemmB> quant_pack(
+  [[nodiscard]] std::shared_ptr<const tensor::QuantMatrix> quant_pack(
       tensor::QuantMode mode) const;
 
   std::size_t in_dim_;
@@ -124,7 +124,7 @@ class Linear final : public Layer {
   std::shared_ptr<const void> keepalive_;  ///< owner of mapped storage
 
   mutable std::mutex qpack_mutex_;
-  mutable std::shared_ptr<const tensor::QuantizedGemmB> qpack_;
+  mutable std::shared_ptr<const tensor::QuantMatrix> qpack_;
 };
 
 }  // namespace muffin::nn

@@ -1,10 +1,6 @@
 #include "nn/mlp.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "common/error.h"
@@ -189,46 +185,6 @@ void Mlp::zero_grad() {
 
 std::size_t Mlp::parameter_count() const { return spec_.parameter_count(); }
 
-void Mlp::save(std::ostream& os) const {
-  os << "mlp 1\n";
-  os << spec_.input_dim << ' ' << spec_.hidden_dims.size();
-  for (const std::size_t h : spec_.hidden_dims) os << ' ' << h;
-  os << ' ' << spec_.output_dim << ' ' << nn::to_string(spec_.hidden_activation)
-     << ' ' << nn::to_string(spec_.output_activation) << '\n';
-  os.precision(17);
-  for (auto& view : const_cast<Mlp*>(this)->params()) {
-    for (const double v : view.value) os << v << ' ';
-    os << '\n';
-  }
-}
-
-Mlp Mlp::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  MUFFIN_REQUIRE(magic == "mlp" && version == 1,
-                 "unrecognized MLP serialization header");
-  MlpSpec spec;
-  std::size_t hidden_count = 0;
-  is >> spec.input_dim >> hidden_count;
-  spec.hidden_dims.resize(hidden_count);
-  for (std::size_t i = 0; i < hidden_count; ++i) is >> spec.hidden_dims[i];
-  std::string hidden_name;
-  std::string output_name;
-  is >> spec.output_dim >> hidden_name >> output_name;
-  MUFFIN_REQUIRE(static_cast<bool>(is), "truncated MLP serialization");
-  spec.hidden_activation = activation_from_string(hidden_name);
-  spec.output_activation = activation_from_string(output_name);
-  Mlp mlp(spec);
-  for (auto& view : mlp.params()) {
-    for (double& v : view.value) {
-      is >> v;
-      MUFFIN_REQUIRE(static_cast<bool>(is), "truncated MLP weight data");
-    }
-  }
-  return mlp;
-}
-
 namespace {
 
 /// The spec tensor is one f64 row: [input_dim, output_dim, hidden_act,
@@ -313,6 +269,19 @@ layer_tensors(const data::Artifact& artifact, const std::string& prefix,
   return {&w, &b};
 }
 
+/// The storage mode of an artifact tensor's dtype.
+tensor::QuantMode quant_mode_of(data::TensorDtype dtype) {
+  switch (dtype) {
+    case data::TensorDtype::Bf16:
+      return tensor::QuantMode::Bf16;
+    case data::TensorDtype::I8:
+      return tensor::QuantMode::Int8;
+    case data::TensorDtype::F64:
+      break;
+  }
+  return tensor::QuantMode::Off;
+}
+
 /// The i-th layer's int8 scale pair [weight scale, bias scale], written
 /// by save_artifact alongside quantized planes.
 double layer_scale(const data::Artifact& artifact, const std::string& prefix,
@@ -330,33 +299,38 @@ double layer_scale(const data::Artifact& artifact, const std::string& prefix,
   return scale;
 }
 
-/// Decode one weight/bias tensor into `out`, dequantizing per its dtype
-/// (`slot` picks the int8 scale: 0 = weights, 1 = bias).
+/// Decode one weight/bias tensor into `out`: the plane is an n x 1
+/// QuantMatrix in its dtype's mode (`slot` picks the int8 scale:
+/// 0 = weights, 1 = bias).
 void read_tensor_values(const data::Artifact& artifact,
                         const std::string& prefix, std::size_t index,
                         const data::ArtifactTensor& tensor, std::size_t slot,
                         std::span<double> out) {
-  switch (tensor.dtype) {
-    case data::TensorDtype::F64: {
-      const std::span<const double> v = tensor.f64();
-      std::copy(v.begin(), v.end(), out.begin());
+  const tensor::QuantMode mode = quant_mode_of(tensor.dtype);
+  std::vector<double> scales;
+  if (mode == tensor::QuantMode::Int8) {
+    scales.push_back(layer_scale(artifact, prefix, index, slot));
+  }
+  tensor::QuantMatrix::from_encoded(
+      mode, tensor.count(), 1,
+      std::as_bytes(std::span(tensor.data, tensor.byte_len)), scales)
+      .decode(out);
+}
+
+/// Append one plane in its matrix's encoding.
+void add_plane(data::ArtifactWriter& writer, const std::string& name,
+               std::size_t rows, std::size_t cols,
+               const tensor::QuantMatrix& plane) {
+  switch (plane.mode()) {
+    case tensor::QuantMode::Off:
+      writer.add_f64(name, rows, cols, plane.f64());
       break;
-    }
-    case data::TensorDtype::Bf16: {
-      const std::span<const std::uint16_t> v = tensor.bf16();
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        out[i] = tensor::bf16_to_double(v[i]);
-      }
+    case tensor::QuantMode::Bf16:
+      writer.add_bf16(name, rows, cols, plane.bf16());
       break;
-    }
-    case data::TensorDtype::I8: {
-      const double scale = layer_scale(artifact, prefix, index, slot);
-      const std::span<const std::int8_t> v = tensor.i8();
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        out[i] = tensor::i8_to_double(v[i], scale);
-      }
+    case tensor::QuantMode::Int8:
+      writer.add_i8(name, rows, cols, plane.i8());
       break;
-    }
   }
 }
 
@@ -369,51 +343,24 @@ void Mlp::save_artifact(data::ArtifactWriter& writer,
   // bytes, and its integers must survive exactly.
   const tensor::Vector spec_row = encode_spec(spec_);
   writer.add_f64(prefix + ".spec", 1, spec_row.size(), spec_row);
+  const tensor::QuantMode mode = quant_mode_of(dtype);
   const std::vector<Linear*> linears = linear_layers(layers_);
   for (std::size_t i = 0; i < linears.size(); ++i) {
     const Linear& linear = *linears[i];
-    const std::string w_name = prefix + ".w" + std::to_string(i);
-    const std::string b_name = prefix + ".b" + std::to_string(i);
+    // Each plane is one column, so int8 has one symmetric scale per
+    // plane, shipped as a companion f64 tensor: [weight scale, bias
+    // scale].
     const std::span<const double> w = linear.weight_span();
     const std::span<const double> b = linear.bias_span();
-    switch (dtype) {
-      case data::TensorDtype::F64: {
-        writer.add_f64(w_name, linear.output_dim(), linear.input_dim(), w);
-        writer.add_f64(b_name, 1, linear.output_dim(), b);
-        break;
-      }
-      case data::TensorDtype::Bf16: {
-        std::vector<std::uint16_t> qw(w.size());
-        for (std::size_t k = 0; k < w.size(); ++k) {
-          qw[k] = tensor::bf16_from_double(w[k]);
-        }
-        std::vector<std::uint16_t> qb(b.size());
-        for (std::size_t k = 0; k < b.size(); ++k) {
-          qb[k] = tensor::bf16_from_double(b[k]);
-        }
-        writer.add_bf16(w_name, linear.output_dim(), linear.input_dim(), qw);
-        writer.add_bf16(b_name, 1, linear.output_dim(), qb);
-        break;
-      }
-      case data::TensorDtype::I8: {
-        // One symmetric scale per plane, shipped as a companion f64
-        // tensor: [weight scale, bias scale].
-        const double w_scale = tensor::i8_scale(w);
-        const double b_scale = tensor::i8_scale(b);
-        std::vector<std::int8_t> qw(w.size());
-        for (std::size_t k = 0; k < w.size(); ++k) {
-          qw[k] = tensor::i8_from_double(w[k], w_scale);
-        }
-        std::vector<std::int8_t> qb(b.size());
-        for (std::size_t k = 0; k < b.size(); ++k) {
-          qb[k] = tensor::i8_from_double(b[k], b_scale);
-        }
-        writer.add_i8(w_name, linear.output_dim(), linear.input_dim(), qw);
-        writer.add_i8(b_name, 1, linear.output_dim(), qb);
-        const double scales[2] = {w_scale, b_scale};
-        writer.add_f64(prefix + ".s" + std::to_string(i), 1, 2, scales);
-        break;
-      }
+    const tensor::QuantMatrix qw(mode, w.size(), 1, w.data(), 1, 1);
+    const tensor::QuantMatrix qb(mode, b.size(), 1, b.data(), 1, 1);
+    add_plane(writer, prefix + ".w" + std::to_string(i), linear.output_dim(),
+              linear.input_dim(), qw);
+    add_plane(writer, prefix + ".b" + std::to_string(i), 1,
+              linear.output_dim(), qb);
+    if (mode == tensor::QuantMode::Int8) {
+      const double scales[2] = {qw.scales()[0], qb.scales()[0]};
+      writer.add_f64(prefix + ".s" + std::to_string(i), 1, 2, scales);
     }
   }
 }

@@ -6,7 +6,6 @@
 // hidden activation, which is part of the controller's search space.
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,19 +85,16 @@ class Mlp {
   [[nodiscard]] std::size_t parameter_count() const;
   [[nodiscard]] const MlpSpec& spec() const { return spec_; }
 
-  /// Text (de)serialization of spec + weights.
-  void save(std::ostream& os) const;
-  static Mlp load(std::istream& is);
-
   /// Binary artifact serialization (data/serialize.h). Tensors are named
   /// "<prefix>.spec" (the architecture, as one f64 row), "<prefix>.w<i>"
   /// and "<prefix>.b<i>" (the i-th linear layer's weights and bias), so
   /// several heads can share one artifact under distinct prefixes. Works
   /// for mapped heads too (re-saving a served model is allowed).
   /// `dtype` picks the weight encoding: F64 is exact; Bf16 and I8 store
-  /// quantized planes (I8 adds a "<prefix>.s<i>" scale tensor per layer,
-  /// one symmetric scale each for weights and bias) — the memory-lean
-  /// shipping format for body pools, at the cost of a dequantize on load.
+  /// each plane as an n x 1 tensor::QuantMatrix (I8 adds a
+  /// "<prefix>.s<i>" scale tensor per layer, one symmetric scale each for
+  /// weights and bias) — the memory-lean shipping format for body pools,
+  /// at the cost of a dequantize on load.
   void save_artifact(data::ArtifactWriter& writer, const std::string& prefix,
                      data::TensorDtype dtype = data::TensorDtype::F64) const;
   /// Rebuild a trainable Mlp by copying the artifact tensors onto the

@@ -374,43 +374,18 @@ bool InferenceEngine::cache_contains(std::uint64_t uid) const {
   return cache_index_.find(uid) != cache_index_.end();
 }
 
-std::size_t InferenceEngine::MemoEntry::payload_bytes() const {
-  return f64.size() * sizeof(double) + bf16.size() * sizeof(std::uint16_t) +
-         i8.size() * sizeof(std::int8_t) +
-         (i8.empty() ? 0 : sizeof(double));  // the per-vector int8 scale
-}
-
 InferenceEngine::MemoEntry InferenceEngine::canonicalize_and_pack(
     Prediction& prediction) const {
   MemoEntry entry;
   entry.consensus = prediction.consensus;
   tensor::Vector& scores = prediction.scores;
-  switch (memo_mode_) {
-    case tensor::QuantMode::Off: {
-      entry.f64.assign(scores.begin(), scores.end());
-      break;
-    }
-    case tensor::QuantMode::Bf16: {
-      entry.bf16.resize(scores.size());
-      for (std::size_t c = 0; c < scores.size(); ++c) {
-        entry.bf16[c] = tensor::bf16_from_double(scores[c]);
-        scores[c] = tensor::bf16_to_double(entry.bf16[c]);
-      }
-      break;
-    }
-    case tensor::QuantMode::Int8: {
-      // Quantize exactly once from the float scores: the canonical reply
-      // is q * scale, the same product a memo hit recomputes — nothing is
-      // ever re-quantized, so no idempotence argument is needed.
-      entry.scale = tensor::i8_scale(scores);
-      entry.i8.resize(scores.size());
-      for (std::size_t c = 0; c < scores.size(); ++c) {
-        entry.i8[c] = tensor::i8_from_double(scores[c], entry.scale);
-        scores[c] = tensor::i8_to_double(entry.i8[c], entry.scale);
-      }
-      break;
-    }
-  }
+  // Quantize exactly once from the float scores: the canonical reply is
+  // the stored matrix's decode, the same decode a memo hit performs —
+  // nothing is ever re-quantized, so no idempotence argument is needed.
+  entry.scores =
+      tensor::QuantMatrix(memo_mode_, scores.size(), 1, scores.data(),
+                          /*row_stride=*/1, /*col_stride=*/1);
+  entry.scores.decode(scores);
   // Argmax of the canonical scores, so predicted == argmax(scores) holds
   // for the reply and for every future memo hit alike.
   prediction.predicted = tensor::argmax(scores);
@@ -435,26 +410,8 @@ bool InferenceEngine::cache_lookup(std::uint64_t uid, std::uint64_t version,
   out.consensus = entry.consensus;
   out.cached = true;
   out.model_version = entry.version;
-  switch (memo_mode_) {
-    case tensor::QuantMode::Off: {
-      out.scores.assign(entry.f64.begin(), entry.f64.end());
-      break;
-    }
-    case tensor::QuantMode::Bf16: {
-      out.scores.resize(entry.bf16.size());
-      for (std::size_t c = 0; c < entry.bf16.size(); ++c) {
-        out.scores[c] = tensor::bf16_to_double(entry.bf16[c]);
-      }
-      break;
-    }
-    case tensor::QuantMode::Int8: {
-      out.scores.resize(entry.i8.size());
-      for (std::size_t c = 0; c < entry.i8.size(); ++c) {
-        out.scores[c] = tensor::i8_to_double(entry.i8[c], entry.scale);
-      }
-      break;
-    }
-  }
+  out.scores.resize(entry.scores.rows());
+  entry.scores.decode(out.scores);
   return true;
 }
 

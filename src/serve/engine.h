@@ -207,24 +207,24 @@ class InferenceEngine {
     bool traced = false;
   };
 
-  /// One memoized reply, stored in the engine's memo quant mode: exactly
-  /// one score representation is populated. A reply served from the memo
-  /// dequantizes with the stored scale, and the miss that created the
-  /// entry replied with the same dequantized values (canonicalize-on-miss
-  /// in process_batch) — so hit and miss replies for one uid are
+  /// One memoized reply: the score vector as a C x 1 tensor::QuantMatrix
+  /// in the engine's memo quant mode (one column, so int8 has one scale
+  /// per reply vector), one heap buffer in every mode. A reply served
+  /// from the memo is that matrix's decode, and the miss that created the
+  /// entry replied with the same decode (canonicalize-on-miss in
+  /// process_batch) — so hit and miss replies for one uid are
   /// bit-identical, with nothing ever re-quantized. Entries carry the
   /// model version that produced them: a lookup under a different
   /// version misses (and the rescore replaces the stale entry), so a
   /// hot-swap can never leak a pre-swap score.
   struct MemoEntry {
-    std::uint64_t version = 0;        ///< model version that scored this
+    std::uint64_t version = 0;  ///< model version that scored this
     std::uint32_t predicted = 0;
     bool consensus = false;
-    std::vector<double> f64;          ///< QuantMode::Off
-    std::vector<std::uint16_t> bf16;  ///< QuantMode::Bf16
-    std::vector<std::int8_t> i8;      ///< QuantMode::Int8 ...
-    double scale = 1.0;               ///< ... with one per-vector scale
-    [[nodiscard]] std::size_t payload_bytes() const;
+    tensor::QuantMatrix scores;
+    [[nodiscard]] std::size_t payload_bytes() const {
+      return scores.footprint_bytes();
+    }
   };
 
   /// This engine's metrics, resolved once against its child registry.

@@ -35,6 +35,14 @@ struct RouterMetrics {
 /// (nothing to avoid) from a submit failure on a concrete shard.
 constexpr std::uint64_t kNoShard = ~std::uint64_t{0};
 
+/// Retry budget, in millitokens (1000 = one retry). Each successful
+/// routed submit earns 0.1 retries.
+constexpr std::int64_t kRetryEarnMillis = 100;
+/// Bank cap, and the initial balance (so failover works from a cold
+/// start): 128 retries, sized to absorb one client-side send failure,
+/// which orphans several pipelined batches' worth of requests at once.
+constexpr std::int64_t kRetryBurstMillis = 128 * 1000;
+
 }  // namespace
 
 ShardRouter::ShardRouter(std::shared_ptr<const core::FusedModel> model,
@@ -48,9 +56,7 @@ ShardRouter::ShardRouter(std::shared_ptr<const core::FusedModel> model,
                  "router needs at least one shard");
   // The bank starts full so failover works from a cold start — the first
   // failure a router ever sees is often the one it was deployed to mask.
-  retry_tokens_millis_.store(
-      static_cast<std::int64_t>(config_.retry.budget_burst) * 1000,
-      std::memory_order_relaxed);
+  retry_tokens_millis_.store(kRetryBurstMillis, std::memory_order_relaxed);
   // Construction is single-threaded; the _locked helpers are safe here.
   for (std::size_t s = 0; s < config_.shards; ++s) {
     (void)add_local_replica_locked();
@@ -195,15 +201,10 @@ bool ShardRouter::try_take_retry_token() {
 }
 
 void ShardRouter::earn_retry_token() {
-  const auto earn =
-      static_cast<std::int64_t>(config_.retry.budget_ratio * 1000.0);
-  if (earn <= 0) return;
-  const std::int64_t cap =
-      static_cast<std::int64_t>(config_.retry.budget_burst) * 1000;
   std::int64_t balance = retry_tokens_millis_.load(std::memory_order_relaxed);
-  while (balance < cap &&
+  while (balance < kRetryBurstMillis &&
          !retry_tokens_millis_.compare_exchange_weak(
-             balance, std::min(cap, balance + earn),
+             balance, std::min(kRetryBurstMillis, balance + kRetryEarnMillis),
              std::memory_order_relaxed)) {
   }
 }

@@ -94,17 +94,13 @@ struct RetryConfig {
   /// the memo canonicalizes, so the retried answer is bit-identical to
   /// what the original shard would have served. muffin::Overloaded is
   /// NEVER retried: a shed is a deliberate capacity signal.
+  /// Retries draw on a global budget, a token bucket shared by every
+  /// request: each successful routed submit earns 0.1 tokens, each retry
+  /// spends one, so retries add at most ~10% of goodput in extra load —
+  /// a fleet-wide outage degrades into fast failures instead of a retry
+  /// storm. The bank holds up to 128 tokens and starts full (see
+  /// router.cpp).
   std::size_t max_attempts = 1;
-  /// Global retry budget, a token bucket shared by every request: each
-  /// successful routed submit earns `budget_ratio` tokens, each retry
-  /// spends one. Retries can therefore add at most ~budget_ratio of
-  /// goodput in extra load — a fleet-wide outage degrades into fast
-  /// failures instead of a retry storm.
-  double budget_ratio = 0.1;
-  /// Token-bank cap, and the initial balance (so failover works from a
-  /// cold start). Sized to absorb one client-side send failure, which
-  /// orphans several pipelined batches' worth of requests at once.
-  std::size_t budget_burst = 128;
 };
 
 struct RouterConfig {
@@ -300,7 +296,7 @@ class ShardRouter {
   bool stopped_ = false;
 
   /// Retry-budget bank in millitokens (1000 = one retry), so fractional
-  /// budget_ratio earns accumulate without floating-point atomics.
+  /// earns accumulate without floating-point atomics.
   std::atomic<std::int64_t> retry_tokens_millis_{0};
 
   // Health monitor lifecycle (started lazily with the first remote

@@ -125,7 +125,7 @@ bool RemoteShard::probe() {
                 encode_score_request(seq, std::span<const data::Record>{}),
                 ms(config_.probe_timeout));
     const std::optional<Frame> reply =
-        read_frame(socket, config_.max_frame_bytes, ms(config_.probe_timeout));
+        read_frame(socket, kDefaultMaxFrameBytes, ms(config_.probe_timeout));
     return reply.has_value() &&
            reply->header.type == MsgType::ScoreResponse &&
            reply->header.seq == seq &&
@@ -309,7 +309,7 @@ void RemoteShard::reader_loop(Connection& connection) {
         continue;
       }
       std::optional<Frame> frame =
-          read_frame(connection.socket, config_.max_frame_bytes,
+          read_frame(connection.socket, kDefaultMaxFrameBytes,
                      ms(config_.request_timeout));
       if (frame.has_value()) {
         metrics.frames_received.inc();
@@ -412,8 +412,7 @@ StatsReport RemoteShard::fetch_stats() {
   write_frame(socket, encode_stats_request(seq),
               ms(config_.request_timeout));
   const std::optional<Frame> reply =
-      read_frame(socket, config_.max_frame_bytes,
-                 ms(config_.request_timeout));
+      read_frame(socket, kDefaultMaxFrameBytes, ms(config_.request_timeout));
   MUFFIN_REQUIRE(reply.has_value(),
                  "server closed before answering the stats request");
   MUFFIN_REQUIRE(reply->header.type == MsgType::StatsResponse,
@@ -430,8 +429,7 @@ std::uint64_t RemoteShard::reload(const std::string& artifact_path) {
   write_frame(socket, encode_reload(seq, artifact_path),
               ms(config_.request_timeout));
   const std::optional<Frame> reply =
-      read_frame(socket, config_.max_frame_bytes,
-                 ms(config_.request_timeout));
+      read_frame(socket, kDefaultMaxFrameBytes, ms(config_.request_timeout));
   MUFFIN_REQUIRE(reply.has_value(),
                  "server closed before answering the reload request");
   MUFFIN_REQUIRE(reply->header.seq == seq,

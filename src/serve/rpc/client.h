@@ -69,7 +69,6 @@ struct RemoteShardConfig {
   std::chrono::milliseconds connect_timeout{1000};
   std::chrono::milliseconds request_timeout{5000};
   std::chrono::milliseconds probe_timeout{500};
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Reconnect backoff: after a failed connect the shard waits a full-
   /// jittered exponential window — U(0, min(cap, initial·2^failures)) —
   /// before dialing the endpoint again. Batches arriving inside the

@@ -41,6 +41,9 @@ struct ServerMetrics {
   }
 };
 
+/// Deadline for writing one response frame.
+constexpr int kWriteTimeoutMs = 10'000;
+
 double elapsed_us(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - since)
@@ -110,9 +113,11 @@ void ShardServer::drain(std::chrono::milliseconds grace) {
   listener_.interrupt();
   if (acceptor_.joinable()) acceptor_.join();
   listener_.close();
-  // Phase 2 — finish in-flight frames: poll until every connection's
-  // response FIFO is empty or the grace period runs out. Readers are
-  // still up, so responses keep flowing to their clients meanwhile.
+  // Phase 2 — finish in-flight frames: poll until no connection holds a
+  // read frame or an unwritten response, or the grace period runs out.
+  // A response leaves its FIFO only after its frame is written, so an
+  // idle server owes nothing. Readers are still up, so responses keep
+  // flowing to their clients meanwhile.
   const auto deadline = std::chrono::steady_clock::now() + grace;
   for (;;) {
     bool idle = true;
@@ -120,7 +125,7 @@ void ShardServer::drain(std::chrono::milliseconds grace) {
       const std::lock_guard<std::mutex> lock(connections_mutex_);
       for (const std::unique_ptr<Connection>& connection : connections_) {
         const std::lock_guard<std::mutex> conn_lock(connection->mutex);
-        if (!connection->pending.empty()) {
+        if (connection->frame_in_hand || !connection->pending.empty()) {
           idle = false;
           break;
         }
@@ -129,10 +134,6 @@ void ShardServer::drain(std::chrono::milliseconds grace) {
     if (idle || std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  // A writer pops a response before writing it, so an empty FIFO can
-  // still have one frame mid-send; give it a beat before stop() shuts
-  // the sockets down under it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop();
 }
 
@@ -190,6 +191,7 @@ void ShardServer::enqueue(Connection& connection, PendingResponse response) {
   {
     const std::lock_guard<std::mutex> lock(connection.mutex);
     connection.pending.push_back(std::move(response));
+    connection.frame_in_hand = false;
   }
   connection.ready.notify_one();
 }
@@ -203,9 +205,15 @@ void ShardServer::reader_loop(Connection& connection) {
       // and tears this one connection down, like any malformed frame.
       fail::maybe_fail("rpc.server.recv");
       std::optional<Frame> frame =
-          read_frame(connection.socket, config_.max_frame_bytes,
+          read_frame(connection.socket, kDefaultMaxFrameBytes,
                      /*timeout_ms=*/-1);
       if (!frame.has_value()) break;  // client closed cleanly
+      {
+        // Owed from here until enqueue(): drain() must not stop the
+        // server between reading a frame and queueing its response.
+        const std::lock_guard<std::mutex> lock(connection.mutex);
+        connection.frame_in_hand = true;
+      }
       metrics.frames_received.inc();
       metrics.bytes_received.inc(kHeaderBytes + frame->payload.size());
 
@@ -215,14 +223,10 @@ void ShardServer::reader_loop(Connection& connection) {
       // do not travel on the wire, so each process traces independently.
       response.traced = tracer.sample();
       switch (frame->header.type) {
-        case MsgType::HealthProbe:
-          response.type = MsgType::HealthAck;
-          break;
         case MsgType::StatsRequest: {
           // Encode NOW so the report reflects this moment, but deliver
           // through the FIFO so responses stay in request order.
           metrics.stats_requests.inc();
-          response.type = MsgType::StatsResponse;
           StatsReport report;
           report.cache_entries = engine_.cache_entries();
           report.engine = engine_.metrics();
@@ -240,7 +244,6 @@ void ShardServer::reader_loop(Connection& connection) {
           // artifact, non-advancing version) answers with an Error
           // frame and leaves the serving model untouched.
           metrics.reload_requests.inc();
-          response.type = MsgType::ReloadAck;
           const std::string artifact_path = decode_reload(frame->payload);
           try {
             const std::uint64_t installed = reload(artifact_path);
@@ -251,7 +254,6 @@ void ShardServer::reader_loop(Connection& connection) {
           break;
         }
         case MsgType::ScoreRequest: {
-          response.type = MsgType::ScoreResponse;
           const auto decode_start = std::chrono::steady_clock::now();
           std::vector<data::Record> records = [&]() {
             const obs::TraceSpan decode_span(
@@ -300,16 +302,19 @@ void ShardServer::writer_loop(Connection& connection) {
   ServerMetrics& metrics = ServerMetrics::get();
   bool transport_ok = true;
   for (;;) {
-    PendingResponse response;
+    PendingResponse* front = nullptr;
     {
       std::unique_lock<std::mutex> lock(connection.mutex);
       connection.ready.wait(lock, [&connection]() {
         return !connection.pending.empty() || connection.closed;
       });
       if (connection.pending.empty()) break;  // closed and fully drained
-      response = std::move(connection.pending.front());
-      connection.pending.pop_front();
+      // Only this thread pops, and push_back never moves existing deque
+      // elements, so the front stays put while it is resolved and written
+      // outside the lock. It is popped once its frame is on the wire.
+      front = &connection.pending.front();
     }
+    PendingResponse& response = *front;
 
     // Resolve the response payload outside the lock: waiting on engine
     // futures here is what preserves per-connection FIFO order while the
@@ -317,8 +322,6 @@ void ShardServer::writer_loop(Connection& connection) {
     std::vector<std::uint8_t> frame;
     if (!response.raw_frame.empty()) {
       frame = std::move(response.raw_frame);  // pre-encoded StatsResponse
-    } else if (response.type == MsgType::HealthAck && response.error.empty()) {
-      frame = encode_control(MsgType::HealthAck, response.seq);
     } else if (!response.error.empty()) {
       metrics.errors_sent.inc();
       frame = encode_error(response.seq, response.error);
@@ -343,22 +346,26 @@ void ShardServer::writer_loop(Connection& connection) {
       }
     }
 
-    if (!transport_ok) continue;  // keep draining futures, stop writing
-    try {
-      const obs::TraceSpan write_span(
-          "rpc.server.write", response.traced,
-          response.traced ? "\"bytes\":" + std::to_string(frame.size())
-                          : std::string());
-      fail::maybe_fail("rpc.server.send");
-      write_frame(connection.socket, frame, config_.write_timeout_ms);
-      metrics.frames_sent.inc();
-      metrics.bytes_sent.inc(frame.size());
-    } catch (const std::exception&) {
-      // Client gone or wedged: stop writing, but keep consuming pending
-      // future-sets so engine promises are all observed before join.
-      transport_ok = false;
-      connection.socket.shutdown_both();
+    // Once the transport died, keep draining futures but stop writing.
+    if (transport_ok) {
+      try {
+        const obs::TraceSpan write_span(
+            "rpc.server.write", response.traced,
+            response.traced ? "\"bytes\":" + std::to_string(frame.size())
+                            : std::string());
+        fail::maybe_fail("rpc.server.send");
+        write_frame(connection.socket, frame, kWriteTimeoutMs);
+        metrics.frames_sent.inc();
+        metrics.bytes_sent.inc(frame.size());
+      } catch (const std::exception&) {
+        // Client gone or wedged: stop writing, but keep consuming pending
+        // future-sets so engine promises are all observed before join.
+        transport_ok = false;
+        connection.socket.shutdown_both();
+      }
     }
+    const std::lock_guard<std::mutex> lock(connection.mutex);
+    connection.pending.pop_front();
   }
   connection.writer_done.store(true, std::memory_order_release);
 }

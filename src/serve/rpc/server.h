@@ -45,13 +45,12 @@
 
 namespace muffin::serve::rpc {
 
+/// Frames above kDefaultMaxFrameBytes are refused, and a response frame
+/// that cannot be written within 10 s disconnects its client (one that
+/// stopped draining its socket) rather than wedging the writer.
 struct ShardServerConfig {
   EngineConfig engine;  ///< applied to the wrapped engine
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   int backlog = 64;
-  /// Deadline for writing one response frame; a client that stops
-  /// draining its socket is disconnected rather than wedging the writer.
-  int write_timeout_ms = 10'000;
 };
 
 class ShardServer {
@@ -97,10 +96,9 @@ class ShardServer {
 
  private:
   /// One response owed to a connection, in request order. Exactly one of
-  /// {prebuilt frame, control ack, error, futures} applies.
+  /// {prebuilt frame, error, futures} applies.
   struct PendingResponse {
     std::uint64_t seq = 0;
-    MsgType type = MsgType::ScoreResponse;
     std::string error;  ///< non-empty: answer with an Error frame
     std::vector<std::future<Prediction>> futures;
     /// Non-empty: send these bytes verbatim (StatsResponse — encoded by
@@ -115,7 +113,11 @@ class ShardServer {
     common::Socket socket;
     std::mutex mutex;
     std::condition_variable ready;
+    /// Responses leave only once written (or dropped with the
+    /// transport), so drain() waits for replies still being scored.
     std::deque<PendingResponse> pending;
+    /// A frame has been read but its response is not queued yet.
+    bool frame_in_hand = false;
     bool closed = false;
     std::thread reader;
     std::thread writer;

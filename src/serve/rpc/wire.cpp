@@ -11,8 +11,11 @@ namespace muffin::serve::rpc {
 namespace {
 
 bool known_type(std::uint16_t raw) {
+  constexpr std::uint16_t kRetiredHealthProbe = 3;
+  constexpr std::uint16_t kRetiredHealthAck = 4;
   return raw >= static_cast<std::uint16_t>(MsgType::ScoreRequest) &&
-         raw <= static_cast<std::uint16_t>(MsgType::ReloadAck);
+         raw <= static_cast<std::uint16_t>(MsgType::ReloadAck) &&
+         raw != kRetiredHealthProbe && raw != kRetiredHealthAck;
 }
 
 /// Reserve header space in a fresh frame buffer; the payload length is
@@ -169,14 +172,6 @@ std::vector<Prediction> decode_score_response(
   }
   MUFFIN_REQUIRE(reader.done(), "trailing bytes after score response");
   return predictions;
-}
-
-std::vector<std::uint8_t> encode_control(MsgType type, std::uint64_t seq) {
-  MUFFIN_REQUIRE(type == MsgType::HealthProbe || type == MsgType::HealthAck,
-                 "control frames are probe/ack only");
-  std::vector<std::uint8_t> frame = begin_frame(type, seq);
-  finish_frame(frame);
-  return frame;
 }
 
 namespace {

@@ -33,8 +33,6 @@
 //                  u64 model_version — per row, not per response,
 //                  because a batch racing a hot-swap may legitimately
 //                  carry rows from two adjacent versions
-//   HealthProbe    empty payload; the server answers HealthAck
-//   HealthAck      empty payload
 //   Error          u32 byte length + UTF-8 message; sent instead of a
 //                  ScoreResponse when the server failed that request
 //   StatsRequest   empty payload; the server answers StatsResponse
@@ -81,15 +79,16 @@ namespace muffin::serve::rpc {
 inline constexpr std::uint32_t kMagic = 0x4E46'554DU;  // "MUFN" little-endian
 inline constexpr std::uint16_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 24;
-/// Default payload ceiling; generous for any sane batch, small enough
-/// that a corrupt length field cannot exhaust memory.
+/// Payload ceiling of every frame the server and client read (64 MiB);
+/// generous for any sane batch, small enough that a corrupt length field
+/// cannot exhaust memory.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;
 
+/// Types 3 and 4 (the unused HealthProbe/HealthAck pair) are retired:
+/// decode_header rejects them, and they are never reused.
 enum class MsgType : std::uint16_t {
   ScoreRequest = 1,
   ScoreResponse = 2,
-  HealthProbe = 3,
-  HealthAck = 4,
   Error = 5,
   StatsRequest = 6,   ///< additive in v1; empty payload
   StatsResponse = 7,  ///< additive in v1; serialized StatsReport
@@ -137,10 +136,6 @@ void encode_header(std::vector<std::uint8_t>& out, MsgType type,
     std::uint64_t seq, std::span<const Prediction> predictions);
 [[nodiscard]] std::vector<Prediction> decode_score_response(
     std::span<const std::uint8_t> payload);
-
-/// HealthProbe / HealthAck (empty payload).
-[[nodiscard]] std::vector<std::uint8_t> encode_control(MsgType type,
-                                                       std::uint64_t seq);
 
 /// StatsRequest (empty payload); the server answers StatsResponse.
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_request(

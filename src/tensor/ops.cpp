@@ -131,25 +131,26 @@ void matmul_transposed_b_bias_into(const Matrix& a, const double* b,
 }
 
 void matmul_transposed_b_bias_quant_into(const Matrix& a,
-                                         const QuantizedGemmB& b,
+                                         const QuantMatrix& b,
                                          std::span<const double> bias,
                                          Matrix& out) {
-  MUFFIN_REQUIRE(b.mode != QuantMode::Off,
+  MUFFIN_REQUIRE(b.mode() != QuantMode::Off,
                  "quant GEMM requires a quantized weight pack");
-  MUFFIN_REQUIRE(a.cols() == b.depth,
+  MUFFIN_REQUIRE(a.cols() == b.rows(),
                  "quant GEMM inner dimensions must match");
-  MUFFIN_REQUIRE(bias.size() == b.m, "bias size must match the output width");
-  out.resize_for_overwrite(a.rows(), b.m);
+  MUFFIN_REQUIRE(bias.size() == b.cols(),
+                 "bias size must match the output width");
+  out.resize_for_overwrite(a.rows(), b.cols());
   const detail::KernelTable& kernels = detail::active_kernels();
-  const std::size_t m = b.m;
-  const std::size_t depth = b.depth;
+  const std::size_t m = b.cols();
+  const std::size_t depth = b.rows();
   const double* a_data = a.flat().data();
   double* out_data = out.flat().data();
   const double* bias_data = bias.data();
   const std::size_t lda = a.stride();
   const std::size_t ldo = out.stride();
-  if (b.mode == QuantMode::Bf16) {
-    const std::uint16_t* bq = b.bf16_ptr();
+  if (b.mode() == QuantMode::Bf16) {
+    const std::uint16_t* bq = b.bf16().data();
     parallel_for(a.rows(), gemm_row_grain(m, depth),
                  [&](std::size_t begin, std::size_t end) {
                    kernels.gemm_tb_bf16(a_data + begin * lda, lda, bq, m,
@@ -158,8 +159,8 @@ void matmul_transposed_b_bias_quant_into(const Matrix& a,
                  });
     return;
   }
-  const std::int8_t* bq = b.i8_ptr();
-  const double* scales = b.scales_ptr();
+  const std::int8_t* bq = b.i8().data();
+  const double* scales = b.scales().data();
   parallel_for(a.rows(), gemm_row_grain(m, depth),
                [&](std::size_t begin, std::size_t end) {
                  kernels.gemm_tb_i8(a_data + begin * lda, lda, bq, m, scales,

@@ -54,14 +54,15 @@ void matmul_transposed_b_bias_into(const Matrix& a, const double* b,
                                    std::size_t b_rows,
                                    std::span<const double> bias, Matrix& out);
 
-/// C = A * dequant(B)^T + bias through the active backend's dequantizing
-/// GEMM entry (tensor/simd.h): the quantized-inference forward. Same
-/// row-split parallelism and bit-identity guarantees as the float GEMM —
-/// within one quant mode, every backend, partition and batch size yields
-/// bit-identical rows. Requires b.mode != QuantMode::Off and
-/// a.cols() == b.depth.
+/// C = A * dequant(B) + bias through the active backend's dequantizing
+/// GEMM entry (tensor/simd.h): the quantized-inference forward. `b` is
+/// the k-major (depth x m) weight pack, i.e. the transposed weights (see
+/// tensor/quant.h). Same row-split parallelism and bit-identity
+/// guarantees as the float GEMM — within one quant mode, every backend,
+/// partition and batch size yields bit-identical rows. Requires
+/// b.mode() != QuantMode::Off and a.cols() == b.rows().
 void matmul_transposed_b_bias_quant_into(const Matrix& a,
-                                         const QuantizedGemmB& b,
+                                         const QuantMatrix& b,
                                          std::span<const double> bias,
                                          Matrix& out);
 

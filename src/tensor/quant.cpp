@@ -83,49 +83,152 @@ std::int8_t i8_from_double(double v, double scale) {
   return static_cast<std::int8_t>(clamped);
 }
 
-std::size_t QuantizedGemmB::owned_bytes() const {
-  return bf16.size() * sizeof(std::uint16_t) +
-         i8.size() * sizeof(std::int8_t) + scales.size() * sizeof(double);
+namespace {
+
+std::size_t element_bytes(QuantMode mode) {
+  switch (mode) {
+    case QuantMode::Bf16:
+      return sizeof(std::uint16_t);
+    case QuantMode::Int8:
+      return sizeof(std::int8_t);
+    case QuantMode::Off:
+      break;
+  }
+  return sizeof(double);
 }
 
-QuantizedGemmB build_quant_pack(const double* weights, std::size_t m,
-                                std::size_t depth, QuantMode mode) {
-  MUFFIN_REQUIRE(mode != QuantMode::Off,
-                 "build_quant_pack requires a quantized mode");
-  MUFFIN_REQUIRE(weights != nullptr && m > 0 && depth > 0,
-                 "build_quant_pack requires a non-empty weight matrix");
-  QuantizedGemmB pack;
-  pack.mode = mode;
-  pack.m = m;
-  pack.depth = depth;
-  if (mode == QuantMode::Bf16) {
-    pack.bf16.resize(m * depth);
-    for (std::size_t j = 0; j < m; ++j) {
-      const double* row = weights + j * depth;
-      for (std::size_t k = 0; k < depth; ++k) {
-        pack.bf16[k * m + j] = bf16_from_double(row[k]);
+}  // namespace
+
+QuantMatrix::QuantMatrix(QuantMode mode, std::size_t rows, std::size_t cols)
+    : mode_(mode), rows_(rows), cols_(cols) {
+  buffer_ = std::make_unique_for_overwrite<std::byte[]>(footprint_bytes());
+}
+
+QuantMatrix::QuantMatrix(QuantMode mode, std::size_t rows, std::size_t cols,
+                         const double* src, std::size_t row_stride,
+                         std::size_t col_stride)
+    : QuantMatrix(mode, rows, cols) {
+  MUFFIN_REQUIRE(src != nullptr || rows * cols == 0,
+                 "QuantMatrix needs a source for a non-empty matrix");
+  const auto at = [&](std::size_t r, std::size_t c) {
+    return src[r * row_stride + c * col_stride];
+  };
+  switch (mode_) {
+    case QuantMode::Off: {
+      double* q = payload<double>();
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) q[r * cols + c] = at(r, c);
       }
+      break;
     }
-    return pack;
-  }
-  pack.i8.resize(m * depth);
-  pack.scales.resize(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const double* row = weights + j * depth;
-    const double scale = i8_scale(std::span<const double>(row, depth));
-    pack.scales[j] = scale;
-    for (std::size_t k = 0; k < depth; ++k) {
-      pack.i8[k * m + j] = i8_from_double(row[k], scale);
+    case QuantMode::Bf16: {
+      std::uint16_t* q = payload<std::uint16_t>();
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          q[r * cols + c] = bf16_from_double(at(r, c));
+        }
+      }
+      break;
+    }
+    case QuantMode::Int8: {
+      double* scales = scale_data();
+      for (std::size_t c = 0; c < cols; ++c) {
+        double maxabs = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          maxabs = std::max(maxabs, std::abs(at(r, c)));
+        }
+        scales[c] = i8_scale_from_maxabs(maxabs);
+      }
+      std::int8_t* q = payload<std::int8_t>();
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          q[r * cols + c] = i8_from_double(at(r, c), scales[c]);
+        }
+      }
+      break;
     }
   }
-  return pack;
 }
 
-QuantizedGemmB build_quant_pack(const Matrix& weights, QuantMode mode) {
-  MUFFIN_REQUIRE(weights.stride() == weights.cols(),
-                 "build_quant_pack requires a dense row-major matrix");
-  return build_quant_pack(weights.flat().data(), weights.rows(),
-                          weights.cols(), mode);
+QuantMatrix QuantMatrix::from_encoded(QuantMode mode, std::size_t rows,
+                                      std::size_t cols,
+                                      std::span<const std::byte> payload,
+                                      std::span<const double> scales) {
+  QuantMatrix matrix(mode, rows, cols);
+  MUFFIN_REQUIRE(payload.size() == rows * cols * element_bytes(mode),
+                 "encoded payload size does not match the matrix shape");
+  MUFFIN_REQUIRE(scales.size() == matrix.scale_count(),
+                 "encoded int8 payload needs one scale per column");
+  std::copy(scales.begin(), scales.end(), matrix.scale_data());
+  std::copy(payload.begin(), payload.end(), matrix.payload<std::byte>());
+  return matrix;
+}
+
+std::size_t QuantMatrix::scale_count() const {
+  return mode_ == QuantMode::Int8 ? cols_ : 0;
+}
+
+std::size_t QuantMatrix::footprint_bytes() const {
+  return rows_ * cols_ * element_bytes(mode_) + scale_count() * sizeof(double);
+}
+
+void QuantMatrix::decode_rows(std::size_t first, std::size_t count,
+                              std::span<double> out) const {
+  MUFFIN_REQUIRE(first + count <= rows_, "QuantMatrix row out of range");
+  MUFFIN_REQUIRE(out.size() == count * cols_,
+                 "QuantMatrix decode output has the wrong size");
+  const std::size_t begin = first * cols_;
+  switch (mode_) {
+    case QuantMode::Off: {
+      const double* q = payload<const double>() + begin;
+      std::copy(q, q + out.size(), out.begin());
+      break;
+    }
+    case QuantMode::Bf16: {
+      const std::uint16_t* q = payload<const std::uint16_t>() + begin;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = bf16_to_double(q[i]);
+      }
+      break;
+    }
+    case QuantMode::Int8: {
+      const std::int8_t* q = payload<const std::int8_t>() + begin;
+      const double* scales = scale_data();
+      for (std::size_t r = 0; r < count; ++r) {
+        for (std::size_t c = 0; c < cols_; ++c) {
+          out[r * cols_ + c] = i8_to_double(q[r * cols_ + c], scales[c]);
+        }
+      }
+      break;
+    }
+  }
+}
+
+void QuantMatrix::decode_row(std::size_t r, std::span<double> out) const {
+  decode_rows(r, 1, out);
+}
+
+void QuantMatrix::decode(std::span<double> out) const {
+  decode_rows(0, rows_, out);
+}
+
+std::span<const double> QuantMatrix::f64() const {
+  MUFFIN_REQUIRE(mode_ == QuantMode::Off, "QuantMatrix is not f64");
+  return {payload<const double>(), rows_ * cols_};
+}
+
+std::span<const std::uint16_t> QuantMatrix::bf16() const {
+  MUFFIN_REQUIRE(mode_ == QuantMode::Bf16, "QuantMatrix is not bf16");
+  return {payload<const std::uint16_t>(), rows_ * cols_};
+}
+
+std::span<const std::int8_t> QuantMatrix::i8() const {
+  MUFFIN_REQUIRE(mode_ == QuantMode::Int8, "QuantMatrix is not int8");
+  return {payload<const std::int8_t>(), rows_ * cols_};
+}
+
+std::span<const double> QuantMatrix::scales() const {
+  return {scale_data(), scale_count()};
 }
 
 }  // namespace muffin::tensor

@@ -1,19 +1,26 @@
-// Quantized inference primitives: bf16/int8 storage for weights and
-// score state, behind the same runtime-dispatch philosophy as simd.h.
+// Quantized storage: one bf16/int8 matrix type for weights and score
+// state, behind the same runtime-dispatch philosophy as simd.h.
 //
-// Two distinct users share these primitives:
+// QuantMatrix is the one quantized store. It holds a rows x cols matrix
+// in one QuantMode, encoded from a strided f64 source by two rules: bf16
+// keeps the top 16 bits of the float32 value with round-to-nearest-even,
+// elementwise; int8 is symmetric with one scale per column (scale_c =
+// maxabs(column c) / 127), so a vector or a whole plane stored as one
+// column has one scale. Decoding is exact (a bf16 widening or an
+// int8 * f64 product), so a stored-then-reloaded value is deterministic.
+// Four users:
 //
-//  * **Weight quantization** (nn::Linear). The float weight matrix is
-//    packed once into a k-major QuantizedGemmB (q[k * ldb + j]: vector
-//    lanes sweep output columns j over contiguous narrow loads) and the
-//    dequantizing GEMM entries of the kernel table (simd.h) consume it.
-//    int8 uses symmetric per-output-column scales (scale_j =
-//    maxabs(W(j,:)) / 127); bf16 keeps the top 16 bits of the float32
-//    value with round-to-nearest-even.
-//  * **Score-state quantization** (core::ScoreCache planes, the engine's
-//    uid-keyed memo). Scores are quantized on store and dequantized on
-//    read; dequantization is exact (an int8 * f64 product or a bf16
-//    widening), so a stored-then-reloaded vector is deterministic.
+//  * core::ScoreCache: one records x classes matrix per body model,
+//    decoded row by row on gather.
+//  * The engine's uid-keyed memo (serve/engine.h): each reply is a
+//    C x 1 matrix, one scale per reply vector.
+//  * nn::Linear's GEMM weight pack: the depth x m matrix read from the
+//    row-major (m x depth) weights with strides (1, depth). That is the
+//    k-major layout the dequantizing GEMM entries of the kernel table
+//    (simd.h) consume (q[k * m + j]: vector lanes sweep output columns j
+//    over contiguous narrow loads), with per-output-column scales.
+//  * nn::Mlp's head artifacts: each weight and bias plane is an n x 1
+//    matrix, one scale per plane.
 //
 // Mode selection mirrors MUFFIN_SIMD: the MUFFIN_QUANT environment
 // variable is resolved once per process on first use ("off"/unset keeps
@@ -34,12 +41,11 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
-
-#include "tensor/matrix.h"
 
 namespace muffin::tensor {
 
@@ -118,49 +124,66 @@ class ScopedQuantMode {
   return static_cast<double>(q) * scale;
 }
 
-// ------------------------------------------------------ weight packing
+// --------------------------------------------------------- QuantMatrix
 
-/// A GEMM B operand (the row-major (m x depth) weight matrix of a Linear
-/// layer) quantized into k-major storage: element (j, k) of the original
-/// matrix lives at q[k * m + j], so the inner j sweep of the dequantizing
-/// kernels loads contiguous narrow lanes. Owns its storage by default;
-/// the *_data pointers borrow from a mapped artifact instead (the owner
-/// of the mapping must outlive the pack).
-struct QuantizedGemmB {
-  QuantMode mode = QuantMode::Off;
-  std::size_t m = 0;      ///< output columns (rows of the original B)
-  std::size_t depth = 0;  ///< reduction length (cols of the original B)
+/// A rows x cols matrix of doubles stored in one QuantMode: f64 (Off),
+/// bf16, or int8 with one symmetric scale per column. Element (r, c) sits
+/// at payload index r * cols + c. The int8 scales and the payload share
+/// one heap buffer, so a matrix is one allocation in every mode.
+class QuantMatrix {
+ public:
+  QuantMatrix() = default;
+  /// Encode element (r, c) from src[r * row_stride + c * col_stride].
+  QuantMatrix(QuantMode mode, std::size_t rows, std::size_t cols,
+              const double* src, std::size_t row_stride,
+              std::size_t col_stride);
+  /// Adopt an already-encoded payload (rows * cols elements of the
+  /// mode's width, e.g. an artifact tensor) and, for Int8, its `cols`
+  /// scales; both are copied.
+  [[nodiscard]] static QuantMatrix from_encoded(
+      QuantMode mode, std::size_t rows, std::size_t cols,
+      std::span<const std::byte> payload, std::span<const double> scales);
 
-  std::vector<std::uint16_t> bf16;  ///< size depth * m when mode == Bf16
-  std::vector<std::int8_t> i8;      ///< size depth * m when mode == Int8
-  std::vector<double> scales;       ///< size m when mode == Int8
+  [[nodiscard]] QuantMode mode() const { return mode_; }
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
 
-  const std::uint16_t* bf16_borrowed = nullptr;
-  const std::int8_t* i8_borrowed = nullptr;
-  const double* scales_borrowed = nullptr;
+  /// Row r dequantized into `out` (size cols()).
+  void decode_row(std::size_t r, std::span<double> out) const;
+  /// Every row, row-major, into `out` (size rows() * cols()).
+  void decode(std::span<double> out) const;
 
-  [[nodiscard]] const std::uint16_t* bf16_ptr() const {
-    return bf16_borrowed != nullptr ? bf16_borrowed : bf16.data();
+  /// Typed payload views; each throws unless the mode matches.
+  [[nodiscard]] std::span<const double> f64() const;
+  [[nodiscard]] std::span<const std::uint16_t> bf16() const;
+  [[nodiscard]] std::span<const std::int8_t> i8() const;
+  /// The per-column scales: cols() values for Int8, empty otherwise.
+  [[nodiscard]] std::span<const double> scales() const;
+
+  /// Bytes held: the payload plus 8 per column for the int8 scales.
+  [[nodiscard]] std::size_t footprint_bytes() const;
+
+ private:
+  /// Allocate the buffer for `mode` without encoding anything.
+  QuantMatrix(QuantMode mode, std::size_t rows, std::size_t cols);
+  [[nodiscard]] std::size_t scale_count() const;
+  /// The int8 scales open the buffer; the payload follows them, which
+  /// keeps both aligned.
+  [[nodiscard]] double* scale_data() const {
+    return reinterpret_cast<double*>(buffer_.get());
   }
-  [[nodiscard]] const std::int8_t* i8_ptr() const {
-    return i8_borrowed != nullptr ? i8_borrowed : i8.data();
+  template <typename T>
+  [[nodiscard]] T* payload() const {
+    return reinterpret_cast<T*>(buffer_.get() +
+                                scale_count() * sizeof(double));
   }
-  [[nodiscard]] const double* scales_ptr() const {
-    return scales_borrowed != nullptr ? scales_borrowed : scales.data();
-  }
+  void decode_rows(std::size_t first, std::size_t count,
+                   std::span<double> out) const;
 
-  /// Resident bytes of the owned storage (0 for a borrowed pack).
-  [[nodiscard]] std::size_t owned_bytes() const;
+  QuantMode mode_ = QuantMode::Off;
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::unique_ptr<std::byte[]> buffer_;
 };
-
-/// Pack a row-major (m x depth) weight matrix for the dequantizing GEMM
-/// kernels. mode must be Bf16 or Int8.
-[[nodiscard]] QuantizedGemmB build_quant_pack(const Matrix& weights,
-                                              QuantMode mode);
-/// Raw-pointer variant (weights borrowed from a mapped artifact).
-[[nodiscard]] QuantizedGemmB build_quant_pack(const double* weights,
-                                              std::size_t m,
-                                              std::size_t depth,
-                                              QuantMode mode);
 
 }  // namespace muffin::tensor

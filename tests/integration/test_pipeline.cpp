@@ -3,8 +3,6 @@
 // examples and benches do.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/search.h"
 #include "data/generators.h"
 #include "fairness/composition.h"
@@ -76,10 +74,11 @@ TEST(Pipeline, FusedModelSurvivesHeadSerialization) {
   const core::SearchResult result = search.run();
   const auto fused = search.build_fused(result.best().choice, "Muffin-Net");
 
-  // Round-trip the trained head through its text serialization.
-  std::stringstream buffer;
-  fused->head().save(buffer);
-  nn::Mlp reloaded = nn::Mlp::load(buffer);
+  // Round-trip the trained head through a model artifact.
+  data::ArtifactWriter writer;
+  fused->head().save_artifact(writer, "head");
+  nn::Mlp reloaded = nn::Mlp::from_artifact(
+      data::Artifact::from_bytes(writer.bytes()), "head");
   std::vector<models::ModelPtr> body = fused->body();
   const core::FusedModel clone("Muffin-Clone", body, std::move(reloaded));
 

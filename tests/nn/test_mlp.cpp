@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/error.h"
 #include "tensor/ops.h"
 
@@ -115,32 +113,6 @@ TEST(Mlp, IdentityOutputActivationUnbounded) {
     if (v < 0.0 || v > 1.0) outside_unit = true;
   }
   EXPECT_TRUE(outside_unit);
-}
-
-TEST(Mlp, SaveLoadRoundTrip) {
-  SplitRng rng(11);
-  MlpSpec spec = paper_spec();
-  spec.hidden_activation = Activation::Tanh;
-  Mlp original(spec);
-  original.init(rng);
-
-  std::stringstream buffer;
-  original.save(buffer);
-  Mlp loaded = Mlp::load(buffer);
-  EXPECT_EQ(loaded.spec(), original.spec());
-
-  tensor::Vector input(16);
-  for (double& v : input) v = rng.normal();
-  const tensor::Vector ya = original.forward(input);
-  const tensor::Vector yb = loaded.forward(input);
-  for (std::size_t i = 0; i < ya.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ya[i], yb[i]);
-  }
-}
-
-TEST(Mlp, LoadRejectsGarbage) {
-  std::stringstream buffer("not an mlp at all");
-  EXPECT_THROW((void)Mlp::load(buffer), Error);
 }
 
 TEST(Mlp, ZeroGradResetsAllBlocks) {

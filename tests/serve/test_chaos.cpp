@@ -539,6 +539,42 @@ TEST(ChaosDrain, ServerDrainDeliversAcceptedWorkThenRefusesNewConnections) {
   shard.shutdown();
 }
 
+TEST(ChaosDrain, ServerDrainWaitsForRepliesStillBeingScored) {
+  // drain() lands while the engine is still scoring an accepted frame:
+  // its response is owed until the frame is written, so the server must
+  // not shut the socket under the reply. The drain starts once the batch
+  // is inside its 80 ms scoring delay (a delay hit counts before it
+  // sleeps), not after a fixed pause that could race the connect.
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::RemoteShardConfig client_config;
+  client_config.connections = 1;
+  client_config.max_batch = 16;  // all 16 records leave as one frame
+  client_config.max_delay = 200us;
+  client_config.connect_timeout = 500ms;
+  client_config.request_timeout = 5000ms;
+  rpc::RemoteShard shard(server.address(), client_config);
+  std::span<const data::Record> records = chaos_dataset().records();
+
+  const fail::ScopedFailpoints guard("serve.engine.score=delay:80ms");
+  const std::uint64_t scored_before = fail::hits("serve.engine.score");
+  std::vector<std::future<Prediction>> futures;
+  for (std::size_t i = 0; i < 16; ++i) {
+    futures.push_back(shard.submit(records[i]));
+  }
+  ASSERT_TRUE(eventually([&]() {
+    return fail::hits("serve.engine.score") > scored_before;
+  }));
+  server.drain(5000ms);
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Prediction prediction = futures[i].get();  // throws = lost reply
+    ASSERT_EQ(prediction.scores, expected_scores(records[i])) << "record "
+                                                              << i;
+  }
+  shard.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // ChaosBackoff: reconnect discipline against a dead endpoint.
 // ---------------------------------------------------------------------

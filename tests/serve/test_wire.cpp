@@ -93,7 +93,7 @@ TEST(Wire, HeaderIsExplicitLittleEndian) {
   // The byte layout is part of the protocol: a frame written by any
   // build must parse in any other. Pin the first bytes literally.
   std::vector<std::uint8_t> bytes;
-  encode_header(bytes, MsgType::HealthProbe, /*seq=*/2, /*payload_len=*/1);
+  encode_header(bytes, MsgType::StatsRequest, /*seq=*/2, /*payload_len=*/1);
   // magic "MUFN" = 0x4E46554D little-endian -> bytes 4D 55 46 4E.
   EXPECT_EQ(bytes[0], 0x4D);
   EXPECT_EQ(bytes[1], 0x55);
@@ -101,7 +101,8 @@ TEST(Wire, HeaderIsExplicitLittleEndian) {
   EXPECT_EQ(bytes[3], 0x4E);
   EXPECT_EQ(bytes[4], kVersion);  // u16 version, low byte first
   EXPECT_EQ(bytes[5], 0x00);
-  EXPECT_EQ(bytes[6], static_cast<std::uint8_t>(MsgType::HealthProbe));
+  EXPECT_EQ(bytes[6], 6);  // u16 type StatsRequest, low byte first
+  EXPECT_EQ(bytes[7], 0x00);
   EXPECT_EQ(bytes[8], 2);   // seq low byte
   EXPECT_EQ(bytes[16], 1);  // payload_len low byte
 }
@@ -263,14 +264,19 @@ TEST(Wire, ErrorRoundTrip) {
             "engine stopped");
 }
 
-TEST(Wire, ControlFramesHaveEmptyPayload) {
-  const std::vector<std::uint8_t> probe =
-      encode_control(MsgType::HealthProbe, 3);
-  EXPECT_EQ(probe.size(), kHeaderBytes);
-  const FrameHeader header = decode_header({probe.data(), kHeaderBytes});
-  EXPECT_EQ(header.type, MsgType::HealthProbe);
-  EXPECT_EQ(header.payload_len, 0u);
-  EXPECT_THROW((void)encode_control(MsgType::ScoreRequest, 3), Error);
+TEST(Wire, RetiredHealthTypesAreRejected) {
+  // Types 3 and 4 were HealthProbe/HealthAck; they sit inside the known
+  // range but are retired, so a header carrying either is refused.
+  std::vector<std::uint8_t> header;
+  encode_header(header, MsgType::ScoreRequest, /*seq=*/3, /*payload_len=*/0);
+  for (const std::uint8_t retired : {3, 4}) {
+    header[6] = retired;
+    EXPECT_THROW((void)decode_header(header), Error) << int{retired};
+  }
+  for (const MsgType live : {MsgType::ScoreResponse, MsgType::Error}) {
+    header[6] = static_cast<std::uint8_t>(live);
+    EXPECT_EQ(decode_header(header).type, live);
+  }
 }
 
 TEST(Wire, TruncatedRequestPayloadThrowsAtEveryCut) {
