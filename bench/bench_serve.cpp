@@ -186,17 +186,16 @@ RunResult run_remote(std::shared_ptr<const core::FusedModel> fused,
                      serve::EngineConfig engine_config,
                      const std::string& listen_a,
                      const std::string& listen_b) {
-  serve::rpc::ShardServerConfig server_config;
-  server_config.engine = engine_config;
-  serve::rpc::ShardServer shard_a(fused, listen_a, server_config);
-  serve::rpc::ShardServer shard_b(fused, listen_b, server_config);
+  serve::rpc::ShardServer shard_a(fused, listen_a);
+  serve::rpc::ShardServer shard_b(fused, listen_b);
 
   serve::RouterConfig router_config;
   router_config.shards = 0;
   router_config.remote_endpoints = {shard_a.address(), shard_b.address()};
-  // Wire frames are cheapest when fat: ship double-size frames (the
-  // server's engine still micro-batches at its own max_batch) over a
-  // slightly deeper connection pool for decode parallelism.
+  // Wire frames are cheapest when fat: ship double-size frames (each one
+  // is scored on the server as one batch) over a slightly deeper
+  // connection pool, since a server scores one frame per connection at a
+  // time.
   router_config.remote.max_batch = 2 * engine_config.max_batch;
   router_config.remote.connections = 3;
   serve::ShardRouter router(nullptr, router_config);
@@ -247,14 +246,10 @@ struct DegradedResult {
 
 DegradedResult run_degraded(std::shared_ptr<const core::FusedModel> fused,
                             const std::vector<const data::Record*>& trace,
-                            serve::EngineConfig engine_config,
                             const std::string& listen_a,
                             const std::string& listen_b) {
-  serve::rpc::ShardServerConfig server_config;
-  server_config.engine = engine_config;
-  auto shard_a = std::make_unique<serve::rpc::ShardServer>(fused, listen_a,
-                                                           server_config);
-  serve::rpc::ShardServer shard_b(fused, listen_b, server_config);
+  auto shard_a = std::make_unique<serve::rpc::ShardServer>(fused, listen_a);
+  serve::rpc::ShardServer shard_b(fused, listen_b);
 
   serve::RouterConfig router_config;
   router_config.shards = 0;
@@ -365,8 +360,8 @@ struct HotSwapResult {
 HotSwapResult run_hotswap(
     const std::vector<std::shared_ptr<core::FusedModel>>& generations,
     const std::vector<const data::Record*>& trace,
-    serve::EngineConfig engine_config, const std::string& listen_a,
-    const std::string& listen_b, std::size_t rolls) {
+    const std::string& listen_a, const std::string& listen_b,
+    std::size_t rolls) {
   // One unstamped reload artifact per generation: every install
   // auto-assigns the next version on each shard, so the same file can
   // roll the fleet any number of times.
@@ -381,10 +376,8 @@ HotSwapResult run_hotswap(
     artifact_paths.push_back(path);
   }
 
-  serve::rpc::ShardServerConfig server_config;
-  server_config.engine = engine_config;
-  serve::rpc::ShardServer shard_a(generations[0], listen_a, server_config);
-  serve::rpc::ShardServer shard_b(generations[0], listen_b, server_config);
+  serve::rpc::ShardServer shard_a(generations[0], listen_a);
+  serve::rpc::ShardServer shard_b(generations[0], listen_b);
   serve::RouterConfig router_config;
   router_config.shards = 0;
   router_config.remote_endpoints = {shard_a.address(), shard_b.address()};
@@ -676,7 +669,7 @@ int main(int argc, char** argv) {
   const std::string uds_kill =
       "unix:/tmp/muffin_bench_kill_" + std::to_string(::getpid()) + ".sock";
   const DegradedResult degraded =
-      run_degraded(fused, trace, engine_config, uds_kill, uds_b);
+      run_degraded(fused, trace, uds_kill, uds_b);
   std::cout << "\ndegraded mode (one of two shards hard-killed):\n"
             << "  warm:       " << degraded.warm_requests << " requests, "
             << degraded.warm_failures << " failures\n"
@@ -705,7 +698,7 @@ int main(int argc, char** argv) {
       "unix:/tmp/muffin_bench_swap_b_" + std::to_string(::getpid()) + ".sock";
   constexpr std::size_t kRolls = 6;
   const HotSwapResult hotswap = run_hotswap(
-      {fused, fused_b}, trace, engine_config, uds_swap_a, uds_swap_b, kRolls);
+      {fused, fused_b}, trace, uds_swap_a, uds_swap_b, kRolls);
   const double swap_pause_p99_us =
       std::max(0.0, hotswap.roll_p99_us - hotswap.warm_p99_us);
   const double one_batch_us =

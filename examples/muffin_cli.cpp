@@ -17,9 +17,11 @@
 //       throughput and engine counters. With --listen (host:port, port 0
 //       for ephemeral, or unix:/path) the process instead becomes one
 //       shard of the cross-process tier: it serves the batched RPC wire
-//       format on that socket until signalled — SIGTERM drains gracefully
-//       (stop accepting, finish writing every in-flight response, then
-//       exit 0), SIGINT stops hard. With --artifact, the
+//       format on that socket until signalled, scoring each request frame
+//       as one batch as it is read (the batch size is the client's
+//       `route --batch`, so --batch does not apply) — SIGTERM drains
+//       gracefully (stop accepting, answer every frame clients already
+//       sent, then exit 0), SIGINT stops hard. With --artifact, the
 //       muffin head comes from a binary model artifact: an existing file
 //       is mmap'd read-only and served zero-copy (no head training, no
 //       heap copy of the weights — the shard cold-start path); a missing
@@ -43,8 +45,8 @@
 //       query a running shard server (muffin_cli serve --listen) for its
 //       authoritative stats over the Stats RPC: engine counters, memo
 //       size, server-measured latency, and the server process's full
-//       metrics registry (including serve.model_version,
-//       serve.swaps_total and serve.retrain_rounds). `table` is a human
+//       metrics registry (including serve.model_version and
+//       serve.swaps_total). `table` is a human
 //       summary; `json`/`prom` dump the server's registry exposition
 //       verbatim.
 //   muffin_cli reload  --connect ADDR --artifact FILE
@@ -58,7 +60,9 @@
 // serve and route also accept --max-queue N (bound the engine admission
 // queue; excess submits are shed with an Overloaded error) and
 // --deadline-ms D (drop requests that waited longer than D before
-// scoring), and --stats-every-s N: print a one-line
+// scoring). serve --listen rejects both: a shard server scores each frame
+// as it is read, so nothing queues. All three accept
+// --stats-every-s N: print a one-line
 // serving summary (requests, rate, batches, memo hits, failures) from
 // the process-wide metrics registry every N seconds while the trace —
 // or a --listen server — runs.
@@ -576,9 +580,6 @@ int run_stats(const CliOptions& options) {
                  std::to_string(process.gauge_value("serve.model_version"))});
   table.add_row({"model swaps",
                  std::to_string(process.counter_value("serve.swaps_total"))});
-  table.add_row(
-      {"retrain rounds",
-       std::to_string(process.counter_value("serve.retrain_rounds"))});
   for (const auto& [row, name] :
        {std::pair{"requests", "engine.requests"},
         std::pair{"batches", "engine.batches"},
@@ -656,11 +657,8 @@ int run_listen(const CliOptions& options,
                std::shared_ptr<core::FusedModel> fused,
                std::uint64_t artifact_version) {
   serve::rpc::ShardServerConfig server_config;
-  server_config.engine.max_batch = options.batch;
-  server_config.engine.max_queue = options.max_queue;
-  server_config.engine.deadline = std::chrono::milliseconds(options.deadline_ms);
   if (artifact_version > 0) {
-    server_config.engine.initial_model_version = artifact_version;
+    server_config.initial_model_version = artifact_version;
   }
   serve::rpc::ShardServer server(std::move(fused), options.listen,
                                  server_config);
@@ -689,9 +687,9 @@ int run_listen(const CliOptions& options,
   }
   ticker.stop();
   if (g_drain_requested.load()) {
-    // Graceful path: no new connections, every pending response frame is
-    // written out before the sockets close, exit 0. A client that got its
-    // requests on the wire never sees this shard die.
+    // Graceful path: no new connections, every frame clients already
+    // sent is answered before the sockets close, exit 0. A client that
+    // got its requests on the wire never sees this shard die.
     server.drain(std::chrono::milliseconds(5000));
     std::cout << "drained cleanly: served "
               << server.engine().metrics().counter_value("engine.requests")
@@ -710,6 +708,11 @@ int run_listen(const CliOptions& options,
 int run_serve(const CliOptions& options) {
   MUFFIN_REQUIRE(options.batch > 0, "--batch must be positive");
   MUFFIN_REQUIRE(options.requests > 0, "--requests must be positive");
+  MUFFIN_REQUIRE(options.listen.empty() ||
+                     (options.max_queue == 0 && options.deadline_ms == 0),
+                 "serve --listen takes no --max-queue or --deadline-ms: a "
+                 "shard server scores each request frame as it is read, so "
+                 "no request queues to be bounded or to time out");
   const Workbench bench = make_workbench(options);
   std::uint64_t artifact_version = 0;
   std::shared_ptr<core::FusedModel> fused =

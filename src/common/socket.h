@@ -19,9 +19,10 @@
 // a vanished peer is an exception, never a SIGPIPE.
 //
 // Thread safety: a Socket may be used by one reader thread and one
-// writer thread concurrently (the full-duplex pattern the RPC client and
-// server use); shutdown_both() may be called from any thread to wake
-// both of them.
+// writer thread concurrently (the full-duplex pattern the RPC client
+// uses); readable() may be polled from any thread (the shard server's
+// drain does, while the connection's own thread serves it), and
+// shutdown_both() may be called from any thread to wake them all.
 #pragma once
 
 #include <cstddef>

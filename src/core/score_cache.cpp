@@ -18,11 +18,9 @@ obs::Gauge& footprint_gauge() {
 }  // namespace
 
 ScoreCache::ScoreCache(const models::ModelPool& pool,
-                       const data::Dataset& dataset, tensor::QuantMode mode,
-                       std::uint64_t model_version)
+                       const data::Dataset& dataset, tensor::QuantMode mode)
     : num_records_(dataset.size()),
       num_classes_(dataset.num_classes()),
-      model_version_(model_version),
       mode_(mode) {
   MUFFIN_REQUIRE(pool.size() > 0, "score cache needs a non-empty pool");
   MUFFIN_REQUIRE(dataset.size() > 0, "score cache needs a non-empty dataset");
@@ -71,7 +69,6 @@ ScoreCache::~ScoreCache() { release_footprint(); }
 ScoreCache::ScoreCache(ScoreCache&& other) noexcept
     : num_records_(other.num_records_),
       num_classes_(other.num_classes_),
-      model_version_(other.model_version_),
       mode_(other.mode_),
       footprint_bytes_(std::exchange(other.footprint_bytes_, 0)),
       scores_(std::move(other.scores_)),
@@ -82,7 +79,6 @@ ScoreCache& ScoreCache::operator=(ScoreCache&& other) noexcept {
   release_footprint();
   num_records_ = other.num_records_;
   num_classes_ = other.num_classes_;
-  model_version_ = other.model_version_;
   mode_ = other.mode_;
   footprint_bytes_ = std::exchange(other.footprint_bytes_, 0);
   scores_ = std::move(other.scores_);

@@ -31,14 +31,9 @@ class ScoreCache {
   /// Scores `pool` over `dataset`, storing planes in `mode` (default: the
   /// process-wide MUFFIN_QUANT mode). Quantized modes require
   /// num_classes <= 256 (predictions are stored as one byte).
-  /// `model_version` tags the cache with the lifecycle version of the
-  /// body pool that produced it (0 = unversioned offline use): the
-  /// serving retrain loop keys every cache it builds so scores from one
-  /// epoch can never train a head published under another.
-  explicit ScoreCache(
-      const models::ModelPool& pool, const data::Dataset& dataset,
-      tensor::QuantMode mode = tensor::active_quant_mode(),
-      std::uint64_t model_version = 0);
+  explicit ScoreCache(const models::ModelPool& pool,
+                      const data::Dataset& dataset,
+                      tensor::QuantMode mode = tensor::active_quant_mode());
 
   // Move-only: the footprint gauge accounting makes copies error-prone,
   // and every user holds exactly one cache per dataset anyway.
@@ -52,9 +47,6 @@ class ScoreCache {
   [[nodiscard]] std::size_t num_records() const { return num_records_; }
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
   [[nodiscard]] tensor::QuantMode quant_mode() const { return mode_; }
-  /// Lifecycle version of the body pool these scores came from (0 when
-  /// unversioned — offline search and evaluation).
-  [[nodiscard]] std::uint64_t model_version() const { return model_version_; }
   /// Bytes held by the score planes, scales and prediction arrays (the
   /// score-state footprint reported on "core.score_cache_bytes").
   [[nodiscard]] std::size_t footprint_bytes() const {
@@ -87,7 +79,6 @@ class ScoreCache {
 
   std::size_t num_records_ = 0;
   std::size_t num_classes_ = 0;
-  std::uint64_t model_version_ = 0;
   tensor::QuantMode mode_ = tensor::QuantMode::Off;
   std::size_t footprint_bytes_ = 0;
   std::vector<tensor::QuantMatrix> scores_;  ///< one per model

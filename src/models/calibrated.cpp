@@ -192,6 +192,11 @@ double CalibratedModel::correctness_probability(
                  "record schema mismatch");
   double p = base_accuracy_;
   for (std::size_t a = 0; a < schema_.size(); ++a) {
+    // Records can arrive off the wire, where decoding checks only counts.
+    MUFFIN_REQUIRE(record.groups[a] < offsets_[a].size(),
+                   "group id " + std::to_string(record.groups[a]) +
+                       " out of range for attribute '" + schema_[a].name +
+                       "'");
     p += offsets_[a][record.groups[a]];
   }
   return clamp(p, config_.min_probability, config_.max_probability);

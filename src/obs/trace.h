@@ -2,13 +2,13 @@
 //
 // When tracing is enabled (the MUFFIN_TRACE environment variable names an
 // output file, or a test calls Tracer::configure), a deterministic 1-in-N
-// sampler picks requests at the edge (engine submit / RPC client submit /
-// RPC server frame decode); every stage a sampled request passes through
-// records a *complete* ("ph":"X") event with microsecond timestamps on
-// one shared steady clock:
+// sampler picks requests at the edge (engine submit or predict_batch /
+// RPC client submit / RPC server frame decode); every stage a sampled
+// request passes through records a *complete* ("ph":"X") event with
+// microsecond timestamps on one shared steady clock:
 //
 //   serve.queue        enqueue -> batch formation (per sampled request)
-//   serve.batch        whole batch execution on a worker
+//   serve.batch        whole batch execution (pool worker or caller)
 //   serve.score_batch  body-model batch scoring
 //   serve.fuse         consensus gate + head forward
 //   serve.reply        promise delivery

@@ -29,8 +29,8 @@ namespace muffin::serve {
 struct BatcherConfig {
   std::size_t max_batch = 32;                 ///< size-flush threshold
   std::chrono::microseconds max_delay{1000};  ///< deadline-flush threshold
-  /// Admission bound: push/push_many throw muffin::Overloaded once the
-  /// queue holds this many items (0 = unbounded). The shed happens at
+  /// Admission bound: push throws muffin::Overloaded once the queue
+  /// holds this many items (0 = unbounded). The shed happens at
   /// enqueue — a full queue is reported in microseconds, instead of the
   /// request timing out deep in the scoring stack.
   std::size_t max_queue = 0;
@@ -69,31 +69,16 @@ class Batcher {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       MUFFIN_REQUIRE(!closed_, "cannot push to a closed batcher");
-      admit_locked(1);
+      if (config_.max_queue != 0 && queue_.size() >= config_.max_queue) {
+        throw Overloaded("batcher queue full (" +
+                         std::to_string(queue_.size()) + " of " +
+                         std::to_string(config_.max_queue) +
+                         " queued): request shed");
+      }
       queue_.emplace_back(std::move(item), Clock::now());
       move_depth(1);
     }
     ready_.notify_one();
-  }
-
-  /// Enqueue a group of items atomically: one lock, one enqueue stamp,
-  /// one wakeup — all items enter or (if the batcher is closed) none do.
-  /// This is the RPC server's path: a decoded request frame's records
-  /// enter the engine as a group instead of paying per-record
-  /// lock/notify costs.
-  void push_many(std::vector<T> items) {
-    if (items.empty()) return;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      MUFFIN_REQUIRE(!closed_, "cannot push to a closed batcher");
-      admit_locked(items.size());
-      const Clock::time_point now = Clock::now();
-      for (T& item : items) {
-        queue_.emplace_back(std::move(item), now);
-      }
-      move_depth(static_cast<std::int64_t>(items.size()));
-    }
-    ready_.notify_all();
   }
 
   /// Block until a batch is available and return it. An empty vector means
@@ -156,17 +141,6 @@ class Batcher {
     if (n > 0 && cause != nullptr) cause->inc();
     move_depth(-static_cast<std::int64_t>(n));
     return batch;
-  }
-
-  /// All-or-nothing admission check for `n` incoming items; requires the
-  /// lock to be held. A group is shed whole — partially admitting a
-  /// frame's records would break the all-or-error batch contract.
-  void admit_locked(std::size_t n) const {
-    if (config_.max_queue != 0 && queue_.size() + n > config_.max_queue) {
-      throw Overloaded("batcher queue full (" + std::to_string(queue_.size()) +
-                       " of " + std::to_string(config_.max_queue) +
-                       " queued): request shed");
-    }
   }
 
   void move_depth(std::int64_t delta) {

@@ -100,64 +100,36 @@ Prediction InferenceEngine::predict(const data::Record& record) {
   return submit(record).get();
 }
 
-std::vector<std::future<Prediction>> InferenceEngine::submit_batch(
-    std::span<const data::Record> records) {
-  std::vector<data::Record> copies(records.begin(), records.end());
-  return submit_batch(std::move(copies));
-}
-
-std::vector<std::future<Prediction>> InferenceEngine::submit_batch(
-    std::vector<data::Record>&& records) {
-  MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped engine");
-  fail::maybe_fail("serve.engine.submit");
-  const std::size_t n = records.size();
-  std::vector<Request> requests;
-  requests.reserve(n);
-  std::vector<std::future<Prediction>> futures;
-  futures.reserve(n);
-  const Clock::time_point now = Clock::now();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  for (data::Record& record : records) {
-    Request request{std::move(record), now, {}, tracer.sample()};
-    futures.push_back(request.promise.get_future());
-    requests.push_back(std::move(request));
-  }
-  try {
-    batcher_.push_many(std::move(requests));
-  } catch (const Overloaded&) {
-    // Shed whole: push_many admits all records or none.
-    metrics_.shed.inc(n);
-    metrics_.shed_latency_us.observe(micros(Clock::now() - now));
-    throw;
-  }
-  return futures;
-}
-
-std::vector<Prediction> collect_all_or_error(
-    std::vector<std::future<Prediction>> futures) {
-  std::vector<Prediction> predictions;
-  predictions.reserve(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    try {
-      predictions.push_back(futures[i].get());
-    } catch (...) {
-      // Quiesce everything still in flight before the error propagates:
-      // the caller must be free to shut down or resubmit immediately.
-      for (std::size_t j = i + 1; j < futures.size(); ++j) {
-        futures[j].wait();
-      }
-      throw;
-    }
-  }
-  return predictions;
-}
-
 std::vector<Prediction> InferenceEngine::predict_batch(
     std::span<const data::Record> records) {
-  // submit_batch is atomic, so there is no partially-submitted prefix to
-  // quiesce on a submit failure; the all-or-error rule (serve/router.h)
-  // is enforced by collect_all_or_error, where per-record results fail.
-  return collect_all_or_error(submit_batch(records));
+  // Before any accounting, as in submit(): an injected submit fault must
+  // look like the call never happened.
+  fail::maybe_fail("serve.engine.submit");
+  {
+    // Checked and counted under one lock, so shutdown() either rejects
+    // this call or waits for it.
+    const std::lock_guard<std::mutex> lock(inflight_mutex_);
+    MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped engine");
+    ++inflight_batches_;
+  }
+  std::vector<Prediction> results;
+  try {
+    if (!records.empty()) {
+      const Clock::time_point start = Clock::now();
+      const bool traced = obs::Tracer::instance().sample();
+      metrics_.requests.inc(records.size());
+      results = score(records, traced);
+      const double latency_us = micros(Clock::now() - start);
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        metrics_.latency_us.observe(latency_us);
+      }
+    }
+  } catch (...) {
+    finish_inflight();
+    throw;
+  }
+  finish_inflight();
+  return results;
 }
 
 void InferenceEngine::shutdown() {
@@ -229,24 +201,17 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     }
     batch = std::move(live);
     if (batch.empty()) {
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      --inflight_batches_;
-      inflight_done_.notify_all();
+      finish_inflight();
       return;
     }
   }
   const std::size_t n = batch.size();
-  metrics_.batches.inc();
-  metrics_.batch_size.observe(static_cast<double>(n));
-  // Tracing: one serve.batch span if any request in the batch was picked
-  // by the edge sampler; sampled requests additionally emit their queue
-  // wait (enqueue -> batch formation) and end-to-end serve.request spans.
+  // Tracing: sampled requests emit their queue wait (enqueue -> batch
+  // formation) and end-to-end serve.request spans; the core adds one
+  // serve.batch span if any request in the batch was sampled.
   obs::Tracer& tracer = obs::Tracer::instance();
   bool any_traced = false;
   for (const Request& request : batch) any_traced |= request.traced;
-  const obs::TraceSpan batch_span(
-      "serve.batch", any_traced,
-      any_traced ? "\"batch_size\":" + std::to_string(n) : std::string());
   if (any_traced) {
     const double batch_start_us = tracer.now_us();
     for (const Request& request : batch) {
@@ -256,83 +221,15 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
                     "\"uid\":" + std::to_string(request.record.uid));
     }
   }
-  std::vector<Prediction> results(n);
+  // The core scores one contiguous span; the records move out of their
+  // Request wrappers (only the uid is read again, for tracing).
+  std::vector<data::Record> records;
+  records.reserve(n);
+  for (Request& request : batch) records.push_back(std::move(request.record));
   std::size_t delivered = 0;
-  // Epoch pin: this batch scores — and is memoized — entirely on one
-  // model snapshot, no matter how many swaps land while it runs. The
-  // shared_ptr hold keeps the pinned version fully alive until the last
-  // in-flight batch on it completes.
-  const std::shared_ptr<const ModelSnapshot> pinned = registry_.current();
   try {
-    // Chaos seam: an injected error here fails the whole batch through
-    // the catch-all below (the all-or-error contract under test); an
-    // injected delay models a slow scoring pass.
-    fail::maybe_fail("serve.engine.score");
-
-    // 1. Serve repeats from the result memo. Lookups are keyed by
-    // (model version, uid): entries written by other versions miss.
-    std::vector<std::size_t> misses;
-    misses.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!cache_lookup(batch[i].record.uid, pinned->version, results[i])) {
-        misses.push_back(i);
-      }
-    }
-    metrics_.cache_hits.inc(n - misses.size());
-    metrics_.cache_misses.inc(misses.size());
-
-    // 2. Body scores for the misses as one record span through the shared
-    // gather (every body model's score_batch override over the whole
-    // sub-batch, written in the ScoreCache gather layout). score_batch
-    // takes a contiguous span, so the miss records are copied out of
-    // their Request wrappers once per batch — amortized across all body
-    // models and small next to the scoring itself.
-    if (!misses.empty()) {
-      std::vector<data::Record> miss_records;
-      miss_records.reserve(misses.size());
-      for (const std::size_t i : misses) {
-        miss_records.push_back(batch[i].record);
-      }
-      const core::FusedModel& model = *pinned->model;
-      const std::size_t body_size = model.body().size();
-      const tensor::Matrix gathered = [&]() {
-        const obs::TraceSpan span(
-            "serve.score_batch", any_traced,
-            any_traced ? "\"rows\":" + std::to_string(misses.size())
-                       : std::string());
-        return core::gather_body_scores(model.body(), num_classes_,
-                                        miss_records);
-      }();
-
-      // 3. Row-wise consensus gate + one batched head forward over the
-      // disagreement rows, on the pinned version's head. Bit-identical to
-      // FusedModel::scores by construction: fuse_gathered_batch rows
-      // match core::fuse_gathered.
-      core::FusedBatch fused = [&]() {
-        const obs::TraceSpan span("serve.fuse", any_traced);
-        return core::fuse_gathered_batch(gathered, model.head(), body_size,
-                                         num_classes_,
-                                         model.head_only_on_disagreement());
-      }();
-      metrics_.consensus.inc(misses.size() - fused.head_rows);
-      metrics_.head_evaluations.inc(fused.head_rows);
-      for (std::size_t k = 0; k < misses.size(); ++k) {
-        const std::size_t i = misses[k];
-        Prediction& prediction = results[i];
-        const auto row = fused.scores.row(k);
-        prediction.scores.assign(row.begin(), row.end());
-        prediction.consensus = fused.consensus[k];
-        prediction.model_version = pinned->version;
-        // Canonicalize-on-miss: the reply carries the dequantized form of
-        // what the memo stores (a no-op when the memo mode is off), so a
-        // later memo hit for this uid replies bit-identically.
-        MemoEntry entry = canonicalize_and_pack(prediction);
-        entry.version = pinned->version;
-        cache_store(batch[i].record.uid, std::move(entry));
-      }
-    }
-
-    // 4. Deliver results and account latency.
+    std::vector<Prediction> results = score(records, any_traced);
+    // Deliver results and account latency.
     const Clock::time_point now = Clock::now();
     const obs::TraceSpan reply_span("serve.reply", any_traced);
     const double now_us = any_traced ? tracer.to_us(now) : 0.0;
@@ -341,7 +238,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       if (batch[i].traced) {
         const double enqueued_us = tracer.to_us(batch[i].enqueued);
         tracer.record("serve.request", enqueued_us, now_us - enqueued_us,
-                      "\"uid\":" + std::to_string(batch[i].record.uid) +
+                      "\"uid\":" + std::to_string(records[i].uid) +
                           ",\"cached\":" + (results[i].cached ? "true"
                                                              : "false"));
       }
@@ -353,15 +250,100 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       batch[i].promise.set_exception(std::current_exception());
     }
   }
-  {
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    --inflight_batches_;
-    // Notify while holding the mutex: shutdown() destroys this engine as
-    // soon as its wait observes zero in-flight batches, so an unlocked
-    // notify here could land on an already-destroyed condition variable
-    // (caught by TSan as pthread_cond_broadcast vs pthread_cond_destroy).
-    inflight_done_.notify_all();
+  finish_inflight();
+}
+
+std::vector<Prediction> InferenceEngine::score(
+    std::span<const data::Record> records, bool traced) {
+  const std::size_t n = records.size();
+  metrics_.batches.inc();
+  metrics_.batch_size.observe(static_cast<double>(n));
+  const obs::TraceSpan batch_span(
+      "serve.batch", traced,
+      traced ? "\"batch_size\":" + std::to_string(n) : std::string());
+  std::vector<Prediction> results(n);
+  // Epoch pin: this batch scores — and is memoized — entirely on one
+  // model snapshot, no matter how many swaps land while it runs. The
+  // shared_ptr hold keeps the pinned version fully alive until the last
+  // in-flight batch on it completes.
+  const std::shared_ptr<const ModelSnapshot> pinned = registry_.current();
+  // Chaos seam: an injected error here fails the whole batch (the
+  // all-or-error contract under test); an injected delay models a slow
+  // scoring pass.
+  fail::maybe_fail("serve.engine.score");
+
+  // 1. Serve repeats from the result memo. Lookups are keyed by
+  // (model version, uid): entries written by other versions miss.
+  std::vector<std::size_t> misses;
+  misses.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!cache_lookup(records[i].uid, pinned->version, results[i])) {
+      misses.push_back(i);
+    }
   }
+  metrics_.cache_hits.inc(n - misses.size());
+  metrics_.cache_misses.inc(misses.size());
+  if (misses.empty()) return results;
+
+  // 2. Body scores for the misses as one record span through the shared
+  // gather (every body model's score_batch override over the whole
+  // sub-batch, written in the ScoreCache gather layout). When every row
+  // missed, that span is the input itself; otherwise the miss records
+  // are copied out once per batch — amortized across all body models and
+  // small next to the scoring itself.
+  std::vector<data::Record> miss_copies;
+  std::span<const data::Record> miss_records = records;
+  if (misses.size() < n) {
+    miss_copies.reserve(misses.size());
+    for (const std::size_t i : misses) miss_copies.push_back(records[i]);
+    miss_records = miss_copies;
+  }
+  const core::FusedModel& model = *pinned->model;
+  const std::size_t body_size = model.body().size();
+  const tensor::Matrix gathered = [&]() {
+    const obs::TraceSpan span(
+        "serve.score_batch", traced,
+        traced ? "\"rows\":" + std::to_string(misses.size()) : std::string());
+    return core::gather_body_scores(model.body(), num_classes_, miss_records);
+  }();
+
+  // 3. Row-wise consensus gate + one batched head forward over the
+  // disagreement rows, on the pinned version's head. Bit-identical to
+  // FusedModel::scores by construction: fuse_gathered_batch rows match
+  // core::fuse_gathered.
+  core::FusedBatch fused = [&]() {
+    const obs::TraceSpan span("serve.fuse", traced);
+    return core::fuse_gathered_batch(gathered, model.head(), body_size,
+                                     num_classes_,
+                                     model.head_only_on_disagreement());
+  }();
+  metrics_.consensus.inc(misses.size() - fused.head_rows);
+  metrics_.head_evaluations.inc(fused.head_rows);
+  for (std::size_t k = 0; k < misses.size(); ++k) {
+    const std::size_t i = misses[k];
+    Prediction& prediction = results[i];
+    const auto row = fused.scores.row(k);
+    prediction.scores.assign(row.begin(), row.end());
+    prediction.consensus = fused.consensus[k];
+    prediction.model_version = pinned->version;
+    // Canonicalize-on-miss: the reply carries the dequantized form of
+    // what the memo stores (a no-op when the memo mode is off), so a
+    // later memo hit for this uid replies bit-identically.
+    MemoEntry entry = canonicalize_and_pack(prediction);
+    entry.version = pinned->version;
+    cache_store(records[i].uid, std::move(entry));
+  }
+  return results;
+}
+
+void InferenceEngine::finish_inflight() {
+  const std::lock_guard<std::mutex> lock(inflight_mutex_);
+  --inflight_batches_;
+  // Notify while holding the mutex: shutdown() destroys this engine as
+  // soon as its wait observes zero in-flight batches, so an unlocked
+  // notify here could land on an already-destroyed condition variable
+  // (caught by TSan as pthread_cond_broadcast vs pthread_cond_destroy).
+  inflight_done_.notify_all();
 }
 
 std::size_t InferenceEngine::cache_entries() const {

@@ -5,14 +5,16 @@
 // evaluation, a locked head forward, and per-call allocations. The engine
 // turns the same FusedModel into a serving runtime:
 //
-//  * **Micro-batching.** Requests accumulate in a Batcher and flush on
-//    batch-size or deadline; each batch is scored as a unit.
-//  * **Worker pool.** Batches execute on the process-wide shared
-//    ThreadPool (common::global_pool(), sized by MUFFIN_THREADS or the
-//    hardware); on multi-core hosts independent batches score in
-//    parallel. Every engine replica, MuffinSearch and the kernel-level
-//    parallel_for draw from this one pool, so components never compete
-//    through oversubscribed per-component threads.
+//  * **Two entry points, one scoring core.** submit() queues one record
+//    in a Batcher that flushes on batch-size or deadline, and each flushed
+//    batch runs on the process-wide shared ThreadPool (common::global_pool(),
+//    sized by MUFFIN_THREADS or the hardware). predict_batch() scores a
+//    span the caller already holds at once, as one batch, on the calling
+//    thread — the shard server's path for each decoded request frame.
+//    Both go through the same memo -> gather -> fuse -> memo-store core.
+//    Every engine replica, MuffinSearch and the kernel-level parallel_for
+//    draw from the one pool, so components never compete through
+//    oversubscribed per-component threads.
 //  * **Matrix-in/Matrix-out batch scoring.** Each batch's memo misses are
 //    scored as one record span: every body model scores the whole span via
 //    its Model::score_batch override (batched GEMM for network-backed
@@ -43,9 +45,9 @@
 //  * **Accounting.** Each engine records into its own child of the
 //    process metrics registry (obs/metrics.h), under the process-wide
 //    names: engine.requests counts requests admitted to a batch (sheds
-//    are serve.shed), engine.latency_us times each one from enqueue to
-//    reply. metrics() is this engine's view; obs::registry() sums every
-//    engine in the process.
+//    are serve.shed), engine.latency_us times each one from submit (or
+//    the predict_batch call) to reply. metrics() is this engine's view;
+//    obs::registry() sums every engine in the process.
 //
 // Engine outputs are bit-identical to FusedModel::scores on every record
 // within one model version: the batch path replicates its arithmetic
@@ -84,10 +86,12 @@ struct EngineConfig {
   /// muffin::Overloaded once this many requests are queued (0 =
   /// unbounded). The rejection happens at enqueue — overload is reported
   /// in microseconds instead of the request timing out under a backlog.
+  /// Queued submits only: predict_batch queues nothing.
   std::size_t max_queue = 0;
-  /// Per-request serving deadline (0 = none): a request that has already
-  /// waited this long when its batch is picked up is failed with
-  /// muffin::Error before any scoring work is spent on it.
+  /// Per-request serving deadline (0 = none): a submitted request that
+  /// has already waited this long when its batch is picked up is failed
+  /// with muffin::Error before any scoring work is spent on it. Queued
+  /// submits only: predict_batch scores before it could wait.
   std::chrono::milliseconds deadline{0};
   /// Version the construction-time model is registered under (>= 1).
   /// Servers loading a stamped artifact pass its model_version through.
@@ -103,13 +107,6 @@ struct Prediction {
   std::uint64_t model_version = 0;  ///< version that scored this reply
 };
 
-/// The serving tier's all-or-error rule, in one place: wait for every
-/// future and return all predictions; if any failed, still await the
-/// rest (so nothing is left in flight) and rethrow the first error.
-/// Shared by engine/router predict_batch and the RPC server's writer.
-[[nodiscard]] std::vector<Prediction> collect_all_or_error(
-    std::vector<std::future<Prediction>> futures);
-
 class InferenceEngine {
  public:
   explicit InferenceEngine(std::shared_ptr<const core::FusedModel> model,
@@ -122,23 +119,17 @@ class InferenceEngine {
   /// Enqueue one record; the future completes when its batch is scored.
   [[nodiscard]] std::future<Prediction> submit(const data::Record& record);
 
-  /// Enqueue a record span atomically (one lock, one wakeup — either
-  /// every record enters the engine or, if it is stopped, none do) and
-  /// return one future per record, in input order. This is the hot path
-  /// for callers that already hold a batch: the RPC server feeds each
-  /// decoded request frame through it, and predict_batch builds on it.
-  [[nodiscard]] std::vector<std::future<Prediction>> submit_batch(
-      std::span<const data::Record> records);
-  /// Move overload for callers whose records are already materialized
-  /// and disposable (the RPC server's decoded frames): records move into
-  /// the engine instead of being copied.
-  [[nodiscard]] std::vector<std::future<Prediction>> submit_batch(
-      std::vector<data::Record>&& records);
-
   /// Synchronous single-record convenience: submit + wait.
   [[nodiscard]] Prediction predict(const data::Record& record);
 
-  /// Submit every record, wait for all, return predictions in input order.
+  /// Score `records` now, as one batch, on the calling thread, and return
+  /// the predictions in input order — for callers that already hold a
+  /// batch (the shard server scores each decoded request frame here).
+  /// All-or-error: if scoring throws, the whole call throws. Nothing
+  /// queues on this path, so config().max_queue and config().deadline do
+  /// not apply; the batch counts in the engine.* metrics exactly as a
+  /// queued batch does. Throws muffin::Error on a stopped engine, even
+  /// for an empty span (the RPC health probe relies on that).
   [[nodiscard]] std::vector<Prediction> predict_batch(
       std::span<const data::Record> records);
 
@@ -212,7 +203,7 @@ class InferenceEngine {
   /// per reply vector), one heap buffer in every mode. A reply served
   /// from the memo is that matrix's decode, and the miss that created the
   /// entry replied with the same decode (canonicalize-on-miss in
-  /// process_batch) — so hit and miss replies for one uid are
+  /// score()) — so hit and miss replies for one uid are
   /// bit-identical, with nothing ever re-quantized. Entries carry the
   /// model version that produced them: a lookup under a different
   /// version misses (and the rescore replaces the stale entry), so a
@@ -250,7 +241,15 @@ class InferenceEngine {
   };
 
   void dispatch_loop();
+  /// The queued path: deadline filter, the scoring core, promise delivery.
   void process_batch(std::vector<Request> batch);
+  /// The one scoring core both entry points share: counts the batch, pins
+  /// one model snapshot, answers memo hits, gathers and fuses the misses
+  /// as one span, and memoizes them. Throws if scoring fails.
+  [[nodiscard]] std::vector<Prediction> score(
+      std::span<const data::Record> records, bool traced);
+  /// Release one in-flight unit (a queued batch or a predict_batch call).
+  void finish_inflight();
 
   /// Quantize `prediction.scores` into a MemoEntry and replace them with
   /// the dequantized (canonical) values; sets prediction.predicted from
@@ -283,8 +282,9 @@ class InferenceEngine {
       cache_index_;
   std::size_t memo_bytes_ = 0;  ///< guarded by cache_mutex_
 
-  // In-flight batch accounting so shutdown can wait for the pool to finish
-  // without relying on pool destruction order.
+  // In-flight batch accounting so shutdown can wait for queued batches on
+  // the pool and predict_batch callers to finish, without relying on pool
+  // destruction order.
   std::mutex inflight_mutex_;
   std::condition_variable inflight_done_;
   std::size_t inflight_batches_ = 0;

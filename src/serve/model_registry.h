@@ -4,7 +4,7 @@
 // the model, and versions change under live load. The registry makes
 // that explicit: publishers install a new FusedModel under a strictly
 // increasing version number, and readers pin an immutable snapshot for
-// the duration of one unit of work (a batch, a retrain round).
+// the duration of one unit of work (a batch).
 //
 // The concurrency scheme is RCU-by-shared_ptr: `current()` hands out a
 // `shared_ptr<const ModelSnapshot>` under a short mutex, and holding
@@ -18,7 +18,7 @@
 // Version monotonicity is the rollback guard: an explicit publish
 // version must exceed the current one (a stale artifact cannot roll a
 // fleet backwards), and version 0 means "assign the next version" —
-// the path the retrain loop and unstamped artifacts use.
+// the path unstamped artifacts use.
 #pragma once
 
 #include <cstdint>

@@ -43,6 +43,28 @@ constexpr std::int64_t kRetryEarnMillis = 100;
 /// which orphans several pipelined batches' worth of requests at once.
 constexpr std::int64_t kRetryBurstMillis = 128 * 1000;
 
+/// The all-or-error rule for a set of submitted requests: wait for every
+/// future and return all predictions; if any failed, still await the
+/// rest (so nothing is left in flight) and rethrow the first error.
+std::vector<Prediction> collect_all_or_error(
+    std::vector<std::future<Prediction>> futures) {
+  std::vector<Prediction> predictions;
+  predictions.reserve(futures.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    try {
+      predictions.push_back(futures[i].get());
+    } catch (...) {
+      // Quiesce everything still in flight before the error propagates:
+      // the caller must be free to shut down or resubmit immediately.
+      for (std::size_t j = i + 1; j < futures.size(); ++j) {
+        futures[j].wait();
+      }
+      throw;
+    }
+  }
+  return predictions;
+}
+
 }  // namespace
 
 ShardRouter::ShardRouter(std::shared_ptr<const core::FusedModel> model,

@@ -7,32 +7,38 @@
 // in-process replicas, but the replica lives here, behind
 // `muffin_cli serve --listen host:port`.
 //
-// Concurrency model:
-//  * an accept thread hands each connection a reader and a writer thread;
-//  * the reader decodes frames and *immediately* submits every record of
-//    a ScoreRequest into the engine — so batches from different
-//    connections interleave in the engine's Batcher and micro-batch
-//    together (cross-connection batching for free), and a pipelining
-//    client keeps the engine fed without waiting for earlier responses;
-//  * the writer completes responses strictly in request order per
-//    connection (FIFO of pending future-sets), which is what lets the
-//    client match pipelined responses by sequence number without a
-//    reorder buffer.
+// Concurrency model — the request frame is the unit of work:
+//  * an accept thread gives each connection one thread, which reads a
+//    frame, answers it (score, stats or reload), writes the reply, and
+//    only then reads the next frame. A ScoreRequest's records are scored
+//    right there, as one batch, through InferenceEngine::predict_batch:
+//    the client's frame already is a batch, so the server adds no second
+//    batching hop and no flush timer;
+//  * replies therefore leave each connection in request order by
+//    construction, which is what lets the client match pipelined
+//    responses by sequence number without a reorder buffer;
+//  * the trade-off: a connection's pipelined frames are scored one after
+//    another. Server parallelism comes from the number of connections
+//    (RemoteShardConfig::connections) and from the parallel_for row split
+//    inside large frames. There is no admission queue: a client that
+//    pipelines faster than its connection is answered is pushed back
+//    through the socket, bounded by its own request deadline.
 //
-// Failure semantics: if any record of a request fails to score, the
-// whole request is answered with one Error frame (echoing its seq) after
-// every already-submitted record of that request has been awaited — the
-// same quiesce-then-fail rule ShardRouter::predict_batch defines for
-// partial failures. A malformed frame (bad magic/version/length or an
-// undecodable payload) poisons the stream's framing, so the server sends
-// a best-effort Error frame and closes that connection; other
-// connections and the engine are unaffected.
+// Failure semantics: a ScoreRequest whose scoring throws (an injected
+// fault, or a record the body models reject) is answered with one Error
+// frame echoing its seq, and the connection reads on. The failure stays
+// in that frame: frames from other connections, and later frames on this
+// one, are scored as separate batches. A malformed frame (bad magic/
+// version/length or an undecodable payload) or a transport failure
+// poisons the stream's framing, so the server sends a best-effort Error
+// frame and closes that connection; other connections and the engine are
+// unaffected.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
-#include <deque>
-#include <future>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,12 +51,13 @@
 
 namespace muffin::serve::rpc {
 
-/// Frames above kDefaultMaxFrameBytes are refused, and a response frame
-/// that cannot be written within 10 s disconnects its client (one that
-/// stopped draining its socket) rather than wedging the writer.
+/// Frames above kDefaultMaxFrameBytes are refused, and a reply frame that
+/// cannot be written within 10 s disconnects its client (one that stopped
+/// draining its socket) rather than wedging the connection's thread.
 struct ShardServerConfig {
-  EngineConfig engine;  ///< applied to the wrapped engine
-  int backlog = 64;
+  /// Version the construction-time model is registered under (>= 1); a
+  /// server loading a stamped artifact passes its model_version through.
+  std::uint64_t initial_model_version = 1;
 };
 
 class ShardServer {
@@ -68,15 +75,17 @@ class ShardServer {
   [[nodiscard]] const common::Endpoint& endpoint() const { return endpoint_; }
   [[nodiscard]] std::string address() const { return endpoint_.to_string(); }
 
-  /// Stop accepting, disconnect every client, drain the engine
-  /// (idempotent). From a client's viewpoint this is the shard dying.
-  void stop();
+  /// drain(0ms): stop accepting, disconnect every client, shut the
+  /// engine down (idempotent). From a client's viewpoint this is the
+  /// shard dying.
+  void stop() { drain(std::chrono::milliseconds(0)); }
 
-  /// Graceful shutdown, the SIGTERM path: stop accepting new
-  /// connections, keep serving until every connection's pending
-  /// responses have been written out (bounded by `grace`), then stop().
-  /// Unlike a bare stop(), a client that already got its frames on the
-  /// wire never observes a failure.
+  /// The one shutdown path (idempotent; the SIGTERM path with a grace
+  /// window): stop accepting new connections, wait until every live
+  /// connection is idle — no frame being answered and none waiting to be
+  /// read — or `grace` runs out, then shut the sockets, join the
+  /// connection threads and shut the engine down. A client whose frames
+  /// were on the wire before the idle point never observes a failure.
   void drain(std::chrono::milliseconds grace);
 
   /// Hot-swap the served model to the head artifact at `path` — the
@@ -95,58 +104,39 @@ class ShardServer {
   [[nodiscard]] std::size_t open_connections() const;
 
  private:
-  /// One response owed to a connection, in request order. Exactly one of
-  /// {prebuilt frame, error, futures} applies.
-  struct PendingResponse {
-    std::uint64_t seq = 0;
-    std::string error;  ///< non-empty: answer with an Error frame
-    std::vector<std::future<Prediction>> futures;
-    /// Non-empty: send these bytes verbatim (StatsResponse — encoded by
-    /// the reader at request time so the snapshot reflects that moment,
-    /// but still delivered through the FIFO to preserve per-connection
-    /// response order).
-    std::vector<std::uint8_t> raw_frame;
-    bool traced = false;  ///< request was picked by the trace sampler
-  };
-
   struct Connection {
     common::Socket socket;
-    std::mutex mutex;
-    std::condition_variable ready;
-    /// Responses leave only once written (or dropped with the
-    /// transport), so drain() waits for replies still being scored.
-    std::deque<PendingResponse> pending;
-    /// A frame has been read but its response is not queued yet.
-    bool frame_in_hand = false;
-    bool closed = false;
-    std::thread reader;
-    std::thread writer;
-    // Set at thread exit; the accept loop reaps connections where both
-    // are true (joins threads, releases the fd and the object). Without
-    // reaping, every health probe — one short-lived connection each —
-    // would leak an fd and two joinable threads until stop().
-    std::atomic<bool> reader_done{false};
-    std::atomic<bool> writer_done{false};
+    std::thread thread;
+    /// Raised once the socket turns readable, before the frame's first
+    /// byte is consumed, and cleared once its reply is written — so at no
+    /// moment is a read frame neither readable nor busy (drain() relies
+    /// on that to never drop an answer it owes).
+    std::atomic<bool> busy{false};
+    /// Set at thread exit; the accept loop reaps done connections (joins
+    /// the thread, releases the fd and the object). Without reaping,
+    /// every health probe — one short-lived connection each — would leak
+    /// an fd and a joinable thread until stop().
+    std::atomic<bool> done{false};
   };
 
   void accept_loop();
-  /// Join and release every connection whose threads have both exited.
+  /// Join and release every connection whose thread has exited.
   void reap_finished_connections();
-  void reader_loop(Connection& connection);
-  void writer_loop(Connection& connection);
-  void enqueue(Connection& connection, PendingResponse response);
+  /// One connection's whole life: read a frame, answer it, write the
+  /// reply, repeat until the client closes or the stream is poisoned.
+  void serve_connection(Connection& connection);
+  /// The reply frame for one request frame. Throws only when the frame
+  /// itself is unusable (undecodable payload, unexpected type); a failed
+  /// score or reload becomes an Error frame echoing the request's seq.
+  [[nodiscard]] std::vector<std::uint8_t> answer(const Frame& frame,
+                                                 bool traced);
 
-  ShardServerConfig config_;
   InferenceEngine engine_;
   common::ListenSocket listener_;
   common::Endpoint endpoint_;
 
+  /// Raised once by drain(); the accept loop exits on it.
   std::atomic<bool> stopped_{false};
-  /// drain() raises this before joining the acceptor: the accept loop
-  /// must exit while stopped_ is still false (stop() runs only at the
-  /// end of the grace window, and setting stopped_ early would make its
-  /// exchange() a no-op and skip the real shutdown).
-  std::atomic<bool> draining_{false};
   std::atomic<std::size_t> accepted_{0};
   std::thread acceptor_;
   mutable std::mutex connections_mutex_;

@@ -216,6 +216,17 @@ TEST(CalibratedModel, RejectsBadInputs) {
   CalibrationConfig config;
   config.copula_rho = 1.0;
   EXPECT_THROW(CalibratedModel(profile, shared_dataset(), config), Error);
+
+  // A group id one past its attribute's range (records decoded off the
+  // wire are only count-checked) is rejected, never read out of bounds.
+  const CalibratedModel model(test_profile(), shared_dataset());
+  for (std::size_t a = 0; a < shared_dataset().schema().size(); ++a) {
+    data::Record record = shared_dataset().record(0);
+    record.groups[a] = shared_dataset().schema()[a].group_count();
+    EXPECT_THROW((void)model.scores(record), Error) << "attribute " << a;
+    EXPECT_THROW((void)model.score_batch({&record, 1}), Error)
+        << "attribute " << a;
+  }
 }
 
 TEST(CalibratedModel, ParameterCountFromProfile) {

@@ -33,34 +33,6 @@ TEST(Batcher, RejectsBadConfig) {
   EXPECT_THROW(Batcher<int>({8, microseconds(-1)}), Error);
 }
 
-TEST(Batcher, PushManyEntersAsOneGroup) {
-  // push_many is the RPC server's frame path: one lock, one stamp, one
-  // wakeup — and the group satisfies the size trigger like any pushes.
-  Batcher<int> batcher({8, std::chrono::duration_cast<microseconds>(
-                               std::chrono::seconds(30))});
-  batcher.push_many({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11});
-  const std::vector<int> first = batcher.next_batch();
-  EXPECT_EQ(first.size(), 8u);  // size-flush cap
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(first[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_EQ(batcher.pending(), 4u);  // the tail stays queued in order
-  batcher.push_many({});             // empty group is a no-op
-  EXPECT_EQ(batcher.pending(), 4u);
-}
-
-TEST(Batcher, PushManyIsAllOrNothingOnClose) {
-  Batcher<int> batcher({8, microseconds(1000)});
-  batcher.push(1);
-  batcher.close();
-  // Nothing from a rejected group may enter: the queue drains exactly
-  // the pre-close contents.
-  EXPECT_THROW(batcher.push_many({2, 3, 4}), Error);
-  const std::vector<int> drained = batcher.next_batch();
-  EXPECT_EQ(drained, std::vector<int>({1}));
-  EXPECT_TRUE(batcher.next_batch().empty());
-}
-
 TEST(Batcher, SizeFlushReleasesFullBatchImmediately) {
   // Deadline far away: only the size trigger can release the batch.
   Batcher<int> batcher({8, std::chrono::duration_cast<microseconds>(

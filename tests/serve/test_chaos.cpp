@@ -86,13 +86,6 @@ bool eventually(const std::function<bool()>& predicate,
   return predicate();
 }
 
-rpc::ShardServerConfig small_server() {
-  rpc::ShardServerConfig config;
-  config.engine.max_batch = 16;
-  config.engine.max_delay = 200us;
-  return config;
-}
-
 // ---------------------------------------------------------------------
 // ChaosEngine: faults inside one engine.
 // ---------------------------------------------------------------------
@@ -117,12 +110,16 @@ TEST(ChaosEngine, ScoreErrorFailsWholeBatchThenRecovers) {
   {
     const fail::ScopedFailpoints guard("serve.engine.score=error");
     // All-or-error: an injected scoring fault fails EVERY request of the
-    // batch — never a silent partial result.
-    std::vector<std::future<Prediction>> futures =
-        engine.submit_batch(records.subspan(0, 16));
+    // batch — never a silent partial result — on the queued path and on
+    // the direct one alike.
+    std::vector<std::future<Prediction>> futures;
+    for (std::size_t i = 0; i < 16; ++i) {
+      futures.push_back(engine.submit(records[i]));
+    }
     for (std::future<Prediction>& future : futures) {
       EXPECT_THROW((void)future.get(), Error);
     }
+    EXPECT_THROW((void)engine.predict_batch(records.subspan(0, 16)), Error);
   }
   // The fault was in the injected scoring pass, not the engine: with the
   // failpoint cleared the same engine serves the same records perfectly.
@@ -223,17 +220,19 @@ TEST(ChaosShed, DeadlineDropsStaleRequestsBeforeScoring) {
   std::span<const data::Record> records = chaos_dataset().records();
 
   // A full batch flushes on size immediately: well inside the deadline.
-  const std::vector<Prediction> fast =
-      engine.predict_batch(records.subspan(0, 8));
+  std::vector<std::future<Prediction>> fast;
+  for (std::size_t i = 0; i < 8; ++i) fast.push_back(engine.submit(records[i]));
   for (std::size_t i = 0; i < fast.size(); ++i) {
-    ASSERT_EQ(fast[i].scores, expected_scores(records[i]));
+    ASSERT_EQ(fast[i].get().scores, expected_scores(records[i]));
   }
 
   // A partial batch waits out the 400 ms deadline flush — by the time it
   // is picked up every request has overstayed the 100 ms serving
   // deadline and must be dropped without any scoring work.
-  std::vector<std::future<Prediction>> stale =
-      engine.submit_batch(records.subspan(100, 3));
+  std::vector<std::future<Prediction>> stale;
+  for (std::size_t i = 100; i < 103; ++i) {
+    stale.push_back(engine.submit(records[i]));
+  }
   for (std::future<Prediction>& future : stale) {
     try {
       (void)future.get();
@@ -368,8 +367,8 @@ RouterConfig remote_router(const std::vector<std::string>& endpoints,
 TEST(ChaosRpc, HardKilledShardWithRetriesZeroCallerErrors) {
   const auto fused = make_fused();
   auto server0 =
-      std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server1(fused, "127.0.0.1:0", small_server());
+      std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0");
+  rpc::ShardServer server1(fused, "127.0.0.1:0");
   ShardRouter router(nullptr,
                      remote_router({server0->address(), server1.address()},
                                    /*max_attempts=*/3));
@@ -401,8 +400,8 @@ TEST(ChaosRpc, HardKilledShardWithRetriesZeroCallerErrors) {
 
 TEST(ChaosRpc, InjectedSocketFaultsBoundedFailuresAndFullRecovery) {
   const auto fused = make_fused();
-  rpc::ShardServer server0(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server1(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server0(fused, "127.0.0.1:0");
+  rpc::ShardServer server1(fused, "127.0.0.1:0");
   ShardRouter router(nullptr,
                      remote_router({server0.address(), server1.address()},
                                    /*max_attempts=*/4));
@@ -449,8 +448,8 @@ TEST(ChaosRpc, PredictBatchIsAllOrErrorUnderWireFaults) {
   // predict_batch either returns every answer (all bit-identical) or
   // throws — and after a throw the router must be immediately reusable.
   const auto fused = make_fused();
-  rpc::ShardServer server0(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server1(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server0(fused, "127.0.0.1:0");
+  rpc::ShardServer server1(fused, "127.0.0.1:0");
   ShardRouter router(nullptr,
                      remote_router({server0.address(), server1.address()},
                                    /*max_attempts=*/1));
@@ -493,7 +492,7 @@ TEST(ChaosDrain, ServerDrainDeliversAcceptedWorkThenRefusesNewConnections) {
   // grace window (a regression here hangs the deploy path, not a test
   // assertion, so the elapsed bound matters as much as the answers).
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShardConfig client_config;
   client_config.connections = 2;
   client_config.max_batch = 16;
@@ -520,8 +519,9 @@ TEST(ChaosDrain, ServerDrainDeliversAcceptedWorkThenRefusesNewConnections) {
   const auto drain_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-  // Well under the grace ceiling: the poll loop exits when the FIFOs
-  // empty, it does not sit out the window (and it must never hang).
+  // Well under the grace ceiling: the poll loop exits once every
+  // connection is idle, it does not sit out the window (and it must never
+  // hang).
   EXPECT_LT(drain_ms, 4000);
 
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -541,12 +541,12 @@ TEST(ChaosDrain, ServerDrainDeliversAcceptedWorkThenRefusesNewConnections) {
 
 TEST(ChaosDrain, ServerDrainWaitsForRepliesStillBeingScored) {
   // drain() lands while the engine is still scoring an accepted frame:
-  // its response is owed until the frame is written, so the server must
-  // not shut the socket under the reply. The drain starts once the batch
-  // is inside its 80 ms scoring delay (a delay hit counts before it
-  // sleeps), not after a fixed pause that could race the connect.
+  // its reply is owed until it is written, so the server must not shut
+  // the socket under it. The drain starts once the batch is inside its
+  // 80 ms scoring delay (a delay hit counts before it sleeps), not after
+  // a fixed pause that could race the connect.
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShardConfig client_config;
   client_config.connections = 1;
   client_config.max_batch = 16;  // all 16 records leave as one frame
@@ -560,6 +560,41 @@ TEST(ChaosDrain, ServerDrainWaitsForRepliesStillBeingScored) {
   const std::uint64_t scored_before = fail::hits("serve.engine.score");
   std::vector<std::future<Prediction>> futures;
   for (std::size_t i = 0; i < 16; ++i) {
+    futures.push_back(shard.submit(records[i]));
+  }
+  ASSERT_TRUE(eventually([&]() {
+    return fail::hits("serve.engine.score") > scored_before;
+  }));
+  server.drain(5000ms);
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Prediction prediction = futures[i].get();  // throws = lost reply
+    ASSERT_EQ(prediction.scores, expected_scores(records[i])) << "record "
+                                                              << i;
+  }
+  shard.shutdown();
+}
+
+TEST(ChaosDrain, ServerDrainServesFramesPipelinedOnOneConnection) {
+  // One connection scores its frames one after another, so when drain()
+  // lands during the first of three pipelined frames, the other two are
+  // still unread in the socket. Drain must answer them too: they were on
+  // the wire before it began.
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0");
+  rpc::RemoteShardConfig client_config;
+  client_config.connections = 1;
+  client_config.max_batch = 16;  // 48 records leave as three frames
+  client_config.max_delay = 200us;
+  client_config.connect_timeout = 500ms;
+  client_config.request_timeout = 5000ms;
+  rpc::RemoteShard shard(server.address(), client_config);
+  std::span<const data::Record> records = chaos_dataset().records();
+
+  const fail::ScopedFailpoints guard("serve.engine.score=delay:40ms");
+  const std::uint64_t scored_before = fail::hits("serve.engine.score");
+  std::vector<std::future<Prediction>> futures;
+  for (std::size_t i = 0; i < 48; ++i) {
     futures.push_back(shard.submit(records[i]));
   }
   ASSERT_TRUE(eventually([&]() {
@@ -624,8 +659,8 @@ TEST(ChaosBackoff, DeadEndpointDialsAreBackedOff) {
 
 TEST(ChaosHealth, FlappingProbesNeverOscillateUnbounded) {
   const auto fused = make_fused();
-  rpc::ShardServer server0(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server1(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server0(fused, "127.0.0.1:0");
+  rpc::ShardServer server1(fused, "127.0.0.1:0");
   RouterConfig config =
       remote_router({server0.address(), server1.address()},
                     /*max_attempts=*/3);

@@ -61,29 +61,77 @@ TEST(InferenceEngine, BatchedOutputBitIdenticalToSequentialScores) {
   }
 }
 
-TEST(InferenceEngine, SubmitBatchMatchesPerRecordSubmit) {
-  // submit_batch is the RPC server's frame path: one atomic group
-  // enqueue, one future per record, same arithmetic as submit().
+TEST(InferenceEngine, PredictBatchMatchesPerRecordSubmit) {
+  // The queued path (submit, batched on the pool) and the direct path
+  // (predict_batch, one batch on the calling thread) share one scoring
+  // core: same scores and flags, row for row.
   const auto fused = make_fused(true);
   EngineConfig config;
   config.max_batch = 16;
+  config.result_cache_capacity = 0;  // both paths score every row
   InferenceEngine engine(fused, config);
 
-  std::span<const data::Record> records = engine_dataset().records();
-  std::vector<std::future<Prediction>> futures =
-      engine.submit_batch(records.subspan(0, 100));
-  ASSERT_EQ(futures.size(), 100u);
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get().scores,
+  const std::span<const data::Record> records =
+      std::span<const data::Record>(engine_dataset().records()).subspan(0, 100);
+  std::vector<std::future<Prediction>> queued;
+  for (const data::Record& record : records) {
+    queued.push_back(engine.submit(record));
+  }
+  const std::vector<Prediction> direct = engine.predict_batch(records);
+  ASSERT_EQ(direct.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Prediction reply = queued[i].get();
+    EXPECT_EQ(direct[i].scores, reply.scores) << "record " << i;
+    EXPECT_EQ(direct[i].predicted, reply.predicted) << "record " << i;
+    EXPECT_EQ(direct[i].consensus, reply.consensus) << "record " << i;
+    EXPECT_EQ(direct[i].model_version, reply.model_version);
+    EXPECT_EQ(direct[i].scores,
               testutil::canonical_scores(fused->scores(records[i])))
         << "record " << i;
   }
-  EXPECT_EQ(engine.metrics().counter_value("engine.requests"), 100u);
+  EXPECT_EQ(engine.metrics().counter_value("engine.requests"), 200u);
+}
 
-  // All-or-nothing on a stopped engine: no partial prefix, no count.
+TEST(InferenceEngine, PredictBatchIsOneBatchOnTheCallingThread) {
+  // The direct path counts exactly like a queued batch, never touches the
+  // batcher, and a stopped engine rejects it — an empty span too — without
+  // counting anything.
+  InferenceEngine engine(make_fused(true));
+  std::span<const data::Record> records = engine_dataset().records();
+  const auto batcher_state = []() {
+    const obs::MetricsSnapshot process = obs::registry().snapshot();
+    return std::vector<std::int64_t>{
+        static_cast<std::int64_t>(
+            process.counter_value("engine.batcher.size_flushes")),
+        static_cast<std::int64_t>(
+            process.counter_value("engine.batcher.deadline_flushes")),
+        static_cast<std::int64_t>(
+            process.counter_value("engine.batcher.drain_flushes")),
+        process.gauge_value("engine.batcher.depth")};
+  };
+  const std::vector<std::int64_t> batcher_before = batcher_state();
+
+  constexpr std::size_t kRows = 100;
+  ASSERT_EQ(engine.predict_batch(records.subspan(0, kRows)).size(), kRows);
+  EXPECT_TRUE(engine.predict_batch({}).empty());  // counts no batch
+  const auto expect_one_batch = [&]() {
+    const obs::MetricsSnapshot metrics = engine.metrics();
+    EXPECT_EQ(metrics.counter_value("engine.batches"), 1u);
+    EXPECT_EQ(metrics.counter_value("engine.requests"), kRows);
+    EXPECT_EQ(testutil::latency_count(metrics), kRows);
+    EXPECT_EQ(metrics.find_histogram("engine.batch_size")->count, 1u);
+    EXPECT_EQ(metrics.counter_value("engine.cache_misses"), kRows);
+    EXPECT_EQ(metrics.counter_value("engine.consensus_short_circuits") +
+                  metrics.counter_value("engine.head_evaluations"),
+              kRows);
+  };
+  expect_one_batch();
+  EXPECT_EQ(batcher_state(), batcher_before);
+
   engine.shutdown();
-  EXPECT_THROW((void)engine.submit_batch(records.subspan(0, 8)), Error);
-  EXPECT_EQ(engine.metrics().counter_value("engine.requests"), 100u);
+  EXPECT_THROW((void)engine.predict_batch(records.subspan(0, 8)), Error);
+  EXPECT_THROW((void)engine.predict_batch({}), Error);
+  expect_one_batch();
 }
 
 TEST(InferenceEngine, ParityHoldsWithHeadEverywhere) {
@@ -291,8 +339,9 @@ TEST(InferenceEngine, BatcherDepthGaugeSumsAcrossEngines) {
   InferenceEngine a(make_fused(true), config);
   InferenceEngine b(make_fused(true), config);
   std::span<const data::Record> records = engine_dataset().records();
-  auto queued_a = a.submit_batch(records.subspan(0, 3));
-  auto queued_b = b.submit_batch(records.subspan(3, 2));
+  std::vector<std::future<Prediction>> queued;
+  for (std::size_t i = 0; i < 3; ++i) queued.push_back(a.submit(records[i]));
+  for (std::size_t i = 3; i < 5; ++i) queued.push_back(b.submit(records[i]));
   const auto depth = []() {
     return obs::registry().snapshot().gauge_value("engine.batcher.depth");
   };
@@ -300,8 +349,7 @@ TEST(InferenceEngine, BatcherDepthGaugeSumsAcrossEngines) {
   a.shutdown();  // drains now instead of after 10 s
   b.shutdown();
   EXPECT_EQ(depth(), 0);
-  EXPECT_EQ(collect_all_or_error(std::move(queued_a)).size(), 3u);
-  EXPECT_EQ(collect_all_or_error(std::move(queued_b)).size(), 2u);
+  for (std::future<Prediction>& future : queued) (void)future.get();
 }
 
 TEST(InferenceEngine, ProcessRegistrySumsEnginesAndKeepsDestroyedOnes) {

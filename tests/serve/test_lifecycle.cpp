@@ -10,6 +10,7 @@
 // served by.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <map>
@@ -203,6 +204,99 @@ TEST(EngineLifecycle, ReloadHeadArtifactInstallsStampedVersion) {
   EXPECT_EQ(engine.predict(record).scores,
             testutil::canonical_scores(model_a()->scores(record)));
   std::remove(path.c_str());
+}
+
+TEST(EngineLifecycle, ConcurrentSwapsInstallDistinctVersions) {
+  // Two publishers race auto-versioned swaps while clients keep scoring,
+  // one through queued submits and one through predict_batch. Every
+  // publish gets its own version, none is lost, and every reply equals
+  // the scores of the model installed under the version it names.
+  constexpr std::size_t kSwapsEach = 25;
+  EngineConfig config;
+  config.max_batch = 8;
+  config.max_delay = std::chrono::microseconds(200);
+  InferenceEngine engine(model_a(), config);
+  const std::span<const data::Record> records =
+      std::span<const data::Record>(lifecycle_dataset().records())
+          .subspan(0, 96);
+  const auto expected_of = [&](const core::FusedModel& model) {
+    std::vector<tensor::Vector> expected;
+    for (const data::Record& record : records) {
+      expected.push_back(testutil::canonical_scores(model.scores(record)));
+    }
+    return expected;
+  };
+  const std::vector<tensor::Vector> expected_a = expected_of(*model_a());
+  const std::vector<tensor::Vector> expected_b = expected_of(*model_b());
+
+  struct Reply {
+    std::size_t record = 0;
+    Prediction prediction;
+  };
+  std::atomic<bool> publishing{true};
+  std::vector<std::vector<Reply>> replies(2);
+  std::vector<std::thread> clients;
+  clients.emplace_back([&]() {
+    for (std::size_t i = 0; publishing.load() || i < 50; ++i) {
+      const std::size_t r = (i * 7) % records.size();
+      replies[0].push_back({r, engine.predict(records[r])});
+    }
+  });
+  clients.emplace_back([&]() {
+    for (std::size_t i = 0; publishing.load() || i < 50; ++i) {
+      const std::size_t first = (i * 5) % (records.size() - 8);
+      const std::vector<Prediction> batch =
+          engine.predict_batch(records.subspan(first, 8));
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        replies[1].push_back({first + k, batch[k]});
+      }
+    }
+  });
+
+  const std::shared_ptr<core::FusedModel> published[2] = {model_b(),
+                                                          model_a()};
+  std::vector<std::uint64_t> installed[2];
+  std::vector<std::thread> publishers;
+  for (std::size_t p = 0; p < 2; ++p) {
+    publishers.emplace_back([&, p]() {
+      for (std::size_t i = 0; i < kSwapsEach; ++i) {
+        installed[p].push_back(engine.swap_model(published[p]));
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+  }
+  for (std::thread& publisher : publishers) publisher.join();
+  publishing.store(false);
+  for (std::thread& client : clients) client.join();
+
+  std::map<std::uint64_t, const std::vector<tensor::Vector>*> by_version{
+      {1, &expected_a}};
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_TRUE(std::is_sorted(installed[p].begin(), installed[p].end()));
+    for (const std::uint64_t version : installed[p]) {
+      EXPECT_TRUE(
+          by_version.emplace(version, p == 0 ? &expected_b : &expected_a)
+              .second)
+          << "version " << version << " installed twice";
+    }
+  }
+  EXPECT_EQ(by_version.size(), 1 + 2 * kSwapsEach);
+  EXPECT_EQ(by_version.rbegin()->first, 1 + 2 * kSwapsEach);
+  EXPECT_EQ(engine.model_version(), 1 + 2 * kSwapsEach);
+  EXPECT_EQ(engine.swaps(), 2 * kSwapsEach);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  for (const std::vector<Reply>& client : replies) {
+    for (const Reply& reply : client) {
+      const auto it = by_version.find(reply.prediction.model_version);
+      if (it == by_version.end() ||
+          reply.prediction.scores != (*it->second)[reply.record]) {
+        ++mismatches;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " replies";
 }
 
 TEST(EngineLifecycle, SwapUnderLoadServesEveryReplyFromOneCleanVersion) {

@@ -60,13 +60,6 @@ std::shared_ptr<core::FusedModel> make_fused() {
   return shared;
 }
 
-rpc::ShardServerConfig small_server() {
-  rpc::ShardServerConfig config;
-  config.engine.max_batch = 16;
-  config.engine.max_delay = std::chrono::microseconds(200);
-  return config;
-}
-
 rpc::RemoteShardConfig fast_client() {
   rpc::RemoteShardConfig config;
   config.connections = 2;
@@ -92,7 +85,7 @@ bool eventually(const std::function<bool()>& predicate,
 
 TEST(RemoteShard, BitIdenticalOverTcp) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
 
   std::span<const data::Record> records = rpc_dataset().records();
@@ -117,7 +110,7 @@ TEST(RemoteShard, BitIdenticalOverUnixDomainSocket) {
   const auto fused = make_fused();
   const std::string path =
       "unix:/tmp/muffin_rpc_test_" + std::to_string(::getpid()) + ".sock";
-  rpc::ShardServer server(fused, path, small_server());
+  rpc::ShardServer server(fused, path);
   rpc::RemoteShard shard(server.address(), fast_client());
 
   std::span<const data::Record> records = rpc_dataset().records();
@@ -131,7 +124,7 @@ TEST(RemoteShard, BitIdenticalOverUnixDomainSocket) {
 
 TEST(RemoteShard, PipelinedBatchesFromManyThreads) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
 
   std::span<const data::Record> records = rpc_dataset().records();
@@ -162,7 +155,7 @@ TEST(RemoteShard, PipelinedBatchesFromManyThreads) {
 
 TEST(RemoteShard, RepeatsAreServedFromTheServerMemo) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
   std::span<const data::Record> records = rpc_dataset().records();
 
@@ -187,8 +180,7 @@ TEST(RemoteShard, RepeatsAreServedFromTheServerMemo) {
 
 TEST(RemoteShard, ProbeReflectsServerLiveness) {
   const auto fused = make_fused();
-  auto server = std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0",
-                                                   small_server());
+  auto server = std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0");
   const std::string address = server->address();
   rpc::RemoteShard shard(address, fast_client());
   EXPECT_TRUE(shard.probe());
@@ -203,7 +195,7 @@ TEST(RemoteShard, DeadServerFailsFuturesAndCountsFailures) {
   const auto fused = make_fused();
   std::string address;
   {
-    rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+    rpc::ShardServer server(fused, "127.0.0.1:0");
     address = server.address();
     server.stop();
   }
@@ -219,8 +211,8 @@ TEST(RemoteShard, DeadServerFailsFuturesAndCountsFailures) {
 
 TEST(ShardRouterRpc, RemoteReplicasMatchFusedScores) {
   const auto fused = make_fused();
-  rpc::ShardServer server_a(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server_b(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server_a(fused, "127.0.0.1:0");
+  rpc::ShardServer server_b(fused, "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 0;
@@ -258,7 +250,7 @@ TEST(ShardRouterRpc, RemoteReplicasMatchFusedScores) {
 
 TEST(ShardRouterRpc, MixedLocalAndRemoteReplicas) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 1;
@@ -290,9 +282,8 @@ TEST(ShardRouterRpc, MixedLocalAndRemoteReplicas) {
 
 TEST(ShardRouterRpc, AutoDrainOnShardDeathThenZeroFailedRequests) {
   const auto fused = make_fused();
-  auto server_a = std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0",
-                                                     small_server());
-  rpc::ShardServer server_b(fused, "127.0.0.1:0", small_server());
+  auto server_a = std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0");
+  rpc::ShardServer server_b(fused, "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 0;
@@ -338,9 +329,8 @@ TEST(ShardRouterRpc, RecoveredShardIsAutoRestored) {
       "unix:/tmp/muffin_rpc_recover_a_" + std::to_string(::getpid()) + ".sock";
   const std::string path_b =
       "unix:/tmp/muffin_rpc_recover_b_" + std::to_string(::getpid()) + ".sock";
-  auto server_a =
-      std::make_unique<rpc::ShardServer>(fused, path_a, small_server());
-  rpc::ShardServer server_b(fused, path_b, small_server());
+  auto server_a = std::make_unique<rpc::ShardServer>(fused, path_a);
+  rpc::ShardServer server_b(fused, path_b);
 
   RouterConfig config;
   config.shards = 0;
@@ -356,7 +346,7 @@ TEST(ShardRouterRpc, RecoveredShardIsAutoRestored) {
 
   // The shard comes back at the same address; a successful probe must
   // restore it and traffic must flow to it again, bit-identically.
-  server_a = std::make_unique<rpc::ShardServer>(fused, path_a, small_server());
+  server_a = std::make_unique<rpc::ShardServer>(fused, path_a);
   ASSERT_TRUE(eventually([&]() { return router.active(0); }))
       << "health monitor never restored the recovered shard";
   EXPECT_FALSE(router.shard_infos()[0].auto_drained);
@@ -375,8 +365,8 @@ TEST(ShardRouterRpc, RecoveredShardIsAutoRestored) {
 
 TEST(ShardRouterRpc, OperatorDrainIsNeverAutoRestored) {
   const auto fused = make_fused();
-  rpc::ShardServer server_a(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server_b(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server_a(fused, "127.0.0.1:0");
+  rpc::ShardServer server_b(fused, "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 0;
@@ -432,7 +422,7 @@ TEST(RemoteShard, MalformedResponseFailsFuturesWithError) {
 
 TEST(ShardServer, MalformedFramePoisonsOnlyThatConnection) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
 
   // A hostile/broken peer sends garbage. The server must drop it…
   {
@@ -469,13 +459,85 @@ TEST(ShardServer, MalformedFramePoisonsOnlyThatConnection) {
   server.stop();
 }
 
+TEST(ShardServer, AFrameThatFailsToScoreFailsOnlyItself) {
+  // A group id one past its attribute's range decodes fine (the codec
+  // checks counts, not ranges) but makes the body models throw. That
+  // frame alone is answered with an Error echoing its seq: the next frame
+  // on the same connection, and every frame on a concurrent one, are
+  // answered bit-identically.
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0");
+  std::span<const data::Record> records = rpc_dataset().records();
+  const auto expect_exact = [&](const std::optional<rpc::Frame>& reply,
+                                std::uint64_t seq,
+                                std::span<const data::Record> sent) {
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->header.type, rpc::MsgType::ScoreResponse);
+    ASSERT_EQ(reply->header.seq, seq);
+    const std::vector<Prediction> predictions =
+        rpc::decode_score_response(reply->payload);
+    ASSERT_EQ(predictions.size(), sent.size());
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      ASSERT_EQ(predictions[i].scores,
+                testutil::canonical_scores(fused->scores(sent[i])))
+          << "seq " << seq << " row " << i;
+    }
+  };
+
+  // Connection B streams valid frames from records[0, 592) until A is
+  // done (at least 20).
+  std::atomic<bool> a_done{false};
+  std::atomic<std::size_t> b_frames{0};
+  std::thread b_client([&]() {
+    common::Socket b = common::connect_endpoint(server.endpoint(), 1000);
+    for (std::uint64_t seq = 1; seq <= 20 || (!a_done.load() && seq < 5000);
+         ++seq) {
+      const std::span<const data::Record> sent =
+          records.subspan((seq * 16) % (records.size() - 16), 16);
+      rpc::write_frame(b, rpc::encode_score_request(seq, sent), 5000);
+      expect_exact(rpc::read_frame(b, rpc::kDefaultMaxFrameBytes, 5000), seq,
+                   sent);
+      b_frames.fetch_add(1);
+    }
+  });
+  ASSERT_TRUE(eventually([&]() { return b_frames.load() > 0; }));
+
+  // Connection A, in a lambda so a failed assertion still joins B.
+  const auto connection_a = [&]() {
+    // Records B never sends, so no memo hit can answer the hostile row.
+    data::Record hostile = records[599];
+    hostile.groups[0] = rpc_dataset().schema()[0].group_count();
+    const std::vector<data::Record> bad = {records[597], hostile,
+                                           records[598]};
+    common::Socket a = common::connect_endpoint(server.endpoint(), 1000);
+    rpc::write_frame(a, rpc::encode_score_request(/*seq=*/7, bad), 5000);
+    const std::optional<rpc::Frame> error =
+        rpc::read_frame(a, rpc::kDefaultMaxFrameBytes, 5000);
+    ASSERT_TRUE(error.has_value());
+    ASSERT_EQ(error->header.type, rpc::MsgType::Error);
+    EXPECT_EQ(error->header.seq, 7u);
+    EXPECT_NE(rpc::decode_error(error->payload).find("group id"),
+              std::string::npos);
+
+    const std::span<const data::Record> good = records.subspan(0, 16);
+    rpc::write_frame(a, rpc::encode_score_request(/*seq=*/8, good), 5000);
+    expect_exact(rpc::read_frame(a, rpc::kDefaultMaxFrameBytes, 5000), 8,
+                 good);
+  };
+  connection_a();
+  a_done.store(true);
+  b_client.join();
+  EXPECT_GE(b_frames.load(), 20u);
+  server.stop();
+}
+
 TEST(ShardServer, FinishedConnectionsAreReaped) {
   // Regression: every probe opens a short-lived connection; without
-  // reaping, each one leaked its fd and two joinable threads until
-  // stop() — a long-lived shard probed every 250 ms would exhaust its
-  // fd limit in minutes.
+  // reaping, each one leaked its fd and a joinable thread until stop() —
+  // a long-lived shard probed every 250 ms would exhaust its fd limit in
+  // minutes.
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
   for (int i = 0; i < 12; ++i) {
     EXPECT_TRUE(shard.probe());
@@ -493,8 +555,7 @@ TEST(ShardServer, FinishedConnectionsAreReaped) {
 
 TEST(ShardServer, StopFailsInFlightCleanly) {
   const auto fused = make_fused();
-  auto server = std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0",
-                                                   small_server());
+  auto server = std::make_unique<rpc::ShardServer>(fused, "127.0.0.1:0");
   rpc::RemoteShardConfig config = fast_client();
   config.request_timeout = 1000ms;
   rpc::RemoteShard shard(server->address(), config);
@@ -524,7 +585,7 @@ TEST(ShardServer, StopFailsInFlightCleanly) {
 
 TEST(RemoteShard, FetchStatsReturnsServerAuthoritativeCounters) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
 
   std::span<const data::Record> records = rpc_dataset().records();
@@ -571,7 +632,7 @@ TEST(RemoteShard, FetchStatsReturnsServerAuthoritativeCounters) {
 TEST(RemoteShard, StatsResponseSizeIsIndependentOfTraffic) {
   // Registry snapshots, not per-request samples: the size depends on
   // which metrics exist, never on how much traffic was served.
-  rpc::ShardServer server(make_fused(), "127.0.0.1:0", small_server());
+  rpc::ShardServer server(make_fused(), "127.0.0.1:0");
   rpc::RemoteShardConfig config = fast_client();
   config.max_batch = 256;
   rpc::RemoteShard shard(server.address(), config);
@@ -597,7 +658,7 @@ TEST(RemoteShard, StatsFailureIsNulloptAndNeverCountsTowardDrain) {
   const auto fused = make_fused();
   std::string address;
   {
-    rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+    rpc::ShardServer server(fused, "127.0.0.1:0");
     address = server.address();
     server.stop();
   }
@@ -613,8 +674,8 @@ TEST(RemoteShard, StatsFailureIsNulloptAndNeverCountsTowardDrain) {
 
 TEST(ShardRouterRpc, AuthoritativeStatsFoldsServerSideAccounting) {
   const auto fused = make_fused();
-  rpc::ShardServer server_a(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server_b(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server_a(fused, "127.0.0.1:0");
+  rpc::ShardServer server_b(fused, "127.0.0.1:0");
   RouterConfig config;
   config.shards = 0;
   config.remote_endpoints = {server_a.address(), server_b.address()};
@@ -668,7 +729,7 @@ std::string write_v2_head_artifact(const char* stem,
 
 TEST(RemoteShard, ReloadInstallsTheArtifactOverTheWire) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
   const std::string path = write_v2_head_artifact("rpc_reload", 9);
 
@@ -698,7 +759,7 @@ TEST(RemoteShard, ReloadInstallsTheArtifactOverTheWire) {
 
 TEST(RemoteShard, ReloadFailureIsAnErrorFrameAndNeverCountsTowardDrain) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
 
   // A missing artifact fails the reload — as a typed Error reply, not a
@@ -728,8 +789,8 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   // across them shard by shard. Zero caller-visible errors; every reply
   // is bit-identical to the generation its row-level version names.
   const auto fused = make_fused();
-  rpc::ShardServer server_a(fused, "127.0.0.1:0", small_server());
-  rpc::ShardServer server_b(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server_a(fused, "127.0.0.1:0");
+  rpc::ShardServer server_b(fused, "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 0;
@@ -797,7 +858,7 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
 
 TEST(ShardRouterRpc, ReloadShardTargetsOneLocalOrRemoteReplica) {
   const auto fused = make_fused();
-  rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+  rpc::ShardServer server(fused, "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 1;
@@ -825,18 +886,27 @@ TEST(ShardRouterRpc, ReloadShardTargetsOneLocalOrRemoteReplica) {
 TEST(RemoteShard, TracedRequestsEmitClientAndServerSpans) {
   // Servers live in this process, so one tracer captures both sides of
   // the hop; CI's rpc-serve job covers the genuine two-process capture.
+  // The server scores each frame on the spot, so its side emits no
+  // queue spans; a few submits to an in-process engine in the same
+  // window keep the queued path's serve.queue/serve.request/serve.reply
+  // spans asserted too.
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.configure(true, /*sample_every=*/1);
   const auto fused = make_fused();
   {
-    rpc::ShardServer server(fused, "127.0.0.1:0", small_server());
+    rpc::ShardServer server(fused, "127.0.0.1:0");
     rpc::RemoteShard shard(server.address(), fast_client());
+    InferenceEngine engine(fused);
     std::span<const data::Record> records = rpc_dataset().records();
     std::vector<std::future<Prediction>> futures;
     for (std::size_t i = 0; i < 40; ++i) {
       futures.push_back(shard.submit(records[i]));
     }
+    for (std::size_t i = 0; i < 4; ++i) {
+      futures.push_back(engine.submit(records[i]));
+    }
     for (std::future<Prediction>& future : futures) (void)future.get();
+    engine.shutdown();
     shard.shutdown();
     server.stop();
   }
