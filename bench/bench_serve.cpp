@@ -309,7 +309,7 @@ DegradedResult run_degraded(std::shared_ptr<const core::FusedModel> fused,
   return result;
 }
 
-/// Mirror of InferenceEngine::canonicalize_and_pack for the active quant
+/// Mirror of serve::ResultMemo::canonicalize for the active quant
 /// mode, so hot-swap parity checks stay bit-exact in every CI quant lane.
 tensor::Vector canonical(tensor::Vector scores) {
   switch (tensor::active_quant_mode()) {

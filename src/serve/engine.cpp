@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -58,17 +59,16 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
                                  EngineConfig config)
     : registry_(std::move(model), config.initial_model_version),
       config_(config),
-      num_classes_(0),
+      num_classes_(registry_.current()->model->num_classes()),
       telemetry_(obs::registry()),
       metrics_(telemetry_),
       pool_(common::global_pool()),
       batcher_({config.max_batch, config.max_delay, config.max_queue,
                 "engine.batcher"}),
-      memo_mode_(tensor::active_quant_mode()) {
-  const std::shared_ptr<const ModelSnapshot> snapshot = registry_.current();
-  num_classes_ = snapshot->model->num_classes();
+      memo_(config.result_cache_capacity, num_classes_,
+            tensor::active_quant_mode()) {
   LifecycleMetrics::get().model_version.set(
-      static_cast<std::int64_t>(snapshot->version));
+      static_cast<std::int64_t>(registry_.version()));
   dispatcher_ = std::thread([this]() { dispatch_loop(); });
 }
 
@@ -262,6 +262,11 @@ std::vector<Prediction> InferenceEngine::score(
       "serve.batch", traced,
       traced ? "\"batch_size\":" + std::to_string(n) : std::string());
   std::vector<Prediction> results(n);
+  // Sized before the memo lock is taken: a hit decodes into it, a miss
+  // copies its fused row into it.
+  for (Prediction& prediction : results) {
+    prediction.scores.resize(num_classes_);
+  }
   // Epoch pin: this batch scores — and is memoized — entirely on one
   // model snapshot, no matter how many swaps land while it runs. The
   // shared_ptr hold keeps the pinned version fully alive until the last
@@ -272,13 +277,25 @@ std::vector<Prediction> InferenceEngine::score(
   // scoring pass.
   fail::maybe_fail("serve.engine.score");
 
-  // 1. Serve repeats from the result memo. Lookups are keyed by
-  // (model version, uid): entries written by other versions miss.
+  // 1. Serve repeats from the result memo, under one lock for the whole
+  // batch. Lookups are keyed by (model version, uid): entries written by
+  // other versions miss.
   std::vector<std::size_t> misses;
   misses.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!cache_lookup(records[i].uid, pinned->version, results[i])) {
-      misses.push_back(i);
+  {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    for (std::size_t i = 0; i < n; ++i) {
+      Prediction& prediction = results[i];
+      const std::optional<ResultMemo::Hit> hit =
+          memo_.lookup(records[i].uid, pinned->version, prediction.scores);
+      if (!hit) {
+        misses.push_back(i);
+        continue;
+      }
+      prediction.predicted = hit->predicted;
+      prediction.consensus = hit->consensus;
+      prediction.cached = true;
+      prediction.model_version = pinned->version;
     }
   }
   metrics_.cache_hits.inc(n - misses.size());
@@ -319,20 +336,39 @@ std::vector<Prediction> InferenceEngine::score(
   }();
   metrics_.consensus.inc(misses.size() - fused.head_rows);
   metrics_.head_evaluations.inc(fused.head_rows);
+  // 4. Canonicalize-on-miss, outside the memo lock: each reply carries the
+  // decode of exactly the bytes its memo entry stores (a copy when the
+  // memo mode is off), so a later hit for this uid replies bit-identically
+  // and nothing is ever re-quantized. Disabled memos canonicalize too.
+  const std::size_t stride = memo_.stride();
+  const auto encoded =
+      std::make_unique_for_overwrite<std::byte[]>(misses.size() * stride);
+  const auto encoded_reply = [&](std::size_t k) {
+    return std::span<std::byte>(encoded.get() + k * stride,
+                                memo_.reply_bytes());
+  };
   for (std::size_t k = 0; k < misses.size(); ++k) {
-    const std::size_t i = misses[k];
-    Prediction& prediction = results[i];
+    Prediction& prediction = results[misses[k]];
     const auto row = fused.scores.row(k);
-    prediction.scores.assign(row.begin(), row.end());
+    std::copy(row.begin(), row.end(), prediction.scores.begin());
     prediction.consensus = fused.consensus[k];
     prediction.model_version = pinned->version;
-    // Canonicalize-on-miss: the reply carries the dequantized form of
-    // what the memo stores (a no-op when the memo mode is off), so a
-    // later memo hit for this uid replies bit-identically.
-    MemoEntry entry = canonicalize_and_pack(prediction);
-    entry.version = pinned->version;
-    cache_store(records[i].uid, std::move(entry));
+    memo_.canonicalize(prediction.scores, encoded_reply(k));
+    // Argmax of the canonical scores, so predicted == argmax(scores) holds
+    // for the reply and for every future memo hit alike.
+    prediction.predicted = tensor::argmax(prediction.scores);
   }
+  // 5. Memoize the misses, under one lock for the whole batch.
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  const std::size_t bytes_before = memo_.bytes();
+  for (std::size_t k = 0; k < misses.size(); ++k) {
+    const Prediction& prediction = results[misses[k]];
+    (void)memo_.store(records[misses[k]].uid, pinned->version,
+                      prediction.predicted, prediction.consensus,
+                      encoded_reply(k));
+  }
+  metrics_.memo_bytes.add(static_cast<std::int64_t>(memo_.bytes()) -
+                          static_cast<std::int64_t>(bytes_before));
   return results;
 }
 
@@ -347,96 +383,18 @@ void InferenceEngine::finish_inflight() {
 }
 
 std::size_t InferenceEngine::cache_entries() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_index_.size();
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  return memo_.size();
 }
 
 bool InferenceEngine::cache_contains(std::uint64_t uid) const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_index_.find(uid) != cache_index_.end();
-}
-
-InferenceEngine::MemoEntry InferenceEngine::canonicalize_and_pack(
-    Prediction& prediction) const {
-  MemoEntry entry;
-  entry.consensus = prediction.consensus;
-  tensor::Vector& scores = prediction.scores;
-  // Quantize exactly once from the float scores: the canonical reply is
-  // the stored matrix's decode, the same decode a memo hit performs —
-  // nothing is ever re-quantized, so no idempotence argument is needed.
-  entry.scores =
-      tensor::QuantMatrix(memo_mode_, scores.size(), 1, scores.data(),
-                          /*row_stride=*/1, /*col_stride=*/1);
-  entry.scores.decode(scores);
-  // Argmax of the canonical scores, so predicted == argmax(scores) holds
-  // for the reply and for every future memo hit alike.
-  prediction.predicted = tensor::argmax(scores);
-  entry.predicted = static_cast<std::uint32_t>(prediction.predicted);
-  return entry;
-}
-
-bool InferenceEngine::cache_lookup(std::uint64_t uid, std::uint64_t version,
-                                   Prediction& out) {
-  if (config_.result_cache_capacity == 0) return false;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_index_.find(uid);
-  if (it == cache_index_.end()) return false;
-  const MemoEntry& entry = it->second->second;
-  // Version key: an entry scored by a different model version is a miss
-  // (no splice — a stale entry earns no recency), and the rescore that
-  // follows replaces it. This is the stale-score-leak fix: no pre-swap
-  // score can ever be served post-swap.
-  if (entry.version != version) return false;
-  cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-  out.predicted = entry.predicted;
-  out.consensus = entry.consensus;
-  out.cached = true;
-  out.model_version = entry.version;
-  out.scores.resize(entry.scores.rows());
-  entry.scores.decode(out.scores);
-  return true;
-}
-
-void InferenceEngine::cache_store(std::uint64_t uid, MemoEntry entry) {
-  if (config_.result_cache_capacity == 0) return;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = cache_index_.find(uid);
-  if (it != cache_index_.end()) {
-    MemoEntry& existing = it->second->second;
-    if (existing.version >= entry.version) {
-      // Another batch raced us to the same record on the same (or a
-      // newer) version; keep the existing entry.
-      cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-      return;
-    }
-    // Stale entry from a pre-swap version: replace it in place.
-    const std::size_t old_bytes = existing.payload_bytes();
-    const std::size_t new_bytes = entry.payload_bytes();
-    existing = std::move(entry);
-    memo_bytes_ += new_bytes;
-    memo_bytes_ -= old_bytes;
-    metrics_.memo_bytes.add(static_cast<std::int64_t>(new_bytes) -
-                            static_cast<std::int64_t>(old_bytes));
-    cache_order_.splice(cache_order_.begin(), cache_order_, it->second);
-    return;
-  }
-  const std::size_t added = entry.payload_bytes();
-  cache_order_.emplace_front(uid, std::move(entry));
-  cache_index_.emplace(uid, cache_order_.begin());
-  memo_bytes_ += added;
-  metrics_.memo_bytes.add(static_cast<std::int64_t>(added));
-  while (cache_order_.size() > config_.result_cache_capacity) {
-    const std::size_t evicted = cache_order_.back().second.payload_bytes();
-    memo_bytes_ -= evicted;
-    metrics_.memo_bytes.sub(static_cast<std::int64_t>(evicted));
-    cache_index_.erase(cache_order_.back().first);
-    cache_order_.pop_back();
-  }
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  return memo_.contains(uid);
 }
 
 std::size_t InferenceEngine::memo_bytes() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return memo_bytes_;
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  return memo_.bytes();
 }
 
 std::uint64_t reload_head_artifact(InferenceEngine& engine,

@@ -28,12 +28,17 @@
 //    requests and shrinks the one GEMM that remains.
 //  * **Result memoization.** Model scores are deterministic per record
 //    (the Model contract), so completed predictions are kept in a bounded
-//    LRU keyed by (model version, record uid); repeated requests — the
-//    common case in steady-state serving traffic — are answered from the
-//    cache without touching the body models. Exactness requires uids to
-//    uniquely identify record content, which the data generators
-//    guarantee; the version key guarantees a hot-swap can never serve a
-//    pre-swap score post-swap.
+//    exact-LRU memo keyed by (model version, record uid); repeated
+//    requests — the common case in steady-state serving traffic — are
+//    answered from it without touching the body models. The memo
+//    (serve/result_memo.h) is three flat arrays sized once from
+//    result_cache_capacity: 32-byte slots with 32-bit LRU links, one slab
+//    of encoded replies and an open-addressed uid index. A batch takes
+//    its lock once for its lookups and once for its stores, and neither a
+//    hit nor a store allocates. Exactness requires uids to uniquely
+//    identify record content, which the data generators guarantee; the
+//    version key guarantees a hot-swap can never serve a pre-swap score
+//    post-swap.
 //  * **Versioned hot-swap.** The engine owns its model through a
 //    ModelRegistry (serve/model_registry.h): swap_model() publishes a
 //    new version as an O(1) pointer swap that never pauses traffic.
@@ -59,11 +64,10 @@
 #include <chrono>
 #include <cstddef>
 #include <future>
-#include <list>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -71,6 +75,7 @@
 #include "obs/metrics.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
+#include "serve/result_memo.h"
 #include "tensor/quant.h"
 
 namespace muffin::serve {
@@ -80,7 +85,13 @@ namespace muffin::serve {
 struct EngineConfig {
   std::size_t max_batch = 32;                 ///< size-flush threshold
   std::chrono::microseconds max_delay{1000};  ///< deadline-flush threshold
-  /// Max memoized predictions; 0 disables the result cache.
+  /// Max memoized predictions; 0 disables the result cache. Each entry
+  /// costs a 32-byte slot, its reply payload (C scores at the memo quant
+  /// mode's width, plus an 8-byte int8 scale, rounded up to 8) and 8 to
+  /// 16 bytes of index (8 at a power-of-two capacity like the default):
+  /// 104 bytes at C = 8 in f64, 56 in bf16 or int8. All of it is reserved
+  /// at construction; the slots and the reply slab are touched lazily, as
+  /// entries are written. At most ResultMemo::kMaxCapacity.
   std::size_t result_cache_capacity = 1 << 16;
   /// Admission bound, forwarded to the batcher: submits throw
   /// muffin::Overloaded once this many requests are queued (0 =
@@ -183,7 +194,7 @@ class InferenceEngine {
   /// The quant mode memoized replies are stored (and replied) in — fixed
   /// at construction from tensor::active_quant_mode().
   [[nodiscard]] tensor::QuantMode memo_quant_mode() const {
-    return memo_mode_;
+    return memo_.mode();
   }
 
  private:
@@ -196,26 +207,6 @@ class InferenceEngine {
     /// Picked by the edge sampler (obs::Tracer::sample) at submit time;
     /// traced requests emit serve.queue / serve.request span events.
     bool traced = false;
-  };
-
-  /// One memoized reply: the score vector as a C x 1 tensor::QuantMatrix
-  /// in the engine's memo quant mode (one column, so int8 has one scale
-  /// per reply vector), one heap buffer in every mode. A reply served
-  /// from the memo is that matrix's decode, and the miss that created the
-  /// entry replied with the same decode (canonicalize-on-miss in
-  /// score()) — so hit and miss replies for one uid are
-  /// bit-identical, with nothing ever re-quantized. Entries carry the
-  /// model version that produced them: a lookup under a different
-  /// version misses (and the rescore replaces the stale entry), so a
-  /// hot-swap can never leak a pre-swap score.
-  struct MemoEntry {
-    std::uint64_t version = 0;  ///< model version that scored this
-    std::uint32_t predicted = 0;
-    bool consensus = false;
-    tensor::QuantMatrix scores;
-    [[nodiscard]] std::size_t payload_bytes() const {
-      return scores.footprint_bytes();
-    }
   };
 
   /// This engine's metrics, resolved once against its child registry.
@@ -251,15 +242,6 @@ class InferenceEngine {
   /// Release one in-flight unit (a queued batch or a predict_batch call).
   void finish_inflight();
 
-  /// Quantize `prediction.scores` into a MemoEntry and replace them with
-  /// the dequantized (canonical) values; sets prediction.predicted from
-  /// the canonical scores and copies it into the entry.
-  [[nodiscard]] MemoEntry canonicalize_and_pack(Prediction& prediction) const;
-
-  [[nodiscard]] bool cache_lookup(std::uint64_t uid, std::uint64_t version,
-                                  Prediction& out);
-  void cache_store(std::uint64_t uid, MemoEntry entry);
-
   ModelRegistry registry_;
   EngineConfig config_;
   std::size_t num_classes_;
@@ -272,15 +254,10 @@ class InferenceEngine {
   common::ThreadPool& pool_;  ///< the shared process-wide pool (never owned)
   Batcher<Request> batcher_;
 
-  // Bounded LRU result memo: uid -> (version, quantized reply), most
-  // recent at the front. memo_bytes_ tracks the score-payload footprint
-  // (mirrored on the serve.result_memo_bytes gauge).
-  tensor::QuantMode memo_mode_ = tensor::QuantMode::Off;
-  mutable std::mutex cache_mutex_;
-  std::list<std::pair<std::uint64_t, MemoEntry>> cache_order_;
-  std::unordered_map<std::uint64_t, decltype(cache_order_)::iterator>
-      cache_index_;
-  std::size_t memo_bytes_ = 0;  ///< guarded by cache_mutex_
+  // The result memo, in the quant mode active at construction; its
+  // payload bytes are mirrored on the serve.result_memo_bytes gauge.
+  mutable std::mutex memo_mutex_;
+  ResultMemo memo_;  ///< guarded by memo_mutex_
 
   // In-flight batch accounting so shutdown can wait for queued batches on
   // the pool and predict_batch callers to finish, without relying on pool

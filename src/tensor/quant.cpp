@@ -97,7 +97,105 @@ std::size_t element_bytes(QuantMode mode) {
   return sizeof(double);
 }
 
+std::size_t scale_count(QuantMode mode, std::size_t cols) {
+  return mode == QuantMode::Int8 ? cols : 0;
+}
+
 }  // namespace
+
+std::size_t quant_encoded_bytes(QuantMode mode, std::size_t rows,
+                                std::size_t cols) {
+  return rows * cols * element_bytes(mode) +
+         scale_count(mode, cols) * sizeof(double);
+}
+
+void quant_encode(QuantMode mode, std::size_t rows, std::size_t cols,
+                  const double* src, std::size_t row_stride,
+                  std::size_t col_stride, std::span<std::byte> dst) {
+  MUFFIN_REQUIRE(src != nullptr || rows * cols == 0,
+                 "quant_encode needs a source for a non-empty matrix");
+  MUFFIN_REQUIRE(dst.size() == quant_encoded_bytes(mode, rows, cols),
+                 "quant_encode destination has the wrong size");
+  const auto at = [&](std::size_t r, std::size_t c) {
+    return src[r * row_stride + c * col_stride];
+  };
+  std::byte* const payload =
+      dst.data() + scale_count(mode, cols) * sizeof(double);
+  switch (mode) {
+    case QuantMode::Off: {
+      double* q = reinterpret_cast<double*>(payload);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) q[r * cols + c] = at(r, c);
+      }
+      break;
+    }
+    case QuantMode::Bf16: {
+      std::uint16_t* q = reinterpret_cast<std::uint16_t*>(payload);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          q[r * cols + c] = bf16_from_double(at(r, c));
+        }
+      }
+      break;
+    }
+    case QuantMode::Int8: {
+      double* scales = reinterpret_cast<double*>(dst.data());
+      for (std::size_t c = 0; c < cols; ++c) {
+        double maxabs = 0.0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          maxabs = std::max(maxabs, std::abs(at(r, c)));
+        }
+        scales[c] = i8_scale_from_maxabs(maxabs);
+      }
+      std::int8_t* q = reinterpret_cast<std::int8_t*>(payload);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          q[r * cols + c] = i8_from_double(at(r, c), scales[c]);
+        }
+      }
+      break;
+    }
+  }
+}
+
+void quant_decode_rows(QuantMode mode, std::size_t rows, std::size_t cols,
+                       std::span<const std::byte> src, std::size_t first,
+                       std::size_t count, std::span<double> out) {
+  MUFFIN_REQUIRE(src.size() == quant_encoded_bytes(mode, rows, cols),
+                 "quant_decode_rows source has the wrong size");
+  MUFFIN_REQUIRE(first + count <= rows, "quant_decode_rows row out of range");
+  MUFFIN_REQUIRE(out.size() == count * cols,
+                 "quant_decode_rows output has the wrong size");
+  const std::byte* const payload =
+      src.data() + scale_count(mode, cols) * sizeof(double);
+  const std::size_t begin = first * cols;
+  switch (mode) {
+    case QuantMode::Off: {
+      const double* q = reinterpret_cast<const double*>(payload) + begin;
+      std::copy(q, q + out.size(), out.begin());
+      break;
+    }
+    case QuantMode::Bf16: {
+      const std::uint16_t* q =
+          reinterpret_cast<const std::uint16_t*>(payload) + begin;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = bf16_to_double(q[i]);
+      }
+      break;
+    }
+    case QuantMode::Int8: {
+      const std::int8_t* q =
+          reinterpret_cast<const std::int8_t*>(payload) + begin;
+      const double* scales = reinterpret_cast<const double*>(src.data());
+      for (std::size_t r = 0; r < count; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          out[r * cols + c] = i8_to_double(q[r * cols + c], scales[c]);
+        }
+      }
+      break;
+    }
+  }
+}
 
 QuantMatrix::QuantMatrix(QuantMode mode, std::size_t rows, std::size_t cols)
     : mode_(mode), rows_(rows), cols_(cols) {
@@ -108,46 +206,7 @@ QuantMatrix::QuantMatrix(QuantMode mode, std::size_t rows, std::size_t cols,
                          const double* src, std::size_t row_stride,
                          std::size_t col_stride)
     : QuantMatrix(mode, rows, cols) {
-  MUFFIN_REQUIRE(src != nullptr || rows * cols == 0,
-                 "QuantMatrix needs a source for a non-empty matrix");
-  const auto at = [&](std::size_t r, std::size_t c) {
-    return src[r * row_stride + c * col_stride];
-  };
-  switch (mode_) {
-    case QuantMode::Off: {
-      double* q = payload<double>();
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) q[r * cols + c] = at(r, c);
-      }
-      break;
-    }
-    case QuantMode::Bf16: {
-      std::uint16_t* q = payload<std::uint16_t>();
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          q[r * cols + c] = bf16_from_double(at(r, c));
-        }
-      }
-      break;
-    }
-    case QuantMode::Int8: {
-      double* scales = scale_data();
-      for (std::size_t c = 0; c < cols; ++c) {
-        double maxabs = 0.0;
-        for (std::size_t r = 0; r < rows; ++r) {
-          maxabs = std::max(maxabs, std::abs(at(r, c)));
-        }
-        scales[c] = i8_scale_from_maxabs(maxabs);
-      }
-      std::int8_t* q = payload<std::int8_t>();
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          q[r * cols + c] = i8_from_double(at(r, c), scales[c]);
-        }
-      }
-      break;
-    }
-  }
+  quant_encode(mode, rows, cols, src, row_stride, col_stride, encoded());
 }
 
 QuantMatrix QuantMatrix::from_encoded(QuantMode mode, std::size_t rows,
@@ -165,51 +224,19 @@ QuantMatrix QuantMatrix::from_encoded(QuantMode mode, std::size_t rows,
 }
 
 std::size_t QuantMatrix::scale_count() const {
-  return mode_ == QuantMode::Int8 ? cols_ : 0;
+  return muffin::tensor::scale_count(mode_, cols_);
 }
 
 std::size_t QuantMatrix::footprint_bytes() const {
-  return rows_ * cols_ * element_bytes(mode_) + scale_count() * sizeof(double);
-}
-
-void QuantMatrix::decode_rows(std::size_t first, std::size_t count,
-                              std::span<double> out) const {
-  MUFFIN_REQUIRE(first + count <= rows_, "QuantMatrix row out of range");
-  MUFFIN_REQUIRE(out.size() == count * cols_,
-                 "QuantMatrix decode output has the wrong size");
-  const std::size_t begin = first * cols_;
-  switch (mode_) {
-    case QuantMode::Off: {
-      const double* q = payload<const double>() + begin;
-      std::copy(q, q + out.size(), out.begin());
-      break;
-    }
-    case QuantMode::Bf16: {
-      const std::uint16_t* q = payload<const std::uint16_t>() + begin;
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = bf16_to_double(q[i]);
-      }
-      break;
-    }
-    case QuantMode::Int8: {
-      const std::int8_t* q = payload<const std::int8_t>() + begin;
-      const double* scales = scale_data();
-      for (std::size_t r = 0; r < count; ++r) {
-        for (std::size_t c = 0; c < cols_; ++c) {
-          out[r * cols_ + c] = i8_to_double(q[r * cols_ + c], scales[c]);
-        }
-      }
-      break;
-    }
-  }
+  return quant_encoded_bytes(mode_, rows_, cols_);
 }
 
 void QuantMatrix::decode_row(std::size_t r, std::span<double> out) const {
-  decode_rows(r, 1, out);
+  quant_decode_rows(mode_, rows_, cols_, encoded(), r, 1, out);
 }
 
 void QuantMatrix::decode(std::span<double> out) const {
-  decode_rows(0, rows_, out);
+  quant_decode_rows(mode_, rows_, cols_, encoded(), 0, rows_, out);
 }
 
 std::span<const double> QuantMatrix::f64() const {

@@ -1,19 +1,22 @@
 // Quantized storage: one bf16/int8 matrix type for weights and score
 // state, behind the same runtime-dispatch philosophy as simd.h.
 //
-// QuantMatrix is the one quantized store. It holds a rows x cols matrix
-// in one QuantMode, encoded from a strided f64 source by two rules: bf16
-// keeps the top 16 bits of the float32 value with round-to-nearest-even,
-// elementwise; int8 is symmetric with one scale per column (scale_c =
-// maxabs(column c) / 127), so a vector or a whole plane stored as one
-// column has one scale. Decoding is exact (a bf16 widening or an
-// int8 * f64 product), so a stored-then-reloaded value is deterministic.
-// Four users:
+// One encoded layout is the only quantized format. It holds a rows x cols
+// matrix in one QuantMode, encoded from a strided f64 source by two
+// rules: bf16 keeps the top 16 bits of the float32 value with
+// round-to-nearest-even, elementwise; int8 is symmetric with one scale
+// per column (scale_c = maxabs(column c) / 127), so a vector or a whole
+// plane stored as one column has one scale. Decoding is exact (a bf16
+// widening or an int8 * f64 product), so a stored-then-reloaded value is
+// deterministic. quant_encode/quant_decode_rows read and write it over a
+// caller's bytes; QuantMatrix is the owning store built on them. Four
+// users:
 //
 //  * core::ScoreCache: one records x classes matrix per body model,
 //    decoded row by row on gather.
-//  * The engine's uid-keyed memo (serve/engine.h): each reply is a
-//    C x 1 matrix, one scale per reply vector.
+//  * The engine's result memo (serve/result_memo.h): each reply is a
+//    C x 1 matrix encoded into its slot of one slab, one scale per reply
+//    vector.
 //  * nn::Linear's GEMM weight pack: the depth x m matrix read from the
 //    row-major (m x depth) weights with strides (1, depth). That is the
 //    k-major layout the dequantizing GEMM entries of the kernel table
@@ -124,12 +127,39 @@ class ScopedQuantMode {
   return static_cast<double>(q) * scale;
 }
 
+// ------------------------------------------------------ encoded layout
+
+// The encoded form of a rows x cols matrix: for Int8, `cols` f64 scales
+// first; then the row-major payload, rows * cols elements of the mode's
+// width (f64, bf16 or int8). Scales first keeps both aligned in a buffer
+// that starts 8-byte aligned.
+
+/// Bytes of an encoded rows x cols matrix: the payload plus 8 per column
+/// for the int8 scales.
+[[nodiscard]] std::size_t quant_encoded_bytes(QuantMode mode,
+                                              std::size_t rows,
+                                              std::size_t cols);
+
+/// Encode element (r, c) from src[r * row_stride + c * col_stride] into
+/// the caller's `dst`: exactly quant_encoded_bytes(mode, rows, cols)
+/// bytes, starting 8-byte aligned.
+void quant_encode(QuantMode mode, std::size_t rows, std::size_t cols,
+                  const double* src, std::size_t row_stride,
+                  std::size_t col_stride, std::span<std::byte> dst);
+
+/// Rows [first, first + count) of the rows x cols matrix quant_encode
+/// wrote into `src`, dequantized row-major into `out` (count * cols).
+void quant_decode_rows(QuantMode mode, std::size_t rows, std::size_t cols,
+                       std::span<const std::byte> src, std::size_t first,
+                       std::size_t count, std::span<double> out);
+
 // --------------------------------------------------------- QuantMatrix
 
 /// A rows x cols matrix of doubles stored in one QuantMode: f64 (Off),
 /// bf16, or int8 with one symmetric scale per column. Element (r, c) sits
 /// at payload index r * cols + c. The int8 scales and the payload share
-/// one heap buffer, so a matrix is one allocation in every mode.
+/// one heap buffer in the encoded layout above, so a matrix is one
+/// allocation in every mode.
 class QuantMatrix {
  public:
   QuantMatrix() = default;
@@ -177,8 +207,9 @@ class QuantMatrix {
     return reinterpret_cast<T*>(buffer_.get() +
                                 scale_count() * sizeof(double));
   }
-  void decode_rows(std::size_t first, std::size_t count,
-                   std::span<double> out) const;
+  [[nodiscard]] std::span<std::byte> encoded() const {
+    return {buffer_.get(), footprint_bytes()};
+  }
 
   QuantMode mode_ = QuantMode::Off;
   std::size_t rows_ = 0;

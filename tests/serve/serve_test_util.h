@@ -22,8 +22,8 @@ namespace muffin::serve::testutil {
 
 /// What the engine replies for a record whose exact fused scores are
 /// `scores`: canonicalized under the active quant mode, mirroring
-/// InferenceEngine::canonicalize_and_pack (quantize exactly once from the
-/// float scores, reply with the dequantized values). A no-op when
+/// ResultMemo::canonicalize (quantize exactly once from the float
+/// scores, reply with the dequantized values). A no-op when
 /// MUFFIN_QUANT is off, so exact-equality expectations against
 /// FusedModel::scores hold in every CI quant lane.
 inline tensor::Vector canonical_scores(tensor::Vector scores) {

@@ -40,6 +40,9 @@ TEST(InferenceEngine, RejectsBadConstruction) {
   EngineConfig config;
   config.max_batch = 0;
   EXPECT_THROW(InferenceEngine(make_fused(true), config), Error);
+  config.max_batch = 32;
+  config.result_cache_capacity = ResultMemo::kMaxCapacity + 1;
+  EXPECT_THROW(InferenceEngine(make_fused(true), config), Error);
 }
 
 TEST(InferenceEngine, BatchedOutputBitIdenticalToSequentialScores) {
@@ -255,6 +258,62 @@ TEST(InferenceEngine, CacheIntrospectionTracksMemoContents) {
   (void)small.predict(records[4]);  // evicts the oldest entry: record 0
   EXPECT_FALSE(small.cache_contains(records[0].uid));
   EXPECT_EQ(small.cache_entries(), 4u);
+}
+
+TEST(InferenceEngine, MemoBytesCountReplyPayloadInEveryQuantMode) {
+  // memo_bytes() and the serve.result_memo_bytes gauge both count the
+  // reply payload of every live entry: C scores at the memo mode's width,
+  // plus the 8-byte scale of an int8 reply. Pinned after a fill, after
+  // LRU evictions, after stale entries are replaced in place following a
+  // swap, and with the memo disabled.
+  const auto gated = make_fused(true);
+  const auto ungated = make_fused(false);  // both trained before any pin
+  const std::span<const data::Record> records = engine_dataset().records();
+  const std::size_t classes = gated->num_classes();
+  for (const tensor::QuantMode mode :
+       {tensor::QuantMode::Off, tensor::QuantMode::Bf16,
+        tensor::QuantMode::Int8}) {
+    SCOPED_TRACE(std::string(tensor::quant_mode_name(mode)));
+    const tensor::ScopedQuantMode pin(mode);
+    const std::size_t per_entry =
+        mode == tensor::QuantMode::Off    ? 8 * classes
+        : mode == tensor::QuantMode::Bf16 ? 2 * classes
+                                          : classes + 8;
+    const auto expect_bytes = [&](const InferenceEngine& engine,
+                                  std::size_t entries) {
+      EXPECT_EQ(engine.memo_quant_mode(), mode);
+      EXPECT_EQ(engine.cache_entries(), entries);
+      EXPECT_EQ(engine.memo_bytes(), entries * per_entry);
+      EXPECT_EQ(engine.metrics().gauge_value("serve.result_memo_bytes"),
+                static_cast<std::int64_t>(entries * per_entry));
+    };
+
+    InferenceEngine engine(gated);
+    expect_bytes(engine, 0);
+    (void)engine.predict_batch(records.subspan(0, 50));
+    expect_bytes(engine, 50);
+    ASSERT_EQ(engine.swap_model(ungated), 2u);
+    for (const Prediction& p : engine.predict_batch(records.subspan(0, 50))) {
+      EXPECT_FALSE(p.cached);  // every entry was stale and is replaced
+    }
+    expect_bytes(engine, 50);
+    (void)engine.predict_batch(records.subspan(40, 20));
+    expect_bytes(engine, 60);
+
+    EngineConfig tiny;
+    tiny.result_cache_capacity = 4;
+    InferenceEngine small(gated, tiny);
+    (void)small.predict_batch(records.subspan(0, 20));
+    expect_bytes(small, 4);
+    (void)small.predict_batch(records.subspan(100, 3));
+    expect_bytes(small, 4);
+
+    EngineConfig disabled_config;
+    disabled_config.result_cache_capacity = 0;
+    InferenceEngine disabled(gated, disabled_config);
+    (void)disabled.predict_batch(records.subspan(0, 20));
+    expect_bytes(disabled, 0);
+  }
 }
 
 TEST(InferenceEngine, TinyCacheEvictsButStaysCorrect) {
