@@ -52,7 +52,9 @@ nn::Mlp train_head(const ScoreCache& cache, const data::Dataset& dataset,
   trainer.batch_size = config.batch_size;
   SplitRng shuffle_rng = rng.fork("head-shuffle");
   nn::train(head, set, loss, optimizer, trainer, shuffle_rng);
-  return head;
+  // A copy keeps the weights and leaves the training workspace behind, so
+  // a served or evaluated head does not hold minibatch-sized buffers.
+  return nn::Mlp(head);
 }
 
 }  // namespace muffin::core

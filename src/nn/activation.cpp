@@ -100,10 +100,10 @@ tensor::Vector ActivationLayer::forward_inference(
   return out;
 }
 
-tensor::Matrix ActivationLayer::forward_batch(const tensor::Matrix& input) {
-  MUFFIN_REQUIRE(input.cols() == dim_, "activation batch input size mismatch");
-  last_batch_input_ = input;
-  return forward_batch_inference(input);
+const tensor::Matrix& ActivationLayer::forward_batch(
+    const tensor::Matrix& input) {
+  forward_batch_inference_into(input, batch_output_);
+  return batch_output_;
 }
 
 void ActivationLayer::forward_batch_inference_into(
@@ -139,47 +139,55 @@ void ActivationLayer::forward_batch_inference_into(
   }
 }
 
-tensor::Matrix ActivationLayer::backward_batch(
-    const tensor::Matrix& grad_output) {
+const tensor::Matrix& ActivationLayer::backward_batch(
+    const tensor::Matrix& grad_output, bool input_grad) {
   MUFFIN_REQUIRE(grad_output.cols() == dim_,
                  "activation batch gradient size mismatch");
-  MUFFIN_REQUIRE(last_batch_input_.rows() == grad_output.rows() &&
-                     last_batch_input_.cols() == dim_,
+  MUFFIN_REQUIRE(batch_output_.rows() == grad_output.rows() &&
+                     batch_output_.cols() == dim_,
                  "batched backward called before forward_batch");
-  tensor::Matrix grad_in;
-  grad_in.resize_for_overwrite(grad_output.rows(), dim_);
+  if (!input_grad) {
+    batch_grad_input_.resize_for_overwrite(0, 0);  // keeps the capacity
+    return batch_grad_input_;
+  }
+  batch_grad_input_.resize_for_overwrite(grad_output.rows(), dim_);
   const auto g = grad_output.flat();
-  const auto x = last_batch_input_.flat();
-  auto out = grad_in.flat();
-  // Same per-element arithmetic as activate_grad(), switch hoisted.
+  const auto y = batch_output_.flat();
+  auto out = batch_grad_input_.flat();
+  // activate_grad() in terms of the output y = activate(x): y > 0 exactly
+  // when x > 0 for ReLU and LeakyReLU, and tanh/sigmoid reuse the value
+  // activate_grad() would recompute. Switch hoisted out of the loop. The
+  // ReLU-family slope is a named value so the compiler vectorizes it as a
+  // compare-and-mask; folded into the product it becomes a branch that
+  // mispredicts on about half the elements.
   switch (kind_) {
     case Activation::Identity:
       std::copy(g.begin(), g.end(), out.begin());
       break;
     case Activation::Relu:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        out[i] = g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
+        const double slope = y[i] > 0.0 ? 1.0 : 0.0;
+        out[i] = g[i] * slope;
       }
       break;
     case Activation::LeakyRelu:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        out[i] = g[i] * (x[i] > 0.0 ? 1.0 : kLeakySlope);
+        const double slope = y[i] > 0.0 ? 1.0 : kLeakySlope;
+        out[i] = g[i] * slope;
       }
       break;
     case Activation::Tanh:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        const double t = std::tanh(x[i]);
-        out[i] = g[i] * (1.0 - t * t);
+        out[i] = g[i] * (1.0 - y[i] * y[i]);
       }
       break;
     case Activation::Sigmoid:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        const double s = 1.0 / (1.0 + std::exp(-x[i]));
-        out[i] = g[i] * (s * (1.0 - s));
+        out[i] = g[i] * (y[i] * (1.0 - y[i]));
       }
       break;
   }
-  return grad_in;
+  return batch_grad_input_;
 }
 
 tensor::Vector ActivationLayer::backward(std::span<const double> grad_output) {

@@ -33,8 +33,12 @@ class ActivationLayer final : public Layer {
   tensor::Vector backward(std::span<const double> grad_output) override;
   [[nodiscard]] tensor::Vector forward_inference(
       std::span<const double> input) const override;
-  tensor::Matrix forward_batch(const tensor::Matrix& input) override;
-  tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input) override;
+  /// Reads the derivative off forward_batch's cached output instead of
+  /// re-evaluating the activation: the output is the same expression of
+  /// the same input, so the gradient matches backward's bit for bit.
+  const tensor::Matrix& backward_batch(const tensor::Matrix& grad_output,
+                                       bool input_grad = true) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -48,7 +52,6 @@ class ActivationLayer final : public Layer {
   Activation kind_;
   std::size_t dim_;
   tensor::Vector last_input_;
-  tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
 };
 
 }  // namespace muffin::nn

@@ -6,16 +6,17 @@
 
 namespace muffin::nn {
 
-tensor::Matrix Layer::forward_batch(const tensor::Matrix& input) {
-  tensor::Matrix out(input.rows(), output_dim());
+const tensor::Matrix& Layer::forward_batch(const tensor::Matrix& input) {
+  batch_output_.resize_for_overwrite(input.rows(), output_dim());
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const tensor::Vector row_out = forward(input.row(r));
-    std::copy(row_out.begin(), row_out.end(), out.row(r).begin());
+    std::copy(row_out.begin(), row_out.end(), batch_output_.row(r).begin());
   }
-  return out;
+  return batch_output_;
 }
 
-tensor::Matrix Layer::backward_batch(const tensor::Matrix& /*grad_output*/) {
+const tensor::Matrix& Layer::backward_batch(
+    const tensor::Matrix& /*grad_output*/, bool /*input_grad*/) {
   throw Error("layer does not implement batched backward");
 }
 

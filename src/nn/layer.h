@@ -7,6 +7,12 @@
 // an n-row batch is bit-identical, row for row, to n calls of forward (same
 // operation order within each row). forward_inference is the const,
 // cache-free variant used on serving paths, where no backward will follow.
+//
+// The batch methods return the layer's own workspace: one output and one
+// input-gradient buffer per layer, sized on first use and reused, so a
+// training loop allocates on its first minibatch only (a smaller, ragged
+// last minibatch reuses the capacity). The workspace belongs to one layer:
+// copies and clones start with an empty one.
 #pragma once
 
 #include <memory>
@@ -42,16 +48,24 @@ class Layer {
       std::span<const double> input) const = 0;
 
   /// Forward pass for a batch (one sample per row). Caches what
-  /// backward_batch needs. The base implementation loops forward row by row
-  /// — correct output, but it caches only the last row, so layers used in
-  /// batched training must override both batch methods together.
-  virtual tensor::Matrix forward_batch(const tensor::Matrix& input);
+  /// backward_batch needs and returns the layer's output buffer, which
+  /// stays valid and unchanged until the next forward_batch on this layer
+  /// (or its assignment or destruction). The base implementation loops
+  /// forward row by row — correct output, but it caches only the last
+  /// row, so layers used in batched training must override both batch
+  /// methods together.
+  virtual const tensor::Matrix& forward_batch(const tensor::Matrix& input);
 
   /// Batched backward: given dLoss/dOutput rows, accumulate parameter
   /// gradients (summed over rows in ascending row order, matching a
-  /// per-sample loop) and return dLoss/dInput rows. Must follow
+  /// per-sample loop) and return dLoss/dInput rows in the layer's
+  /// input-gradient buffer, valid until the next backward_batch on this
+  /// layer (or its assignment or destruction). With `input_grad` false
+  /// the input gradient is not computed and the returned matrix is empty:
+  /// the first layer of a head whose input is frozen data. Must follow
   /// forward_batch on the same batch. The base implementation throws.
-  virtual tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
+  virtual const tensor::Matrix& backward_batch(
+      const tensor::Matrix& grad_output, bool input_grad = true);
 
   /// Const, cache-free batched forward (inference only). The base
   /// implementation loops forward_inference row by row.
@@ -66,7 +80,8 @@ class Layer {
                                             tensor::Matrix& output) const;
 
   /// Deep copy of this layer's architecture and weights. Gradient
-  /// accumulators and forward caches start empty in the clone. A layer
+  /// accumulators start zeroed, and forward caches and the batch
+  /// workspace empty, in the clone. A layer
   /// whose weights are borrowed from a mapped artifact clones as another
   /// borrowing layer (sharing the mapping keepalive), so copies of a
   /// mapped head share artifact pages instead of copying them.
@@ -83,6 +98,20 @@ class Layer {
 
   /// Total number of trainable scalars.
   [[nodiscard]] std::size_t parameter_count() const;
+
+ protected:
+  Layer() = default;
+  /// A copy starts with an empty batch workspace: it never shares, or
+  /// inherits the contents of, another layer's buffers.
+  Layer(const Layer& /*other*/) {}
+  Layer& operator=(const Layer& /*other*/) {
+    batch_output_ = tensor::Matrix();
+    batch_grad_input_ = tensor::Matrix();
+    return *this;
+  }
+
+  tensor::Matrix batch_output_;      ///< what forward_batch returns
+  tensor::Matrix batch_grad_input_;  ///< what backward_batch returns
 };
 
 }  // namespace muffin::nn

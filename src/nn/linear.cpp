@@ -5,8 +5,56 @@
 
 #include "common/error.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace muffin::nn {
+
+namespace {
+
+/// W columns of G (row stride ldg, n rows): adds each column's rows into
+/// its bias gradient in ascending row order, the per-sample loop's order,
+/// and writes the columns as rows of G^T (row stride n). The sums live in
+/// locals, so the G^T stores cannot alias them and W columns' adds run
+/// side by side.
+template <std::size_t W>
+void sum_and_transpose(const double* g, std::size_t ldg, std::size_t n,
+                       double* bias_grad, double* g_t) {
+  double sum[W];
+  for (std::size_t j = 0; j < W; ++j) sum[j] = bias_grad[j];
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* g_row = g + r * ldg;
+    for (std::size_t j = 0; j < W; ++j) {
+      sum[j] += g_row[j];
+      g_t[j * n + r] = g_row[j];
+    }
+  }
+  for (std::size_t j = 0; j < W; ++j) bias_grad[j] = sum[j];
+}
+
+/// One pass over G (n x out): the bias gradient and G^T (out x n), four
+/// columns at a time.
+void sum_and_transpose(const double* g, std::size_t ldg, std::size_t n,
+                       std::size_t out, double* bias_grad, double* g_t) {
+  std::size_t i = 0;
+  for (; i + 4 <= out; i += 4) {
+    sum_and_transpose<4>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+  }
+  switch (out - i) {
+    case 3:
+      sum_and_transpose<3>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+      break;
+    case 2:
+      sum_and_transpose<2>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+      break;
+    case 1:
+      sum_and_transpose<1>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+      break;
+    default:
+      break;
+  }
+}
+
+}  // namespace
 
 Linear::Linear(std::size_t in_dim, std::size_t out_dim)
     : in_dim_(in_dim),
@@ -28,14 +76,17 @@ Linear::Linear(std::size_t in_dim, std::size_t out_dim, DeferStorage)
 // Manual copy control: the pack mutex is not copyable, and the copy should
 // share a mapped source's pages rather than materialize them. The quant pack
 // itself is immutable and keyed only by the weights, so sharing the
-// shared_ptr with the source is safe and skips a re-pack.
+// shared_ptr with the source is safe and skips a re-pack. Like a clone, a
+// copy starts with zeroed gradients and empty caches and workspace (a
+// mapped layer has no gradient storage at all).
 Linear::Linear(const Linear& other)
-    : in_dim_(other.in_dim_),
+    : Layer(other),
+      in_dim_(other.in_dim_),
       out_dim_(other.out_dim_),
       weights_(other.weights_),
       bias_(other.bias_),
-      weight_grad_(other.weight_grad_),
-      bias_grad_(other.bias_grad_),
+      weight_grad_(other.weight_grad_.rows(), other.weight_grad_.cols()),
+      bias_grad_(other.bias_grad_.size(), 0.0),
       mapped_weights_(other.mapped_weights_),
       mapped_bias_(other.mapped_bias_),
       keepalive_(other.keepalive_) {
@@ -45,14 +96,17 @@ Linear::Linear(const Linear& other)
 
 Linear& Linear::operator=(const Linear& other) {
   if (this == &other) return *this;
+  Layer::operator=(other);
   in_dim_ = other.in_dim_;
   out_dim_ = other.out_dim_;
   weights_ = other.weights_;
   bias_ = other.bias_;
-  weight_grad_ = other.weight_grad_;
-  bias_grad_ = other.bias_grad_;
+  weight_grad_ = tensor::Matrix(other.weight_grad_.rows(),
+                                other.weight_grad_.cols());
+  bias_grad_.assign(other.bias_grad_.size(), 0.0);
   last_input_.clear();
   last_batch_input_ = tensor::Matrix();
+  grad_output_t_ = tensor::Matrix();
   mapped_weights_ = other.mapped_weights_;
   mapped_bias_ = other.mapped_bias_;
   keepalive_ = other.keepalive_;
@@ -107,6 +161,9 @@ void Linear::adopt_weights(const double* weights, const double* bias,
   bias_grad_.shrink_to_fit();
   last_input_.clear();
   last_batch_input_ = tensor::Matrix();
+  grad_output_t_ = tensor::Matrix();
+  batch_output_ = tensor::Matrix();
+  batch_grad_input_ = tensor::Matrix();
   invalidate_pack();
 }
 
@@ -187,14 +244,14 @@ tensor::Vector Linear::forward_inference(std::span<const double> input) const {
   return out;
 }
 
-tensor::Matrix Linear::forward_batch(const tensor::Matrix& input) {
+const tensor::Matrix& Linear::forward_batch(const tensor::Matrix& input) {
   require_trainable("forward_batch");
   MUFFIN_REQUIRE(input.cols() == in_dim_, "linear batch input size mismatch");
   invalidate_pack();  // see forward(): ParamView writes are invisible here
-  last_batch_input_ = input;
-  tensor::Matrix out;
-  tensor::matmul_transposed_b_bias_into(input, weights_, bias_, out);
-  return out;
+  last_batch_input_ = input;  // reuses the cache's capacity
+  tensor::matmul_transposed_b_bias_into(input, weights_, bias_,
+                                        batch_output_);
+  return batch_output_;
 }
 
 void Linear::forward_batch_inference_into(const tensor::Matrix& input,
@@ -211,7 +268,8 @@ void Linear::forward_batch_inference_into(const tensor::Matrix& input,
                                         bias_span(), output);
 }
 
-tensor::Matrix Linear::backward_batch(const tensor::Matrix& grad_output) {
+const tensor::Matrix& Linear::backward_batch(
+    const tensor::Matrix& grad_output, bool input_grad) {
   require_trainable("backward_batch");
   MUFFIN_REQUIRE(grad_output.cols() == out_dim_,
                  "linear batch gradient size mismatch");
@@ -219,37 +277,31 @@ tensor::Matrix Linear::backward_batch(const tensor::Matrix& grad_output) {
                      last_batch_input_.cols() == in_dim_,
                  "batched backward called before forward_batch");
   const std::size_t n = grad_output.rows();
-  // Parameter gradients: rows accumulate in ascending sample order, and the
-  // zero-gradient skip matches the per-sample backward exactly, so the
-  // accumulated values are bit-identical to a per-sample loop.
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto g = grad_output.row(r);
-    const auto x = last_batch_input_.row(r);
-    for (std::size_t i = 0; i < out_dim_; ++i) {
-      bias_grad_[i] += g[i];
-      const double gi = g[i];
-      if (gi == 0.0) continue;
-      for (std::size_t j = 0; j < in_dim_; ++j) {
-        weight_grad_(i, j) += gi * x[j];
-      }
-    }
+  const double* g = grad_output.flat().data();
+  const std::size_t ldg = grad_output.stride();
+  // G^T is dW's row-major left operand.
+  grad_output_t_.resize_for_overwrite(out_dim_, n);
+  sum_and_transpose(g, ldg, n, out_dim_, bias_grad_.data(),
+                    grad_output_t_.flat().data());
+  const tensor::detail::KernelTable& kernels = tensor::detail::active_kernels();
+  // dW += G^T X, accumulated into the existing gradient: dW(i, j) adds
+  // g(r, i) * x(r, j) for r ascending and skips g(r, i) == 0, exactly the
+  // per-sample backward's sequence.
+  kernels.matmul(grad_output_t_.flat().data(), grad_output_t_.stride(),
+                 last_batch_input_.flat().data(),
+                 last_batch_input_.stride(), weight_grad_.flat().data(),
+                 weight_grad_.stride(), out_dim_, n, in_dim_);
+  if (!input_grad) {
+    batch_grad_input_.resize_for_overwrite(0, 0);  // keeps the capacity
+    return batch_grad_input_;
   }
-  // Input gradients: G W, one matvec_transposed per row (i-ascending
-  // accumulation, zero skips included — the per-sample order).
-  tensor::Matrix grad_input(n, in_dim_);
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto g = grad_output.row(r);
-    auto out_row = grad_input.row(r);
-    for (std::size_t i = 0; i < out_dim_; ++i) {
-      const double gi = g[i];
-      if (gi == 0.0) continue;
-      const auto w_row = weights_.row(i);
-      for (std::size_t j = 0; j < in_dim_; ++j) {
-        out_row[j] += w_row[j] * gi;
-      }
-    }
-  }
-  return grad_input;
+  // dX = G W: dX(r, j) adds g(r, i) * w(i, j) for i ascending, skipping
+  // g(r, i) == 0 — tensor::matvec_transposed's order.
+  batch_grad_input_.resize(n, in_dim_);  // the kernel accumulates into zeros
+  kernels.matmul(g, ldg, weights_.flat().data(), weights_.stride(),
+                 batch_grad_input_.flat().data(), batch_grad_input_.stride(),
+                 n, out_dim_, in_dim_);
+  return batch_grad_input_;
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

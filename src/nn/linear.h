@@ -63,11 +63,16 @@ class Linear final : public Layer {
   [[nodiscard]] tensor::Vector forward_inference(
       std::span<const double> input) const override;
   /// X W^T + b as one GEMM (tall-skinny X against the row-major weights).
-  tensor::Matrix forward_batch(const tensor::Matrix& input) override;
-  /// Accumulates weight/bias gradients over the batch (G^T X) and returns
-  /// the input gradients (G W), summing rows in ascending order so the
-  /// result is bit-identical to a per-sample forward/backward loop.
-  tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input) override;
+  /// Both products run on the dispatched matmul kernel (tensor/simd.h):
+  /// the weight gradient accumulates G^T X straight into the existing
+  /// gradient, and the input gradient is G W. The kernel adds each
+  /// element's terms in ascending order and skips zero entries of G, the
+  /// per-sample backward's order, so gradients are bit-identical to a
+  /// per-sample forward/backward loop. One pass over G sums the bias
+  /// gradient and builds G^T.
+  const tensor::Matrix& backward_batch(const tensor::Matrix& grad_output,
+                                       bool input_grad = true) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
@@ -118,6 +123,7 @@ class Linear final : public Layer {
   tensor::Vector bias_grad_;
   tensor::Vector last_input_;
   tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
+  tensor::Matrix grad_output_t_;     ///< G^T, dW's row-major left operand
 
   const double* mapped_weights_ = nullptr;
   const double* mapped_bias_ = nullptr;

@@ -13,6 +13,13 @@ void require_shapes(std::span<const double> prediction,
   MUFFIN_REQUIRE(prediction.size() == target.size() && !prediction.empty(),
                  "loss requires matching non-empty prediction/target");
 }
+void require_shapes(std::span<const double> prediction,
+                    std::span<const double> target,
+                    std::span<const double> gradient) {
+  require_shapes(prediction, target);
+  MUFFIN_REQUIRE(gradient.size() == prediction.size(),
+                 "loss gradient row must match the prediction size");
+}
 }  // namespace
 
 double WeightedMse::value(std::span<const double> prediction,
@@ -27,16 +34,14 @@ double WeightedMse::value(std::span<const double> prediction,
   return weight * acc / static_cast<double>(prediction.size());
 }
 
-tensor::Vector WeightedMse::gradient(std::span<const double> prediction,
-                                     std::span<const double> target,
-                                     double weight) const {
-  require_shapes(prediction, target);
+void WeightedMse::gradient(std::span<const double> prediction,
+                           std::span<const double> target, double weight,
+                           std::span<double> gradient) const {
+  require_shapes(prediction, target, gradient);
   const double scale = 2.0 * weight / static_cast<double>(prediction.size());
-  tensor::Vector grad(prediction.size());
   for (std::size_t i = 0; i < prediction.size(); ++i) {
-    grad[i] = scale * (prediction[i] - target[i]);
+    gradient[i] = scale * (prediction[i] - target[i]);
   }
-  return grad;
 }
 
 double WeightedCrossEntropy::value(std::span<const double> prediction,
@@ -52,17 +57,16 @@ double WeightedCrossEntropy::value(std::span<const double> prediction,
   return weight * acc;
 }
 
-tensor::Vector WeightedCrossEntropy::gradient(
-    std::span<const double> prediction, std::span<const double> target,
-    double weight) const {
-  require_shapes(prediction, target);
-  tensor::Vector grad(prediction.size(), 0.0);
+void WeightedCrossEntropy::gradient(std::span<const double> prediction,
+                                    std::span<const double> target,
+                                    double weight,
+                                    std::span<double> gradient) const {
+  require_shapes(prediction, target, gradient);
   for (std::size_t i = 0; i < prediction.size(); ++i) {
-    if (target[i] != 0.0) {
-      grad[i] = -weight * target[i] / (prediction[i] + kEps);
-    }
+    gradient[i] = target[i] != 0.0
+                      ? -weight * target[i] / (prediction[i] + kEps)
+                      : 0.0;
   }
-  return grad;
 }
 
 }  // namespace muffin::nn

@@ -20,10 +20,12 @@ class Loss {
   [[nodiscard]] virtual double value(std::span<const double> prediction,
                                      std::span<const double> target,
                                      double weight) const = 0;
-  /// dLoss/dPrediction for one weighted sample.
-  [[nodiscard]] virtual tensor::Vector gradient(
-      std::span<const double> prediction, std::span<const double> target,
-      double weight) const = 0;
+  /// dLoss/dPrediction for one weighted sample, written into `gradient`
+  /// (the caller's row, as long as the prediction; every element is
+  /// overwritten).
+  virtual void gradient(std::span<const double> prediction,
+                        std::span<const double> target, double weight,
+                        std::span<double> gradient) const = 0;
 };
 
 /// Eq. 2: L = w[g] * mean_i (f'(x)_i - y_i)^2.
@@ -32,9 +34,9 @@ class WeightedMse final : public Loss {
   [[nodiscard]] double value(std::span<const double> prediction,
                              std::span<const double> target,
                              double weight) const override;
-  [[nodiscard]] tensor::Vector gradient(std::span<const double> prediction,
-                                        std::span<const double> target,
-                                        double weight) const override;
+  void gradient(std::span<const double> prediction,
+                std::span<const double> target, double weight,
+                std::span<double> gradient) const override;
 };
 
 /// Cost-sensitive cross-entropy on probability outputs:
@@ -44,9 +46,9 @@ class WeightedCrossEntropy final : public Loss {
   [[nodiscard]] double value(std::span<const double> prediction,
                              std::span<const double> target,
                              double weight) const override;
-  [[nodiscard]] tensor::Vector gradient(std::span<const double> prediction,
-                                        std::span<const double> target,
-                                        double weight) const override;
+  void gradient(std::span<const double> prediction,
+                std::span<const double> target, double weight,
+                std::span<double> gradient) const override;
 };
 
 }  // namespace muffin::nn

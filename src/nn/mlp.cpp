@@ -115,28 +115,37 @@ tensor::Vector Mlp::forward_inference(std::span<const double> input) const {
   return current;
 }
 
-tensor::Matrix Mlp::forward_batch(const tensor::Matrix& input) {
+const tensor::Matrix& Mlp::forward_batch(const tensor::Matrix& input) {
   MUFFIN_REQUIRE(input.cols() == spec_.input_dim,
                  "MLP batch input size mismatch");
-  // The first layer copies its input into its cache anyway, so feed it the
-  // caller's batch directly instead of an up-front deep copy.
-  const tensor::Matrix* source = &input;
-  tensor::Matrix current;
-  for (const auto& layer : layers_) {
-    current = layer->forward_batch(*source);
-    source = &current;
-  }
-  return current;
+  // Each layer reads its predecessor's workspace output in place.
+  const tensor::Matrix* current = &input;
+  for (const auto& layer : layers_) current = &layer->forward_batch(*current);
+  return *current;
 }
 
-tensor::Matrix Mlp::backward_batch(const tensor::Matrix& grad_output) {
+const tensor::Matrix& Mlp::backward_batch(const tensor::Matrix& grad_output) {
+  return backward_layers(grad_output, /*first_input_grad=*/true);
+}
+
+void Mlp::accumulate_gradients(const tensor::Matrix& grad_output) {
+  (void)backward_layers(grad_output, /*first_input_grad=*/false);
+}
+
+const tensor::Matrix& Mlp::backward_layers(const tensor::Matrix& grad_output,
+                                           bool first_input_grad) {
   MUFFIN_REQUIRE(grad_output.cols() == spec_.output_dim,
                  "MLP batch gradient size mismatch");
-  tensor::Matrix current = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    current = (*it)->backward_batch(current);
+  const tensor::Matrix* current = &grad_output;
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    current = &layers_[l]->backward_batch(*current, first_input_grad || l > 0);
   }
-  return current;
+  return *current;
+}
+
+tensor::Matrix& Mlp::loss_gradient(std::size_t rows) {
+  loss_gradient_.resize_for_overwrite(rows, spec_.output_dim);
+  return loss_gradient_;
 }
 
 tensor::Matrix Mlp::forward_batch_inference(const tensor::Matrix& input) const {

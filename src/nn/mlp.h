@@ -41,8 +41,10 @@ class Mlp {
  public:
   explicit Mlp(MlpSpec spec);
 
-  /// Value semantics: copying an Mlp copies its weights (gradient
-  /// accumulators start zeroed in the copy).
+  /// Value semantics: copying an Mlp copies its weights. Gradient
+  /// accumulators start zeroed in the copy, and its training workspace
+  /// starts empty: a copy never shares or points into the source's
+  /// buffers, so copies train independently on different threads.
   Mlp(const Mlp& other);
   Mlp& operator=(const Mlp& other);
   Mlp(Mlp&&) noexcept = default;
@@ -65,11 +67,23 @@ class Mlp {
 
   /// Batched forward (one sample per row); caches per-layer activations for
   /// backward_batch. Row r of the result is bit-identical to
-  /// forward(input.row(r)).
-  tensor::Matrix forward_batch(const tensor::Matrix& input);
+  /// forward(input.row(r)). The result is the last layer's workspace
+  /// buffer (nn/layer.h): valid until the next forward_batch on this Mlp.
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input);
   /// Batched backward; accumulates parameter gradients (summed in ascending
-  /// row order, matching a per-sample loop) and returns input gradients.
-  tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
+  /// row order, matching a per-sample loop) and returns input gradients,
+  /// in the first layer's workspace buffer: valid until the next backward
+  /// on this Mlp.
+  const tensor::Matrix& backward_batch(const tensor::Matrix& grad_output);
+  /// The training step's backward: the same routine as backward_batch,
+  /// with bit-identical parameter gradients, stopping before the first
+  /// layer's input gradient, which nothing reads when the input is frozen
+  /// data (the head's body scores).
+  void accumulate_gradients(const tensor::Matrix& grad_output);
+  /// Workspace rows for dLoss/dOutput: a rows x output_dim matrix owned by
+  /// this Mlp, reused across calls (contents unspecified until written).
+  /// nn::train writes each minibatch's loss gradient here.
+  tensor::Matrix& loss_gradient(std::size_t rows);
   /// Const, cache-free batched forward — the serving path.
   [[nodiscard]] tensor::Matrix forward_batch_inference(
       const tensor::Matrix& input) const;
@@ -120,8 +134,14 @@ class Mlp {
   /// from the artifact right after construction.
   Mlp(MlpSpec spec, bool defer_storage);
 
+  /// The one batched backward routine; `first_input_grad` false skips the
+  /// first layer's input gradient.
+  const tensor::Matrix& backward_layers(const tensor::Matrix& grad_output,
+                                        bool first_input_grad);
+
   MlpSpec spec_;
   std::vector<std::unique_ptr<Layer>> layers_;
+  tensor::Matrix loss_gradient_;  ///< training workspace, see loss_gradient()
 };
 
 }  // namespace muffin::nn

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "tensor/ops.h"
 
 namespace muffin::nn {
 
@@ -38,9 +37,10 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
   std::iota(order.begin(), order.end(), 0);
   auto params = mlp.params();
 
-  // Scratch reused across minibatches: gathered inputs and loss gradients.
+  // The gathered minibatch and one one-hot target are reused across
+  // minibatches; activations and gradients live in the Mlp's workspace.
   tensor::Matrix batch_features;
-  tensor::Matrix batch_grads;
+  tensor::Vector target(data.num_classes, 0.0);
 
   double epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -60,22 +60,20 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
         const auto src = data.features.row(order[cursor + b]);
         std::copy(src.begin(), src.end(), batch_features.row(b).begin());
       }
-      const tensor::Matrix predictions = mlp.forward_batch(batch_features);
+      const tensor::Matrix& predictions = mlp.forward_batch(batch_features);
 
       // Per-sample losses and gradients, in batch order — the loss itself
       // is row-local, so this stays bit-identical to the per-sample loop.
-      batch_grads.resize_for_overwrite(batch_size, data.num_classes);
+      tensor::Matrix& grads = mlp.loss_gradient(batch_size);
       for (std::size_t b = 0; b < batch_size; ++b) {
         const std::size_t idx = order[cursor + b];
-        const tensor::Vector target =
-            tensor::one_hot(data.labels[idx], data.num_classes);
         const auto prediction = predictions.row(b);
+        target[data.labels[idx]] = 1.0;
         loss_sum += loss.value(prediction, target, data.weights[idx]);
-        const tensor::Vector grad =
-            loss.gradient(prediction, target, data.weights[idx]);
-        std::copy(grad.begin(), grad.end(), batch_grads.row(b).begin());
+        loss.gradient(prediction, target, data.weights[idx], grads.row(b));
+        target[data.labels[idx]] = 0.0;
       }
-      mlp.backward_batch(batch_grads);
+      mlp.accumulate_gradients(grads);
       optimizer.step(params, batch_size);
       cursor = batch_end;
     }

@@ -37,9 +37,14 @@ struct TrainerConfig {
 };
 
 /// Runs mini-batch gradient descent of `loss` over `data`; returns the mean
-/// loss of the final epoch. Each minibatch runs as one batched
-/// forward/backward (per-layer GEMM via Mlp::forward_batch/backward_batch);
-/// gradients and trained weights are bit-identical to a per-sample loop.
+/// loss of the final epoch. Each minibatch runs as one batched forward
+/// (Mlp::forward_batch) and one batched backward (Mlp::accumulate_gradients,
+/// which skips the first layer's unused input gradient), in the Mlp's
+/// workspace: after the first minibatch, a step allocates nothing. The
+/// returned loss and the trained weights are bit-identical to a per-sample
+/// loop (Mlp::forward/backward per sample, one optimizer step per
+/// minibatch), which Trainer.BatchedTrainingMatchesPerSampleReferenceBitwise
+/// pins.
 double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
              Optimizer& optimizer, const TrainerConfig& config,
              SplitRng& rng);

@@ -31,11 +31,93 @@ namespace muffin::tensor::detail {
 
 namespace {
 
-/// i-k-j with the scalar kernel's 128-column tile and a(i,k) == 0.0 skip;
-/// the innermost contiguous j sweep runs 8 columns per vector.
+/// The lane mask of vector v of a V-vector row tile: full, except the
+/// last vector's lanes past m.
+template <int V>
+inline __mmask8 narrow_lanes(int v, __mmask8 tail) {
+  return v + 1 < V ? static_cast<__mmask8>(0xFF) : tail;
+}
+
+/// One tile of R (1 or 2) rows x V vectors of C, held in registers across
+/// the whole k loop: loaded once, stored once, and k still ascending.
+/// The a(i,k) == 0.0 skip is a masked add — the lanes keep their sum when
+/// the broadcast a(i,k) compares equal to zero — so it costs no branch
+/// (after a ReLU about half of a gradient's entries are exact zeros, and
+/// a branch on them mispredicts). Lanes past m are masked off on every
+/// load and store.
+template <int R, int V>
+inline void matmul_narrow_tile_avx512(const double* a, std::size_t lda,
+                                      const double* b, std::size_t ldb,
+                                      double* c, std::size_t ldo,
+                                      std::size_t depth, __mmask8 tail) {
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d acc[R][V];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = _mm512_maskz_loadu_pd(narrow_lanes<V>(v, tail),
+                                        c + r * ldo + 8 * v);
+    }
+  }
+  for (std::size_t k = 0; k < depth; ++k) {
+    const double* bk = b + k * ldb;
+    __m512d vb[V];
+    for (int v = 0; v < V; ++v) {
+      vb[v] = _mm512_maskz_loadu_pd(narrow_lanes<V>(v, tail), bk + 8 * v);
+    }
+    for (int r = 0; r < R; ++r) {
+      const __m512d va = _mm512_set1_pd(a[r * lda + k]);
+      const __mmask8 nonzero = _mm512_cmp_pd_mask(va, zero, _CMP_NEQ_UQ);
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm512_mask_add_pd(acc[r][v], nonzero, acc[r][v],
+                                       _mm512_mul_pd(va, vb[v]));
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < V; ++v) {
+      _mm512_mask_storeu_pd(c + r * ldo + 8 * v, narrow_lanes<V>(v, tail),
+                            acc[r][v]);
+    }
+  }
+}
+
+template <int V>
+void matmul_narrow_avx512(const double* a, std::size_t lda, const double* b,
+                          std::size_t ldb, double* out, std::size_t ldo,
+                          std::size_t n, std::size_t depth, std::size_t m) {
+  const __mmask8 tail =
+      static_cast<__mmask8>((1u << (m - 8 * (V - 1))) - 1u);  // 1-8 lanes
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    matmul_narrow_tile_avx512<2, V>(a + i * lda, lda, b, ldb, out + i * ldo,
+                                    ldo, depth, tail);
+  }
+  if (i < n) {
+    matmul_narrow_tile_avx512<1, V>(a + i * lda, lda, b, ldb, out + i * ldo,
+                                    ldo, depth, tail);
+  }
+}
+
+/// Outputs up to kMatmulNarrowCols wide take the register-tile path
+/// above; wider ones run i-k-j with the scalar kernel's 128-column tile
+/// and a(i,k) == 0.0 skip, the innermost contiguous j sweep 8 columns per
+/// vector.
 void matmul_avx512(const double* a, std::size_t lda, const double* b,
                    std::size_t ldb, double* out, std::size_t ldo,
                    std::size_t n, std::size_t depth, std::size_t m) {
+  static_assert(kMatmulNarrowCols == 3 * 8);
+  if (m <= kMatmulNarrowCols) {
+    switch ((m + 7) / 8) {
+      case 1:
+        return matmul_narrow_avx512<1>(a, lda, b, ldb, out, ldo, n, depth, m);
+      case 2:
+        return matmul_narrow_avx512<2>(a, lda, b, ldb, out, ldo, n, depth, m);
+      case 3:
+        return matmul_narrow_avx512<3>(a, lda, b, ldb, out, ldo, n, depth, m);
+      default:
+        return;  // m == 0: nothing to write
+    }
+  }
   constexpr std::size_t kColTile = 128;
   for (std::size_t i = 0; i < n; ++i) {
     const double* ai = a + i * lda;

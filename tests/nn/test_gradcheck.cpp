@@ -133,7 +133,9 @@ TEST_P(MlpGradCheck, EndToEndParameterGradients) {
 
   mlp.zero_grad();
   const tensor::Vector out = mlp.forward(input);
-  mlp.backward(loss.gradient(out, target, weight));
+  tensor::Vector grad(out.size());
+  loss.gradient(out, target, weight, grad);
+  mlp.backward(grad);
 
   auto params = mlp.params();
   // Check a deterministic subset of parameters (full check is O(P^2)).
@@ -170,7 +172,8 @@ TEST(GradCheck, LossGradientsMatchNumerical) {
 
   for (const Loss* loss : {static_cast<const Loss*>(&mse),
                            static_cast<const Loss*>(&ce)}) {
-    const tensor::Vector grad = loss->gradient(pred, target, weight);
+    tensor::Vector grad(pred.size());
+    loss->gradient(pred, target, weight, grad);
     for (std::size_t i = 0; i < pred.size(); ++i) {
       const double saved = pred[i];
       pred[i] = saved + kEps;

@@ -30,8 +30,10 @@ TEST(WeightedMse, WeightScalesLinearly) {
   const tensor::Vector target = {0.0, 1.0};
   const double base = loss.value(pred, target, 1.0);
   EXPECT_NEAR(loss.value(pred, target, 2.5), 2.5 * base, 1e-12);
-  const tensor::Vector g1 = loss.gradient(pred, target, 1.0);
-  const tensor::Vector g2 = loss.gradient(pred, target, 2.5);
+  tensor::Vector g1(pred.size());
+  tensor::Vector g2(pred.size());
+  loss.gradient(pred, target, 1.0, g1);
+  loss.gradient(pred, target, 2.5, g2);
   for (std::size_t i = 0; i < g1.size(); ++i) {
     EXPECT_NEAR(g2[i], 2.5 * g1[i], 1e-12);
   }
@@ -42,7 +44,9 @@ TEST(WeightedMse, ZeroWeightKillsGradient) {
   const tensor::Vector pred = {0.9, 0.1};
   const tensor::Vector target = {0.0, 1.0};
   EXPECT_DOUBLE_EQ(loss.value(pred, target, 0.0), 0.0);
-  for (const double g : loss.gradient(pred, target, 0.0)) {
+  tensor::Vector grad(pred.size(), 1.0);
+  loss.gradient(pred, target, 0.0, grad);
+  for (const double g : grad) {
     EXPECT_DOUBLE_EQ(g, 0.0);
   }
 }
@@ -52,7 +56,8 @@ TEST(WeightedMse, RejectsShapeMismatch) {
   const tensor::Vector pred = {0.5};
   const tensor::Vector target = {0.5, 0.5};
   EXPECT_THROW((void)loss.value(pred, target, 1.0), Error);
-  EXPECT_THROW((void)loss.gradient(pred, target, 1.0), Error);
+  tensor::Vector grad(pred.size());
+  EXPECT_THROW(loss.gradient(pred, target, 1.0, grad), Error);
 }
 
 TEST(WeightedCrossEntropy, ConfidentCorrectIsSmall) {
@@ -67,7 +72,8 @@ TEST(WeightedCrossEntropy, GradientOnlyOnTargetClasses) {
   const WeightedCrossEntropy loss;
   const tensor::Vector target = tensor::one_hot(1, 3);
   const tensor::Vector pred = {0.2, 0.5, 0.3};
-  const tensor::Vector grad = loss.gradient(pred, target, 1.0);
+  tensor::Vector grad(pred.size(), 1.0);
+  loss.gradient(pred, target, 1.0, grad);
   EXPECT_DOUBLE_EQ(grad[0], 0.0);
   EXPECT_LT(grad[1], 0.0);  // pushes p(target) up
   EXPECT_DOUBLE_EQ(grad[2], 0.0);
@@ -88,7 +94,8 @@ TEST(Losses, MseDecreasesTowardTarget) {
   tensor::Vector pred = {0.4, 0.3, 0.3};
   const double before = loss.value(pred, target, 1.0);
   // One explicit gradient-descent step must reduce the loss.
-  const tensor::Vector grad = loss.gradient(pred, target, 1.0);
+  tensor::Vector grad(pred.size());
+  loss.gradient(pred, target, 1.0, grad);
   for (std::size_t i = 0; i < pred.size(); ++i) pred[i] -= 0.1 * grad[i];
   EXPECT_LT(loss.value(pred, target, 1.0), before);
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
+#include "nn/trainer.h"
 #include "tensor/ops.h"
 
 namespace muffin::nn {
@@ -125,6 +128,87 @@ TEST(Mlp, ZeroGradResetsAllBlocks) {
   mlp.zero_grad();
   for (auto& view : mlp.params()) {
     for (const double g : view.grad) EXPECT_DOUBLE_EQ(g, 0.0);
+  }
+}
+
+void expect_same_weights(Mlp& actual, Mlp& expected) {
+  auto actual_params = actual.params();
+  auto expected_params = expected.params();
+  ASSERT_EQ(actual_params.size(), expected_params.size());
+  for (std::size_t p = 0; p < actual_params.size(); ++p) {
+    for (std::size_t i = 0; i < actual_params[p].value.size(); ++i) {
+      ASSERT_EQ(actual_params[p].value[i], expected_params[p].value[i])
+          << "param block " << p << " element " << i;
+    }
+  }
+}
+
+void expect_zero_gradients(Mlp& mlp) {
+  for (auto& view : mlp.params()) {
+    for (const double g : view.grad) EXPECT_EQ(g, 0.0);
+  }
+}
+
+TEST(Mlp, CopyStartsWithZeroGradientsAndEmptyWorkspace) {
+  SplitRng rng(21);
+  Mlp original(paper_spec());
+  original.init(rng);
+  tensor::Matrix batch(12, 16);
+  for (double& v : batch.flat()) v = rng.normal();
+  tensor::Matrix grad(12, 8);
+  for (double& v : grad.flat()) v = rng.normal();
+  // One training step leaves gradients and a filled workspace behind.
+  (void)original.forward_batch(batch);
+  (void)original.backward_batch(grad);
+  bool any_gradient = false;
+  for (auto& view : original.params()) {
+    for (const double g : view.grad) any_gradient |= g != 0.0;
+  }
+  ASSERT_TRUE(any_gradient);
+
+  Mlp copy = original;
+  Mlp assigned(paper_spec());
+  assigned = original;
+  for (Mlp* fresh : {&copy, &assigned}) {
+    expect_zero_gradients(*fresh);
+    // An empty workspace: there is no forward for a backward to follow.
+    EXPECT_THROW((void)fresh->backward_batch(grad), Error);
+  }
+
+  // The copy and the original train independently, interleaved epoch by
+  // epoch at different batch sizes (ragged last minibatches both), and
+  // each ends with the weights a fresh copy trained alone gets.
+  TrainingSet data;
+  data.num_classes = 8;
+  data.features = tensor::Matrix(40, 16);
+  for (double& v : data.features.flat()) v = rng.normal();
+  for (std::size_t i = 0; i < 40; ++i) data.labels.push_back(i % 8);
+  data.weights.assign(40, 1.0);
+  const WeightedMse loss;
+  const Mlp snapshot = copy;
+  struct Run {
+    Mlp& mlp;
+    std::size_t batch_size;
+    Adam optimizer{AdamConfig{.learning_rate = 1e-2}};
+    SplitRng rng{31};
+    void epoch(const TrainingSet& set, const Loss& l) {
+      TrainerConfig config;
+      config.epochs = 1;
+      config.batch_size = batch_size;
+      (void)train(mlp, set, l, optimizer, config, rng);
+    }
+  };
+  Run copy_run{copy, 7};
+  Run original_run{original, 16};
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    copy_run.epoch(data, loss);
+    original_run.epoch(data, loss);
+  }
+  for (Run* run : {&copy_run, &original_run}) {
+    Mlp alone = snapshot;
+    Run alone_run{alone, run->batch_size};
+    for (int epoch = 0; epoch < 3; ++epoch) alone_run.epoch(data, loss);
+    expect_same_weights(run->mlp, alone);
   }
 }
 

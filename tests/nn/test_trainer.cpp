@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "common/error.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "tensor/ops.h"
 
 namespace muffin::nn {
 namespace {
@@ -149,6 +155,130 @@ TEST(Trainer, DeterministicGivenSeeds) {
     return train(mlp, data, loss, optimizer, config, train_rng);
   };
   EXPECT_DOUBLE_EQ(run(data_a), run(data_b));
+}
+
+/// The per-sample loop nn::train promises to match bit for bit: the same
+/// shuffle stream and minibatch boundaries, but Mlp::forward/backward one
+/// sample at a time with a fresh one-hot target, and one optimizer step
+/// per minibatch.
+double per_sample_reference_train(Mlp& mlp, const TrainingSet& data,
+                                  const Loss& loss, Optimizer& optimizer,
+                                  const TrainerConfig& config,
+                                  SplitRng& rng) {
+  std::vector<std::size_t> order(data.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  auto params = mlp.params();
+  double epoch_loss = 0.0;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    if (config.shuffle) rng.shuffle(order);
+    double loss_sum = 0.0;
+    for (std::size_t cursor = 0; cursor < order.size();
+         cursor += config.batch_size) {
+      const std::size_t end =
+          std::min(cursor + config.batch_size, order.size());
+      mlp.zero_grad();
+      for (std::size_t b = cursor; b < end; ++b) {
+        const std::size_t idx = order[b];
+        const tensor::Vector prediction = mlp.forward(data.features.row(idx));
+        const tensor::Vector target =
+            tensor::one_hot(data.labels[idx], data.num_classes);
+        loss_sum += loss.value(prediction, target, data.weights[idx]);
+        tensor::Vector grad(prediction.size());
+        loss.gradient(prediction, target, data.weights[idx], grad);
+        (void)mlp.backward(grad);
+      }
+      optimizer.step(params, end - cursor);
+    }
+    epoch_loss = loss_sum / static_cast<double>(data.size());
+  }
+  return epoch_loss;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Train one head with nn::train and a copy with the per-sample reference,
+/// then require the returned losses and every weight and bias to agree bit
+/// for bit.
+void expect_train_matches_reference(const TrainingSet& data, MlpSpec spec,
+                                    const Loss& loss, std::size_t batch_size,
+                                    const std::string& label) {
+  Mlp batched(std::move(spec));
+  SplitRng init_rng(22);
+  batched.init(init_rng);
+  Mlp reference = batched;
+
+  TrainerConfig config;
+  config.epochs = 3;
+  config.batch_size = batch_size;
+  Adam batched_optimizer(AdamConfig{.learning_rate = 1e-2});
+  Adam reference_optimizer(AdamConfig{.learning_rate = 1e-2});
+  SplitRng batched_rng(23);
+  SplitRng reference_rng(23);
+  const double batched_loss =
+      train(batched, data, loss, batched_optimizer, config, batched_rng);
+  const double reference_loss = per_sample_reference_train(
+      reference, data, loss, reference_optimizer, config, reference_rng);
+
+  EXPECT_EQ(bits(batched_loss), bits(reference_loss)) << label;
+  auto batched_params = batched.params();
+  auto reference_params = reference.params();
+  ASSERT_EQ(batched_params.size(), reference_params.size());
+  for (std::size_t p = 0; p < batched_params.size(); ++p) {
+    ASSERT_EQ(batched_params[p].value.size(),
+              reference_params[p].value.size());
+    for (std::size_t i = 0; i < batched_params[p].value.size(); ++i) {
+      ASSERT_EQ(bits(batched_params[p].value[i]),
+                bits(reference_params[p].value[i]))
+          << label << " param block " << p << " element " << i;
+    }
+  }
+}
+
+TEST(Trainer, BatchedTrainingMatchesPerSampleReferenceBitwise) {
+  // 45 rows: at batch 8 five full minibatches and a ragged one of 5, at
+  // batch 32 one full minibatch and a ragged one of 13.
+  SplitRng data_rng(21);
+  TrainingSet data;
+  data.num_classes = 4;
+  data.features.resize(45, 5);
+  data.labels.resize(45);
+  data.weights.resize(45);
+  for (std::size_t i = 0; i < 45; ++i) {
+    for (std::size_t c = 0; c < 5; ++c) {
+      // Exact zeros in the input exercise the GEMM's zero skip.
+      data.features(i, c) =
+          (i + c) % 4 == 0 ? 0.0 : data_rng.normal(0.0, 1.2);
+    }
+    data.labels[i] = i % 4;
+    data.weights[i] = 0.25 + data_rng.uniform();
+  }
+  data.weights[3] = 0.0;  // a zero-weight sample: an all-zero gradient row
+
+  const WeightedMse mse;
+  const WeightedCrossEntropy cross_entropy;
+  for (const Activation hidden :
+       {Activation::Relu, Activation::LeakyRelu, Activation::Tanh,
+        Activation::Sigmoid}) {
+    for (const Activation output :
+         {Activation::Sigmoid, Activation::Identity}) {
+      for (const Loss* loss : {static_cast<const Loss*>(&mse),
+                               static_cast<const Loss*>(&cross_entropy)}) {
+        for (const std::size_t batch_size : {8, 32}) {
+          MlpSpec spec;
+          spec.input_dim = 5;
+          spec.hidden_dims = {9, 6};
+          spec.output_dim = 4;
+          spec.hidden_activation = hidden;
+          spec.output_activation = output;
+          expect_train_matches_reference(
+              data, spec, *loss, batch_size,
+              to_string(hidden) + "/" + to_string(output) + "/" +
+                  (loss == &mse ? "mse" : "cross_entropy") + "/batch " +
+                  std::to_string(batch_size));
+        }
+      }
+    }
+  }
 }
 
 TEST(Trainer, RejectsMismatchedShapes) {

@@ -52,15 +52,31 @@ bool bitwise_equal(std::span<const double> a, std::span<const double> b) {
 /// Shapes chosen to hit every kernel path: single element, lane
 /// remainders around the 4- and 8-wide vectors, odd row counts (the
 /// 2-row tile remainder), zero depth (accumulator-free output) and a
-/// shape big enough to cross tile boundaries.
+/// shape big enough to cross tile boundaries. The last five are the
+/// head backward's products at batch 128 — dW = G^T X ({18,16,128},
+/// {12,18,128}, {8,12,128}) and dX = G W ({128,18,12}, {128,12,8}) —
+/// where matmul takes its narrow-output register-tile path.
 struct Shape {
   std::size_t n, m, depth;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},   {1, 1, 0},   {2, 4, 3},   {3, 5, 7},    {1, 8, 16},
-    {7, 9, 11},  {2, 7, 0},   {5, 3, 1},   {8, 6, 2},    {64, 33, 17},
-    {65, 8, 24}, {31, 12, 5}, {2, 16, 64}, {128, 18, 16},
+    {1, 1, 1},     {1, 1, 0},     {2, 4, 3},    {3, 5, 7},
+    {1, 8, 16},    {7, 9, 11},    {2, 7, 0},    {5, 3, 1},
+    {8, 6, 2},     {64, 33, 17},  {65, 8, 24},  {31, 12, 5},
+    {2, 16, 64},   {128, 18, 16}, {18, 16, 128}, {12, 18, 128},
+    {8, 12, 128},  {128, 18, 12}, {128, 12, 8},
 };
+
+/// A start value for an accumulated C: random, with exact -0.0 entries
+/// (a skipped k must leave them -0.0, which an unconditional add of a
+/// zero product would not).
+Matrix random_accumulator(std::size_t rows, std::size_t cols,
+                          std::uint64_t seed) {
+  SplitRng rng(seed);
+  Matrix c(rows, cols);
+  for (double& v : c.flat()) v = rng.bernoulli(0.25) ? -0.0 : rng.normal();
+  return c;
+}
 
 /// Every vector backend usable on this host (compiled in + CPUID).
 std::vector<const detail::KernelTable*> usable_vector_backends() {
@@ -112,16 +128,44 @@ TEST_F(SimdBackends, GemmTransposedBBitIdentical) {
   }
 }
 
+TEST(ScalarKernels, MatmulMatchesIkjReferenceBitwise) {
+  // The kernel contract itself, on the scalar reference: C += A * B with
+  // each element adding its k terms in ascending order and skipping
+  // a(i,k) == 0.0. Every vector backend is pinned to this table below.
+  std::uint64_t seed = 300;
+  for (const Shape& shape : kShapes) {
+    const Matrix a = random_matrix(shape.n, shape.depth, seed++, 0.3);
+    const Matrix b = random_matrix(shape.depth, shape.m, seed++);
+    Matrix expected = random_accumulator(shape.n, shape.m, seed++);
+    Matrix out = expected;
+    for (std::size_t i = 0; i < shape.n; ++i) {
+      for (std::size_t k = 0; k < shape.depth; ++k) {
+        if (a(i, k) == 0.0) continue;
+        for (std::size_t j = 0; j < shape.m; ++j) {
+          expected(i, j) += a(i, k) * b(k, j);
+        }
+      }
+    }
+    detail::scalar_kernels().matmul(a.flat().data(), a.stride(),
+                                    b.flat().data(), b.stride(),
+                                    out.flat().data(), out.stride(), shape.n,
+                                    shape.depth, shape.m);
+    EXPECT_TRUE(bitwise_equal(expected.flat(), out.flat()))
+        << "n=" << shape.n << " m=" << shape.m << " depth=" << shape.depth;
+  }
+}
+
 TEST_F(SimdBackends, MatmulBitIdentical) {
   const detail::KernelTable& scalar = detail::scalar_kernels();
   for (const detail::KernelTable* backend : backends_) {
     std::uint64_t seed = 500;
     for (const Shape& shape : kShapes) {
-      // Sparse A exercises the a(i,k) == 0.0 skip on every backend.
+      // Sparse A exercises the a(i,k) == 0.0 skip on every backend, and a
+      // non-zero C the accumulation into an existing gradient.
       const Matrix a = random_matrix(shape.n, shape.depth, seed++, 0.3);
       const Matrix b = random_matrix(shape.depth, shape.m, seed++);
-      Matrix out_scalar(shape.n, shape.m);  // kernels accumulate into zeros
-      Matrix out_vector(shape.n, shape.m);
+      Matrix out_scalar = random_accumulator(shape.n, shape.m, seed++);
+      Matrix out_vector = out_scalar;
       scalar.matmul(a.flat().data(), a.stride(), b.flat().data(), b.stride(),
                     out_scalar.flat().data(), out_scalar.stride(), shape.n,
                     shape.depth, shape.m);
