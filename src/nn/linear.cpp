@@ -13,19 +13,19 @@ namespace {
 
 /// W columns of G (row stride ldg, n rows): adds each column's rows into
 /// its bias gradient in ascending row order, the per-sample loop's order,
-/// and writes the columns as rows of G^T (row stride n). The sums live in
-/// locals, so the G^T stores cannot alias them and W columns' adds run
+/// and writes the columns as rows of G^T (row stride ldt). The sums live
+/// in locals, so the G^T stores cannot alias them and W columns' adds run
 /// side by side.
 template <std::size_t W>
 void sum_and_transpose(const double* g, std::size_t ldg, std::size_t n,
-                       double* bias_grad, double* g_t) {
+                       double* bias_grad, double* g_t, std::size_t ldt) {
   double sum[W];
   for (std::size_t j = 0; j < W; ++j) sum[j] = bias_grad[j];
   for (std::size_t r = 0; r < n; ++r) {
     const double* g_row = g + r * ldg;
     for (std::size_t j = 0; j < W; ++j) {
       sum[j] += g_row[j];
-      g_t[j * n + r] = g_row[j];
+      g_t[j * ldt + r] = g_row[j];
     }
   }
   for (std::size_t j = 0; j < W; ++j) bias_grad[j] = sum[j];
@@ -34,20 +34,21 @@ void sum_and_transpose(const double* g, std::size_t ldg, std::size_t n,
 /// One pass over G (n x out): the bias gradient and G^T (out x n), four
 /// columns at a time.
 void sum_and_transpose(const double* g, std::size_t ldg, std::size_t n,
-                       std::size_t out, double* bias_grad, double* g_t) {
+                       std::size_t out, double* bias_grad, double* g_t,
+                       std::size_t ldt) {
   std::size_t i = 0;
   for (; i + 4 <= out; i += 4) {
-    sum_and_transpose<4>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+    sum_and_transpose<4>(g + i, ldg, n, bias_grad + i, g_t + i * ldt, ldt);
   }
   switch (out - i) {
     case 3:
-      sum_and_transpose<3>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+      sum_and_transpose<3>(g + i, ldg, n, bias_grad + i, g_t + i * ldt, ldt);
       break;
     case 2:
-      sum_and_transpose<2>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+      sum_and_transpose<2>(g + i, ldg, n, bias_grad + i, g_t + i * ldt, ldt);
       break;
     case 1:
-      sum_and_transpose<1>(g + i, ldg, n, bias_grad + i, g_t + i * n);
+      sum_and_transpose<1>(g + i, ldg, n, bias_grad + i, g_t + i * ldt, ldt);
       break;
     default:
       break;
@@ -282,7 +283,7 @@ const tensor::Matrix& Linear::backward_batch(
   // G^T is dW's row-major left operand.
   grad_output_t_.resize_for_overwrite(out_dim_, n);
   sum_and_transpose(g, ldg, n, out_dim_, bias_grad_.data(),
-                    grad_output_t_.flat().data());
+                    grad_output_t_.flat().data(), grad_output_t_.stride());
   const tensor::detail::KernelTable& kernels = tensor::detail::active_kernels();
   // dW += G^T X, accumulated into the existing gradient: dW(i, j) adds
   // g(r, i) * x(r, j) for r ascending and skips g(r, i) == 0, exactly the

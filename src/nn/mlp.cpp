@@ -143,11 +143,6 @@ const tensor::Matrix& Mlp::backward_layers(const tensor::Matrix& grad_output,
   return *current;
 }
 
-tensor::Matrix& Mlp::loss_gradient(std::size_t rows) {
-  loss_gradient_.resize_for_overwrite(rows, spec_.output_dim);
-  return loss_gradient_;
-}
-
 tensor::Matrix Mlp::forward_batch_inference(const tensor::Matrix& input) const {
   MUFFIN_REQUIRE(input.cols() == spec_.input_dim,
                  "MLP batch input size mismatch");

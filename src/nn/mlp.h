@@ -80,10 +80,6 @@ class Mlp {
   /// layer's input gradient, which nothing reads when the input is frozen
   /// data (the head's body scores).
   void accumulate_gradients(const tensor::Matrix& grad_output);
-  /// Workspace rows for dLoss/dOutput: a rows x output_dim matrix owned by
-  /// this Mlp, reused across calls (contents unspecified until written).
-  /// nn::train writes each minibatch's loss gradient here.
-  tensor::Matrix& loss_gradient(std::size_t rows);
   /// Const, cache-free batched forward — the serving path.
   [[nodiscard]] tensor::Matrix forward_batch_inference(
       const tensor::Matrix& input) const;
@@ -141,7 +137,6 @@ class Mlp {
 
   MlpSpec spec_;
   std::vector<std::unique_ptr<Layer>> layers_;
-  tensor::Matrix loss_gradient_;  ///< training workspace, see loss_gradient()
 };
 
 }  // namespace muffin::nn

@@ -37,9 +37,10 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
   std::iota(order.begin(), order.end(), 0);
   auto params = mlp.params();
 
-  // The gathered minibatch and one one-hot target are reused across
-  // minibatches; activations and gradients live in the Mlp's workspace.
+  // Scratch reused across minibatches: gathered inputs, loss gradients and
+  // one one-hot target.
   tensor::Matrix batch_features;
+  tensor::Matrix batch_grads;
   tensor::Vector target(data.num_classes, 0.0);
 
   double epoch_loss = 0.0;
@@ -64,16 +65,17 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
 
       // Per-sample losses and gradients, in batch order — the loss itself
       // is row-local, so this stays bit-identical to the per-sample loop.
-      tensor::Matrix& grads = mlp.loss_gradient(batch_size);
+      batch_grads.resize_for_overwrite(batch_size, data.num_classes);
       for (std::size_t b = 0; b < batch_size; ++b) {
         const std::size_t idx = order[cursor + b];
         const auto prediction = predictions.row(b);
         target[data.labels[idx]] = 1.0;
         loss_sum += loss.value(prediction, target, data.weights[idx]);
-        loss.gradient(prediction, target, data.weights[idx], grads.row(b));
+        loss.gradient(prediction, target, data.weights[idx],
+                      batch_grads.row(b));
         target[data.labels[idx]] = 0.0;
       }
-      mlp.accumulate_gradients(grads);
+      mlp.accumulate_gradients(batch_grads);
       optimizer.step(params, batch_size);
       cursor = batch_end;
     }

@@ -28,11 +28,11 @@ namespace muffin::tensor::detail {
 
 namespace {
 
-/// Columns per narrow block: three 4-wide vectors, so a two-row tile is
-/// six accumulators and fits the 16 ymm registers with its operands.
-constexpr std::size_t kNarrowBlock = 12;
+/// Columns per block of C: three 4-wide vectors, so a two-row tile is six
+/// accumulators and fits the 16 ymm registers with its operands.
+constexpr std::size_t kColBlock = 12;
 
-/// One tile of R (1 or 2) rows x V vectors of a narrow block of C, held in
+/// One tile of R (1 or 2) rows x V vectors of a block of C, held in
 /// registers across the whole k loop: loaded once, stored once, and k
 /// still ascending. The a(i,k) == 0.0 skip is a blend — each lane keeps
 /// its sum when the broadcast a(i,k) compares equal to zero — so it costs
@@ -41,10 +41,10 @@ constexpr std::size_t kNarrowBlock = 12;
 /// through maskload/maskstore, so lanes past the block's width are never
 /// touched.
 template <int R, int V>
-inline void matmul_narrow_tile_avx2(const double* a, std::size_t lda,
-                                    const double* b, std::size_t ldb,
-                                    double* c, std::size_t ldo,
-                                    std::size_t depth, __m256i tail) {
+inline void matmul_tile_avx2(const double* a, std::size_t lda,
+                             const double* b, std::size_t ldb, double* c,
+                             std::size_t ldo, std::size_t depth,
+                             __m256i tail) {
   const __m256d zero = _mm256_setzero_pd();
   const auto load = [tail](const double* p, int v) {
     return v + 1 < V ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, tail);
@@ -79,73 +79,46 @@ inline void matmul_narrow_tile_avx2(const double* a, std::size_t lda,
   }
 }
 
-/// One narrow block, `width` columns in (4 (V - 1), 4 V], over all rows.
+/// One column block, `width` columns in (4 (V - 1), 4 V], over all rows.
 template <int V>
-void matmul_narrow_block_avx2(const double* a, std::size_t lda,
-                              const double* b, std::size_t ldb, double* out,
-                              std::size_t ldo, std::size_t n,
-                              std::size_t depth, std::size_t width) {
+void matmul_block_avx2(const double* a, std::size_t lda, const double* b,
+                       std::size_t ldb, double* out, std::size_t ldo,
+                       std::size_t n, std::size_t depth, std::size_t width) {
   const auto lanes = static_cast<long long>(width - 4 * (V - 1));  // 1-4
   const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(lanes),
                                           _mm256_setr_epi64x(0, 1, 2, 3));
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    matmul_narrow_tile_avx2<2, V>(a + i * lda, lda, b, ldb, out + i * ldo,
-                                  ldo, depth, tail);
+    matmul_tile_avx2<2, V>(a + i * lda, lda, b, ldb, out + i * ldo, ldo,
+                           depth, tail);
   }
   if (i < n) {
-    matmul_narrow_tile_avx2<1, V>(a + i * lda, lda, b, ldb, out + i * ldo,
-                                  ldo, depth, tail);
+    matmul_tile_avx2<1, V>(a + i * lda, lda, b, ldb, out + i * ldo, ldo,
+                           depth, tail);
   }
 }
 
-/// Outputs up to kMatmulNarrowCols wide run as register-tiled blocks of
-/// kNarrowBlock columns; wider ones run i-k-j with the scalar kernel's
-/// 128-column tile and a(i,k) == 0.0 skip, only the innermost contiguous
-/// j sweep vectorized (4 columns per vmulpd/vaddpd).
+/// C += A * B in blocks of kColBlock columns, each block run as register
+/// tiles (above) — the per-element order of the scalar i-k-j kernel with
+/// its a(i,k) == 0.0 skip.
 void matmul_avx2(const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double* out, std::size_t ldo,
                  std::size_t n, std::size_t depth, std::size_t m) {
-  if (m <= kMatmulNarrowCols) {
-    for (std::size_t j0 = 0; j0 < m; j0 += kNarrowBlock) {
-      const std::size_t width = std::min(kNarrowBlock, m - j0);
-      switch ((width + 3) / 4) {
-        case 1:
-          matmul_narrow_block_avx2<1>(a, lda, b + j0, ldb, out + j0, ldo, n,
-                                      depth, width);
-          break;
-        case 2:
-          matmul_narrow_block_avx2<2>(a, lda, b + j0, ldb, out + j0, ldo, n,
-                                      depth, width);
-          break;
-        default:
-          matmul_narrow_block_avx2<3>(a, lda, b + j0, ldb, out + j0, ldo, n,
-                                      depth, width);
-          break;
-      }
-    }
-    return;
-  }
-  constexpr std::size_t kColTile = 128;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = out + i * ldo;
-    for (std::size_t j0 = 0; j0 < m; j0 += kColTile) {
-      const std::size_t j1 = std::min(j0 + kColTile, m);
-      for (std::size_t k = 0; k < depth; ++k) {
-        const double aik = ai[k];
-        if (aik == 0.0) continue;
-        const double* bk = b + k * ldb;
-        const __m256d va = _mm256_set1_pd(aik);
-        std::size_t j = j0;
-        for (; j + 4 <= j1; j += 4) {
-          const __m256d vb = _mm256_loadu_pd(bk + j);
-          const __m256d vc = _mm256_loadu_pd(ci + j);
-          _mm256_storeu_pd(ci + j,
-                           _mm256_add_pd(vc, _mm256_mul_pd(va, vb)));
-        }
-        for (; j < j1; ++j) ci[j] += aik * bk[j];
-      }
+  for (std::size_t j0 = 0; j0 < m; j0 += kColBlock) {
+    const std::size_t width = std::min(kColBlock, m - j0);
+    switch ((width + 3) / 4) {
+      case 1:
+        matmul_block_avx2<1>(a, lda, b + j0, ldb, out + j0, ldo, n, depth,
+                             width);
+        break;
+      case 2:
+        matmul_block_avx2<2>(a, lda, b + j0, ldb, out + j0, ldo, n, depth,
+                             width);
+        break;
+      default:
+        matmul_block_avx2<3>(a, lda, b + j0, ldb, out + j0, ldo, n, depth,
+                             width);
+        break;
     }
   }
 }

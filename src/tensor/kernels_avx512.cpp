@@ -31,10 +31,14 @@ namespace muffin::tensor::detail {
 
 namespace {
 
+/// Columns per block of C: three vectors, so a two-row tile is six
+/// accumulators beside its three B vectors.
+constexpr std::size_t kColBlock = 24;
+
 /// The lane mask of vector v of a V-vector row tile: full, except the
-/// last vector's lanes past m.
+/// last vector's lanes past the block's width.
 template <int V>
-inline __mmask8 narrow_lanes(int v, __mmask8 tail) {
+inline __mmask8 block_lanes(int v, __mmask8 tail) {
   return v + 1 < V ? static_cast<__mmask8>(0xFF) : tail;
 }
 
@@ -43,18 +47,18 @@ inline __mmask8 narrow_lanes(int v, __mmask8 tail) {
 /// The a(i,k) == 0.0 skip is a masked add — the lanes keep their sum when
 /// the broadcast a(i,k) compares equal to zero — so it costs no branch
 /// (after a ReLU about half of a gradient's entries are exact zeros, and
-/// a branch on them mispredicts). Lanes past m are masked off on every
-/// load and store.
+/// a branch on them mispredicts). Lanes past the block's width are masked
+/// off on every load and store.
 template <int R, int V>
-inline void matmul_narrow_tile_avx512(const double* a, std::size_t lda,
-                                      const double* b, std::size_t ldb,
-                                      double* c, std::size_t ldo,
-                                      std::size_t depth, __mmask8 tail) {
+inline void matmul_tile_avx512(const double* a, std::size_t lda,
+                               const double* b, std::size_t ldb, double* c,
+                               std::size_t ldo, std::size_t depth,
+                               __mmask8 tail) {
   const __m512d zero = _mm512_setzero_pd();
   __m512d acc[R][V];
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < V; ++v) {
-      acc[r][v] = _mm512_maskz_loadu_pd(narrow_lanes<V>(v, tail),
+      acc[r][v] = _mm512_maskz_loadu_pd(block_lanes<V>(v, tail),
                                         c + r * ldo + 8 * v);
     }
   }
@@ -62,7 +66,7 @@ inline void matmul_narrow_tile_avx512(const double* a, std::size_t lda,
     const double* bk = b + k * ldb;
     __m512d vb[V];
     for (int v = 0; v < V; ++v) {
-      vb[v] = _mm512_maskz_loadu_pd(narrow_lanes<V>(v, tail), bk + 8 * v);
+      vb[v] = _mm512_maskz_loadu_pd(block_lanes<V>(v, tail), bk + 8 * v);
     }
     for (int r = 0; r < R; ++r) {
       const __m512d va = _mm512_set1_pd(a[r * lda + k]);
@@ -75,69 +79,51 @@ inline void matmul_narrow_tile_avx512(const double* a, std::size_t lda,
   }
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < V; ++v) {
-      _mm512_mask_storeu_pd(c + r * ldo + 8 * v, narrow_lanes<V>(v, tail),
+      _mm512_mask_storeu_pd(c + r * ldo + 8 * v, block_lanes<V>(v, tail),
                             acc[r][v]);
     }
   }
 }
 
+/// One column block, `width` columns in (8 (V - 1), 8 V], over all rows.
 template <int V>
-void matmul_narrow_avx512(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* out, std::size_t ldo,
-                          std::size_t n, std::size_t depth, std::size_t m) {
+void matmul_block_avx512(const double* a, std::size_t lda, const double* b,
+                         std::size_t ldb, double* out, std::size_t ldo,
+                         std::size_t n, std::size_t depth, std::size_t width) {
   const __mmask8 tail =
-      static_cast<__mmask8>((1u << (m - 8 * (V - 1))) - 1u);  // 1-8 lanes
+      static_cast<__mmask8>((1u << (width - 8 * (V - 1))) - 1u);  // 1-8
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    matmul_narrow_tile_avx512<2, V>(a + i * lda, lda, b, ldb, out + i * ldo,
-                                    ldo, depth, tail);
+    matmul_tile_avx512<2, V>(a + i * lda, lda, b, ldb, out + i * ldo, ldo,
+                             depth, tail);
   }
   if (i < n) {
-    matmul_narrow_tile_avx512<1, V>(a + i * lda, lda, b, ldb, out + i * ldo,
-                                    ldo, depth, tail);
+    matmul_tile_avx512<1, V>(a + i * lda, lda, b, ldb, out + i * ldo, ldo,
+                             depth, tail);
   }
 }
 
-/// Outputs up to kMatmulNarrowCols wide take the register-tile path
-/// above; wider ones run i-k-j with the scalar kernel's 128-column tile
-/// and a(i,k) == 0.0 skip, the innermost contiguous j sweep 8 columns per
-/// vector.
+/// C += A * B in blocks of kColBlock columns, each block run as register
+/// tiles (above) — the per-element order of the scalar i-k-j kernel with
+/// its a(i,k) == 0.0 skip.
 void matmul_avx512(const double* a, std::size_t lda, const double* b,
                    std::size_t ldb, double* out, std::size_t ldo,
                    std::size_t n, std::size_t depth, std::size_t m) {
-  static_assert(kMatmulNarrowCols == 3 * 8);
-  if (m <= kMatmulNarrowCols) {
-    switch ((m + 7) / 8) {
+  for (std::size_t j0 = 0; j0 < m; j0 += kColBlock) {
+    const std::size_t width = std::min(kColBlock, m - j0);
+    switch ((width + 7) / 8) {
       case 1:
-        return matmul_narrow_avx512<1>(a, lda, b, ldb, out, ldo, n, depth, m);
+        matmul_block_avx512<1>(a, lda, b + j0, ldb, out + j0, ldo, n, depth,
+                               width);
+        break;
       case 2:
-        return matmul_narrow_avx512<2>(a, lda, b, ldb, out, ldo, n, depth, m);
-      case 3:
-        return matmul_narrow_avx512<3>(a, lda, b, ldb, out, ldo, n, depth, m);
+        matmul_block_avx512<2>(a, lda, b + j0, ldb, out + j0, ldo, n, depth,
+                               width);
+        break;
       default:
-        return;  // m == 0: nothing to write
-    }
-  }
-  constexpr std::size_t kColTile = 128;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = out + i * ldo;
-    for (std::size_t j0 = 0; j0 < m; j0 += kColTile) {
-      const std::size_t j1 = std::min(j0 + kColTile, m);
-      for (std::size_t k = 0; k < depth; ++k) {
-        const double aik = ai[k];
-        if (aik == 0.0) continue;
-        const double* bk = b + k * ldb;
-        const __m512d va = _mm512_set1_pd(aik);
-        std::size_t j = j0;
-        for (; j + 8 <= j1; j += 8) {
-          const __m512d vb = _mm512_loadu_pd(bk + j);
-          const __m512d vc = _mm512_loadu_pd(ci + j);
-          _mm512_storeu_pd(ci + j,
-                           _mm512_add_pd(vc, _mm512_mul_pd(va, vb)));
-        }
-        for (; j < j1; ++j) ci[j] += aik * bk[j];
-      }
+        matmul_block_avx512<3>(a, lda, b + j0, ldb, out + j0, ldo, n, depth,
+                               width);
+        break;
     }
   }
 }

@@ -6,7 +6,6 @@
 // every output element accumulates in the same order as before.
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "tensor/kernels_planar.h"
 #include "tensor/kernels_quant.h"
@@ -16,57 +15,13 @@ namespace muffin::tensor::detail {
 
 namespace {
 
-/// One row of C, W columns wide, held in locals across the whole k loop:
-/// loaded once, stored once, and k still ascending. Unlike the vector
-/// backends' masked add, the a(i,k) == 0.0 skip stays a branch here:
-/// without vectors the multiply-adds, not the mispredicts, are the cost,
-/// so skipping a zero's whole row of work is the faster side at the head
-/// backward's shapes, with or without zeros in A.
-template <std::size_t W>
-void matmul_narrow_scalar(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* out, std::size_t ldo,
-                          std::size_t n, std::size_t depth) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* ai = a + i * lda;
-    double* ci = out + i * ldo;
-    double acc[W];
-    for (std::size_t j = 0; j < W; ++j) acc[j] = ci[j];
-    for (std::size_t k = 0; k < depth; ++k) {
-      const double aik = ai[k];
-      if (aik == 0.0) continue;
-      const double* bk = b + k * ldb;
-      for (std::size_t j = 0; j < W; ++j) acc[j] += aik * bk[j];
-    }
-    for (std::size_t j = 0; j < W; ++j) ci[j] = acc[j];
-  }
-}
-
-/// matmul_narrow_scalar<m> for m in [1, kMatmulNarrowCols].
-template <std::size_t... I>
-void matmul_narrow_dispatch(std::index_sequence<I...> /*widths - 1*/,
-                            const double* a, std::size_t lda, const double* b,
-                            std::size_t ldb, double* out, std::size_t ldo,
-                            std::size_t n, std::size_t depth, std::size_t m) {
-  (void)((m == I + 1 &&
-          (matmul_narrow_scalar<I + 1>(a, lda, b, ldb, out, ldo, n, depth),
-           true)) ||
-         ...);
-}
-
-/// Outputs up to kMatmulNarrowCols wide hold each C row in registers (see
-/// above). Wider ones run i-k-j with a 128-column tile on B: the inner
-/// traversal stays contiguous for row-major data and the active B/C row
-/// segments stay cache-resident when B is wide. The per-element
-/// accumulation order over k is the same on both paths. The kernel
-/// accumulates into `out`.
+/// i-k-j with a 128-column tile on B: the inner traversal stays contiguous
+/// for row-major data and the active B/C row segments stay cache-resident
+/// when B is wide. The per-element accumulation order over k is unchanged
+/// by the tiling. The kernel accumulates into `out`.
 void matmul_scalar(const double* a, std::size_t lda, const double* b,
                    std::size_t ldb, double* out, std::size_t ldo,
                    std::size_t n, std::size_t depth, std::size_t m) {
-  if (m <= kMatmulNarrowCols) {
-    matmul_narrow_dispatch(std::make_index_sequence<kMatmulNarrowCols>{}, a,
-                           lda, b, ldb, out, ldo, n, depth, m);
-    return;
-  }
   constexpr std::size_t kColTile = 128;
   for (std::size_t i = 0; i < n; ++i) {
     const double* ai = a + i * lda;

@@ -68,17 +68,12 @@ namespace detail {
 /// scalar kernel's semantics exactly: each out(i, j) adds a(i,k) * b(k,j)
 /// for k ascending, multiply then add, and skips a(i,k) == 0.0 (which
 /// matters bit-wise when B holds non-finite values or C holds -0.0).
-/// Outputs wider than kMatmulNarrowCols run as an i-k-j sweep. Narrower
-/// ones — the head backward's dW = G^T X and dX = G W — hold a tile of C
-/// in registers across the whole k loop, with the skip done as a masked
-/// add or blend rather than a branch.
+/// The scalar kernel sweeps i-k-j. The vector ones hold a tile of C in
+/// registers across the whole k loop, one block of columns at a time,
+/// with the skip done as a masked add or blend rather than a branch.
 using MatmulFn = void (*)(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, double* out, std::size_t ldo,
                           std::size_t n, std::size_t depth, std::size_t m);
-
-/// Widest output (m) that takes MatmulFn's register-tile path: three
-/// AVX-512 vectors per row.
-inline constexpr std::size_t kMatmulNarrowCols = 24;
 
 /// C = A * B^T (+ bias, when bias != nullptr), overwriting C. Each
 /// out(i, j) accumulates its k-terms in ascending order and adds bias[j]
