@@ -829,7 +829,7 @@ int main(int argc, char** argv) {
   json.add("fused_calibrated.floor", calibrated_floor);
   json.add("fused_calibrated.rps_floor", calibrated_rps_floor);
   json.add("pass", pass);
-  json.write(out_path);
+  if (!json.write(out_path)) pass = false;
   std::cout << (pass ? "PASS" : "FAIL") << "\n";
   return pass ? 0 : 1;
 }

@@ -25,7 +25,7 @@
 namespace muffin::bench {
 
 /// Minimal machine-readable bench output: an ordered flat JSON object
-/// (dotted keys encode sections, e.g. "steady_state.engine_b32.rps") so the
+/// (dotted keys encode sections, e.g. "head.batch_32.rows_per_s") so the
 /// perf trajectory can be tracked across PRs without a JSON dependency.
 class BenchJson {
  public:
@@ -51,20 +51,24 @@ class BenchJson {
     entries_.emplace_back(key, escaped);
   }
 
-  /// Writes the object to `path`; reports the destination on stdout.
-  void write(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) {
-      std::cerr << "could not write " << path << "\n";
-      return;
-    }
+  /// Writes the object to `path` and reports the destination on stdout.
+  /// Returns false, after saying so on stderr, when the file cannot be
+  /// opened or the written object cannot be flushed to it.
+  [[nodiscard]] bool write(const std::string& path) const {
+    std::ofstream os(path);  // a failed open makes every write a no-op
     os << "{\n";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       os << "  \"" << entries_[i].first << "\": " << entries_[i].second
          << (i + 1 < entries_.size() ? "," : "") << "\n";
     }
     os << "}\n";
+    os.close();  // the final flush: a full disk fails here, not above
+    if (!os) {
+      std::cerr << "could not write " << path << "\n";
+      return false;
+    }
     std::cout << "wrote " << path << "\n";
+    return true;
   }
 
  private:

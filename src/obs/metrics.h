@@ -43,8 +43,9 @@
 // Compiled-out mode: building with -DMUFFIN_OBS_DISABLED turns every
 // record operation (inc/set/add/observe) into an inline no-op while
 // keeping the full API, so instrumented call sites compile unchanged and
-// the overhead gate in bench_serve can compare enabled vs off builds. In
-// that build every snapshot reads 0.
+// the overhead gate (bench/bench_obs_overhead.cpp, the CI
+// metrics-overhead job) can compare enabled vs off builds. In that build
+// every snapshot reads 0.
 #pragma once
 
 #include <algorithm>

@@ -108,9 +108,9 @@ void RemoteShard::shutdown() {
 }
 
 bool RemoteShard::probe() {
-  // The probe is an EMPTY ScoreRequest, not a bare HealthProbe: it
+  // The probe is an EMPTY ScoreRequest, the frame real traffic sends: it
   // exercises the server's whole request path — framing, decode, the
-  // engine's submit gate (a stopped engine throws and comes back as an
+  // engine's stopped check (a stopped engine throws and comes back as an
   // Error frame), response encode — so a process that is alive but can
   // no longer serve fails its probe. It deliberately does NOT reset
   // consecutive_failures(): the counter clears only when real requests

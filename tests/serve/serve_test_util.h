@@ -18,6 +18,21 @@
 #include "obs/metrics.h"
 #include "tensor/quant.h"
 
+// True when the suite is built with -fsanitize=thread (GCC defines
+// __SANITIZE_THREAD__, clang exposes __has_feature(thread_sanitizer)).
+// Wall-clock bounds are unreliable under TSan's ~10x slowdown, so timing
+// checks compile only when this is 0.
+#if defined(__SANITIZE_THREAD__)
+#define MUFFIN_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MUFFIN_UNDER_TSAN 1
+#endif
+#endif
+#ifndef MUFFIN_UNDER_TSAN
+#define MUFFIN_UNDER_TSAN 0
+#endif
+
 namespace muffin::serve::testutil {
 
 /// What the engine replies for a record whose exact fused scores are

@@ -7,19 +7,7 @@
 #include <thread>
 
 #include "common/error.h"
-
-// True when this TU is built with -fsanitize=thread (GCC defines
-// __SANITIZE_THREAD__, clang exposes __has_feature(thread_sanitizer)).
-#if defined(__SANITIZE_THREAD__)
-#define MUFFIN_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MUFFIN_UNDER_TSAN 1
-#endif
-#endif
-#ifndef MUFFIN_UNDER_TSAN
-#define MUFFIN_UNDER_TSAN 0
-#endif
+#include "serve_test_util.h"
 
 namespace muffin::serve {
 namespace {

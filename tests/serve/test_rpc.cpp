@@ -29,12 +29,14 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "data/serialize.h"
 #include "obs/trace.h"
 #include "serve/router.h"
 #include "serve/rpc/server.h"
+#include "serve/stats.h"
 #include "serve_test_util.h"
 #include "tensor/ops.h"
 
@@ -299,11 +301,15 @@ TEST(ShardRouterRpc, AutoDrainOnShardDeathThenZeroFailedRequests) {
   ASSERT_EQ(router.active_count(), 2u);
 
   // Kill shard 0's process-equivalent. The health monitor must notice
-  // and drain it without any operator involvement.
+  // and drain it without any operator involvement, within the 3 s
+  // recovery ceiling (two failed probes 50 ms apart take far less).
   server_a->stop();
   server_a.reset();
+  const auto killed = std::chrono::steady_clock::now();
   ASSERT_TRUE(eventually([&]() { return !router.active(0); }))
       << "health monitor never drained the dead shard";
+  EXPECT_LE(std::chrono::steady_clock::now() - killed, 3000ms)
+      << "kill to drain exceeded the recovery ceiling";
   EXPECT_TRUE(router.shard_infos()[0].auto_drained);
   EXPECT_EQ(router.active_count(), 1u);
 
@@ -716,12 +722,15 @@ std::shared_ptr<core::FusedModel> make_fused_v2() {
   return shared;
 }
 
-/// Write make_fused_v2()'s head as a reload artifact, stamped or not.
-std::string write_v2_head_artifact(const char* stem,
-                                   std::uint64_t model_version) {
-  const std::string path = testing::TempDir() + "/" + stem + ".mufa";
+/// Write `fused`'s head as a reload artifact, stamped or not (0). The
+/// pid keeps concurrent runs of this binary off each other's files.
+std::string write_head_artifact(const core::FusedModel& fused,
+                                const char* stem,
+                                std::uint64_t model_version) {
+  const std::string path = testing::TempDir() + "/" + stem + "_" +
+                           std::to_string(::getpid()) + ".mufa";
   data::ArtifactWriter writer;
-  make_fused_v2()->head().save_artifact(writer, "head");
+  fused.head().save_artifact(writer, "head");
   writer.set_model_version(model_version);
   writer.write_file(path);
   return path;
@@ -731,7 +740,8 @@ TEST(RemoteShard, ReloadInstallsTheArtifactOverTheWire) {
   const auto fused = make_fused();
   rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
-  const std::string path = write_v2_head_artifact("rpc_reload", 9);
+  const std::string path =
+      write_head_artifact(*make_fused_v2(), "rpc_reload", 9);
 
   // Traffic before the roll serves version 1.
   std::span<const data::Record> records = rpc_dataset().records();
@@ -773,7 +783,8 @@ TEST(RemoteShard, ReloadFailureIsAnErrorFrameAndNeverCountsTowardDrain) {
             testutil::canonical_scores(fused->scores(record)));
 
   // A non-advancing stamp (rollback) is rejected the same way.
-  const std::string path = write_v2_head_artifact("rpc_rollback", 9);
+  const std::string path =
+      write_head_artifact(*make_fused_v2(), "rpc_rollback", 9);
   EXPECT_EQ(shard.reload(path), 9u);
   EXPECT_THROW((void)shard.reload(path), Error);  // same stamp again
   EXPECT_EQ(server.engine().model_version(), 9u);
@@ -785,12 +796,16 @@ TEST(RemoteShard, ReloadFailureIsAnErrorFrameAndNeverCountsTowardDrain) {
 
 TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   // The fleet-roll acceptance drill, in-process: two remote shards serve
-  // sustained traffic while reload_all rolls an unstamped artifact
-  // across them shard by shard. Zero caller-visible errors; every reply
-  // is bit-identical to the generation its row-level version names.
-  const auto fused = make_fused();
-  rpc::ShardServer server_a(fused, "127.0.0.1:0");
-  rpc::ShardServer server_b(fused, "127.0.0.1:0");
+  // sustained traffic while reload_all rolls six versions across them
+  // shard by shard, alternating two head generations, so a stale memo
+  // entry (old scores under a new version) shows up as a mismatch. Zero
+  // caller-visible errors; every reply is bit-identical to the
+  // generation its row-level version names; the roll-window p99 stays
+  // within one batch latency of the warm p99.
+  const std::vector<std::shared_ptr<core::FusedModel>> generations = {
+      make_fused(), make_fused_v2()};
+  rpc::ShardServer server_a(generations[0], "127.0.0.1:0");
+  rpc::ShardServer server_b(generations[0], "127.0.0.1:0");
 
   RouterConfig config;
   config.shards = 0;
@@ -798,59 +813,109 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   config.remote = fast_client();
   ShardRouter router(nullptr, config);
 
-  // Unstamped artifact: each server auto-assigns its next version (2).
-  const std::string path = write_v2_head_artifact("rpc_roll_all", 0);
+  // Unstamped artifacts: every install auto-assigns each server's next
+  // version, so the same file can roll the fleet any number of times.
+  // Version 1 is generations[0] (construction); roll k installs
+  // generations[(k + 1) % 2] as version k + 2.
+  const std::vector<std::string> paths = {
+      write_head_artifact(*generations[0], "rpc_roll_all_v1", 0),
+      write_head_artifact(*generations[1], "rpc_roll_all_v2", 0)};
+  const auto generation_for = [&](std::uint64_t version) {
+    return generations[(version - 1) % generations.size()];
+  };
 
   std::span<const data::Record> records = rpc_dataset().records();
-  std::atomic<bool> rolling{true};
+  constexpr std::size_t kClients = 3;
+  std::atomic<int> phase{0};  // 0 warm, 1 rolling, 2 done
   std::atomic<std::size_t> failures{0};
   std::atomic<std::size_t> mismatches{0};
+  std::vector<std::vector<double>> warm_us(kClients);
+  std::vector<std::vector<double>> roll_us(kClients);
   std::vector<std::thread> clients;
-  for (std::size_t t = 0; t < 3; ++t) {
+  for (std::size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t]() {
-      for (std::size_t i = 0; rolling.load() || i < 50; ++i) {
-        const std::size_t r = (t * 41 + i * 7) % records.size();
+      for (std::size_t i = 0; phase.load() != 2; ++i) {
+        const data::Record& record =
+            records[(t * 41 + i * 7) % records.size()];
+        const int current = phase.load();
+        const auto begin = std::chrono::steady_clock::now();
         try {
-          const Prediction reply = router.predict(records[r]);
-          const auto& generation =
-              reply.model_version >= 2 ? make_fused_v2() : fused;
-          if (reply.scores !=
-              testutil::canonical_scores(generation->scores(records[r]))) {
+          const Prediction reply = router.predict(record);
+          (current == 0 ? warm_us : roll_us)[t].push_back(
+              std::chrono::duration<double, std::micro>(
+                  std::chrono::steady_clock::now() - begin)
+                  .count());
+          if (reply.scores != testutil::canonical_scores(
+                                  generation_for(reply.model_version)
+                                      ->scores(record))) {
             mismatches.fetch_add(1);
           }
-        } catch (const Error&) {
+        } catch (const std::exception&) {
           failures.fetch_add(1);
         }
-        if (i >= 5000) break;  // bound the loop if the roll stalls
       }
     });
   }
 
-  // Let traffic flow, then roll the whole fleet mid-stream.
-  std::this_thread::sleep_for(50ms);
-  const std::vector<std::uint64_t> versions = router.reload_all(path);
-  rolling.store(false);
+  // Let traffic warm up, then roll the whole fleet six times mid-stream.
+  constexpr std::size_t kRolls = 6;
+  std::this_thread::sleep_for(150ms);
+  phase.store(1);
+  std::vector<std::vector<std::uint64_t>> versions;
+  try {
+    for (std::size_t k = 0; k < kRolls; ++k) {
+      versions.push_back(router.reload_all(paths[(k + 1) % paths.size()]));
+      std::this_thread::sleep_for(30ms);
+    }
+    std::this_thread::sleep_for(100ms);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "reload_all threw: " << e.what();
+  }
+  phase.store(2);
   for (std::thread& client : clients) client.join();
 
-  ASSERT_EQ(versions.size(), 2u);
-  EXPECT_EQ(versions[0], 2u);
-  EXPECT_EQ(versions[1], 2u);
-  EXPECT_EQ(server_a.engine().model_version(), 2u);
-  EXPECT_EQ(server_b.engine().model_version(), 2u);
+  ASSERT_EQ(versions.size(), kRolls);
+  for (std::size_t k = 0; k < kRolls; ++k) {
+    EXPECT_EQ(versions[k], (std::vector<std::uint64_t>{k + 2, k + 2}))
+        << "roll " << k;
+  }
+  EXPECT_EQ(server_a.engine().model_version(), kRolls + 1);
+  EXPECT_EQ(server_b.engine().model_version(), kRolls + 1);
   // The acceptance gate: a fleet roll is invisible to callers.
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
 
-  // Post-roll, both shards serve the new generation.
+  std::vector<double> warm;
+  std::vector<double> rolling;
+  for (std::size_t t = 0; t < kClients; ++t) {
+    warm.insert(warm.end(), warm_us[t].begin(), warm_us[t].end());
+    rolling.insert(rolling.end(), roll_us[t].begin(), roll_us[t].end());
+  }
+  ASSERT_FALSE(warm.empty());
+  ASSERT_FALSE(rolling.empty());
+#if !MUFFIN_UNDER_TSAN
+  // A swap never pauses traffic: the roll window's p99 exceeds the warm
+  // p99 by at most one batch latency, the engine's 1 ms flush deadline
+  // plus the warm p99. Wall-clock bounds mean nothing under TSan's ~10x
+  // slowdown, so only the regular builds enforce it.
+  const double warm_p99 = percentile(warm, 99);
+  const double roll_p99 = percentile(rolling, 99);
+  EXPECT_LE(roll_p99 - warm_p99, 1000.0 + warm_p99)
+      << "warm p99 " << warm_p99 << " us, roll-window p99 " << roll_p99
+      << " us";
+#endif
+
+  // Post-roll, both shards serve the last generation rolled.
+  const std::shared_ptr<core::FusedModel> last = generation_for(kRolls + 1);
   const std::vector<Prediction> after =
       router.predict_batch(records.subspan(0, 100));
   for (std::size_t i = 0; i < after.size(); ++i) {
-    ASSERT_EQ(after[i].scores, testutil::canonical_scores(
-                                   make_fused_v2()->scores(records[i])))
+    ASSERT_EQ(after[i].scores,
+              testutil::canonical_scores(last->scores(records[i])))
         << "record " << i;
-    EXPECT_EQ(after[i].model_version, 2u);
+    EXPECT_EQ(after[i].model_version, kRolls + 1);
   }
-  std::remove(path.c_str());
+  for (const std::string& path : paths) std::remove(path.c_str());
   router.shutdown();
   server_a.stop();
   server_b.stop();
@@ -868,7 +933,8 @@ TEST(ShardRouterRpc, ReloadShardTargetsOneLocalOrRemoteReplica) {
   ShardRouter router(fused, config);
   ASSERT_EQ(router.replica_count(), 2u);
 
-  const std::string path = write_v2_head_artifact("rpc_roll_one", 5);
+  const std::string path =
+      write_head_artifact(*make_fused_v2(), "rpc_roll_one", 5);
   // Shard 0 is the in-process replica: LocalReplica::reload reads the
   // path here. Shard 1 resolves it on its server — same file, same host.
   EXPECT_EQ(router.reload_shard(0, path), 5u);
