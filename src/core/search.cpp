@@ -70,10 +70,10 @@ MuffinSearch::MuffinSearch(const models::ModelPool& pool,
       eval_(eval),
       space_(std::move(space)),
       config_(std::move(config)),
-      train_cache_(pool, train),
+      proxy_(build_proxy(train, config_.proxy)),
+      train_cache_(pool, train, proxy_.indices),
       eval_cache_(pool, eval),
       eval_partition_(eval),
-      proxy_(build_proxy(train, config_.proxy)),
       controller_(space_, config_.controller) {
   MUFFIN_REQUIRE(space_.pool_size == pool.size(),
                  "search space pool size must match the pool");

@@ -97,6 +97,9 @@ class MuffinSearch {
       std::uint64_t episode_seed = 0) const;
 
   [[nodiscard]] const ProxyDataset& proxy() const { return proxy_; }
+  /// A row-subset cache of the train split: it holds only the rows in
+  /// proxy().indices (the only ones head training reads) and throws on
+  /// any other train row.
   [[nodiscard]] const ScoreCache& train_cache() const { return train_cache_; }
   [[nodiscard]] const ScoreCache& eval_cache() const { return eval_cache_; }
 
@@ -109,13 +112,14 @@ class MuffinSearch {
   const data::Dataset& eval_;
   rl::SearchSpace space_;
   MuffinSearchConfig config_;
+  /// Declared before train_cache_, which is built over its rows.
+  ProxyDataset proxy_;
   ScoreCache train_cache_;
   ScoreCache eval_cache_;
   /// Group structure of the eval split, computed once and shared by every
   /// episode's fairness report (candidate structures change predictions,
   /// never group membership).
   fairness::GroupPartition eval_partition_;
-  ProxyDataset proxy_;
   rl::RnnController controller_;
   /// Memo of evaluated structures (keyed by choice string): identical
   /// structures resample the same trained head, so repeat episodes are free.

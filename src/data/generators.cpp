@@ -117,7 +117,24 @@ Dataset generate(const SyntheticConfig& config) {
   }
   dataset.reserve(config.num_samples);
 
+  // A scenario has few distinct sampling distributions, built once here:
+  // attribute 0's marginal, every other attribute's groups given whether
+  // the attribute-0 group is unprivileged, and the classes given how many
+  // unprivileged groups a record is in.
+  const std::size_t attributes = config.schema.size();
   const std::vector<double> marginal0 = normalized(config.group_marginals[0]);
+  std::vector<std::vector<double>> groups_given[2];
+  for (const bool g0_unprivileged : {false, true}) {
+    groups_given[g0_unprivileged].resize(attributes);
+    for (std::size_t a = 1; a < attributes; ++a) {
+      groups_given[g0_unprivileged][a] =
+          conditional_groups(config, a, g0_unprivileged);
+    }
+  }
+  std::vector<std::vector<double>> classes_given(attributes + 1);
+  for (std::size_t count = 0; count <= attributes; ++count) {
+    classes_given[count] = conditional_classes(config, count);
+  }
   for (std::size_t i = 0; i < config.num_samples; ++i) {
     Record record;
     record.uid = config.seed * 0x9e3779b97f4a7c15ULL + i;
@@ -128,9 +145,9 @@ Dataset generate(const SyntheticConfig& config) {
     record.groups[0] = group_rng.categorical(marginal0);
     const bool g0_unprivileged =
         config.unprivileged[0][record.groups[0]];
-    for (std::size_t a = 1; a < config.schema.size(); ++a) {
+    for (std::size_t a = 1; a < attributes; ++a) {
       record.groups[a] =
-          group_rng.categorical(conditional_groups(config, a, g0_unprivileged));
+          group_rng.categorical(groups_given[g0_unprivileged][a]);
     }
 
     std::size_t unprivileged_count = 0;
@@ -138,8 +155,7 @@ Dataset generate(const SyntheticConfig& config) {
       if (config.unprivileged[a][record.groups[a]]) ++unprivileged_count;
     }
 
-    record.label =
-        class_rng.categorical(conditional_classes(config, unprivileged_count));
+    record.label = class_rng.categorical(classes_given[unprivileged_count]);
     record.difficulty = difficulty_rng.normal();
 
     // Features: class centroid + group offsets + difficulty-scaled noise,

@@ -96,7 +96,32 @@ CalibratedModel::CalibratedModel(ArchitectureProfile profile,
                  "family rho must be non-negative with rho sum below 1");
   base_accuracy_ = profile_.accuracy;
 
-  const std::vector<std::size_t> sizes = dataset.class_sizes();
+  // One walk of the calibration set: class sizes, group sizes and every
+  // record's group ids, flat, so the calibration rounds read one array
+  // instead of chasing each record's group vector.
+  const std::size_t attributes = schema_.size();
+  std::vector<std::size_t> sizes(num_classes_, 0);
+  std::vector<std::vector<std::size_t>> group_sizes(attributes);
+  for (std::size_t a = 0; a < attributes; ++a) {
+    group_sizes[a].assign(schema_[a].group_count(), 0);
+  }
+  std::vector<std::size_t> group_ids;
+  group_ids.reserve(dataset.size() * attributes);
+  for (const data::Record& record : dataset.records()) {
+    MUFFIN_REQUIRE(record.groups.size() == attributes,
+                   "record schema mismatch");
+    MUFFIN_REQUIRE(record.label < num_classes_, "record label out of range");
+    ++sizes[record.label];
+    for (std::size_t a = 0; a < attributes; ++a) {
+      const std::size_t g = record.groups[a];
+      MUFFIN_REQUIRE(g < group_sizes[a].size(),
+                     "group id " + std::to_string(g) +
+                         " out of range for attribute '" + schema_[a].name +
+                         "'");
+      ++group_sizes[a][g];
+      group_ids.push_back(g);
+    }
+  }
   class_priors_.resize(num_classes_);
   for (std::size_t c = 0; c < num_classes_; ++c) {
     class_priors_[c] = static_cast<double>(sizes[c]) /
@@ -127,11 +152,13 @@ CalibratedModel::CalibratedModel(ArchitectureProfile profile,
   latent_eps_w_ =
       std::sqrt(1.0 - config_.copula_rho - config_.family_rho);
 
-  derive_offsets(dataset);
-  fixed_point_calibrate(dataset);
+  derive_offsets(dataset, group_sizes);
+  fixed_point_calibrate(dataset.size(), group_ids, group_sizes);
 }
 
-void CalibratedModel::derive_offsets(const data::Dataset& dataset) {
+void CalibratedModel::derive_offsets(
+    const data::Dataset& dataset,
+    const std::vector<std::vector<std::size_t>>& group_sizes) {
   offsets_.assign(schema_.size(), {});
   for (std::size_t a = 0; a < schema_.size(); ++a) {
     const auto it = profile_.unfairness.find(schema_[a].name);
@@ -140,29 +167,30 @@ void CalibratedModel::derive_offsets(const data::Dataset& dataset) {
     for (std::size_t g = 0; g < schema_[a].group_count(); ++g) {
       low_side[g] = dataset.is_unprivileged(a, g);
     }
-    offsets_[a] = solve_offsets(dataset.group_sizes(a), low_side, target);
+    offsets_[a] = solve_offsets(group_sizes[a], low_side, target);
   }
 }
 
-void CalibratedModel::fixed_point_calibrate(const data::Dataset& dataset) {
+void CalibratedModel::fixed_point_calibrate(
+    std::size_t records, std::span<const std::size_t> group_ids,
+    const std::vector<std::vector<std::size_t>>& group_sizes) {
+  const std::size_t attributes = schema_.size();
+  std::vector<std::vector<double>> group_sum(attributes);
   for (std::size_t round = 0; round < config_.calibration_rounds; ++round) {
     // Expected (not sampled) accuracy per group and overall.
     double overall = 0.0;
-    std::vector<std::vector<double>> group_sum(schema_.size());
-    std::vector<std::vector<std::size_t>> group_n(schema_.size());
-    for (std::size_t a = 0; a < schema_.size(); ++a) {
+    for (std::size_t a = 0; a < attributes; ++a) {
       group_sum[a].assign(schema_[a].group_count(), 0.0);
-      group_n[a].assign(schema_[a].group_count(), 0);
     }
-    for (const data::Record& record : dataset.records()) {
-      const double p = correctness_probability(record);
+    const std::size_t* groups = group_ids.data();
+    for (std::size_t i = 0; i < records; ++i, groups += attributes) {
+      const double p = clamped_probability(groups);
       overall += p;
-      for (std::size_t a = 0; a < schema_.size(); ++a) {
-        group_sum[a][record.groups[a]] += p;
-        ++group_n[a][record.groups[a]];
+      for (std::size_t a = 0; a < attributes; ++a) {
+        group_sum[a][groups[a]] += p;
       }
     }
-    overall /= static_cast<double>(dataset.size());
+    overall /= static_cast<double>(records);
 
     // Re-center the base accuracy.
     base_accuracy_ += 0.9 * (profile_.accuracy - overall);
@@ -173,9 +201,9 @@ void CalibratedModel::fixed_point_calibrate(const data::Dataset& dataset) {
       if (it == profile_.unfairness.end() || it->second <= 0.0) continue;
       double realized = 0.0;
       for (std::size_t g = 0; g < schema_[a].group_count(); ++g) {
-        if (group_n[a][g] == 0) continue;
+        if (group_sizes[a][g] == 0) continue;
         const double acc_g =
-            group_sum[a][g] / static_cast<double>(group_n[a][g]);
+            group_sum[a][g] / static_cast<double>(group_sizes[a][g]);
         realized += std::abs(acc_g - overall);
       }
       if (realized <= 1e-9) continue;
@@ -190,15 +218,19 @@ double CalibratedModel::correctness_probability(
     const data::Record& record) const {
   MUFFIN_REQUIRE(record.groups.size() == schema_.size(),
                  "record schema mismatch");
-  double p = base_accuracy_;
   for (std::size_t a = 0; a < schema_.size(); ++a) {
     // Records can arrive off the wire, where decoding checks only counts.
     MUFFIN_REQUIRE(record.groups[a] < offsets_[a].size(),
                    "group id " + std::to_string(record.groups[a]) +
                        " out of range for attribute '" + schema_[a].name +
                        "'");
-    p += offsets_[a][record.groups[a]];
   }
+  return clamped_probability(record.groups.data());
+}
+
+double CalibratedModel::clamped_probability(const std::size_t* groups) const {
+  double p = base_accuracy_;
+  for (std::size_t a = 0; a < schema_.size(); ++a) p += offsets_[a][groups[a]];
   return clamp(p, config_.min_probability, config_.max_probability);
 }
 

@@ -139,8 +139,16 @@ class CalibratedModel final : public Model {
     std::vector<unsigned char> correct;
   };
 
-  void derive_offsets(const data::Dataset& dataset);
-  void fixed_point_calibrate(const data::Dataset& dataset);
+  void derive_offsets(const data::Dataset& dataset,
+                      const std::vector<std::vector<std::size_t>>& group_sizes);
+  /// Step 2 over the calibration set's group ids, flat and record-major
+  /// ([record * attributes + attribute]); sums run in record order.
+  void fixed_point_calibrate(
+      std::size_t records, std::span<const std::size_t> group_ids,
+      const std::vector<std::vector<std::size_t>>& group_sizes);
+  /// base_accuracy_ plus one offset per attribute for `groups` (one
+  /// range-checked id per attribute), clamped to the probability bounds.
+  [[nodiscard]] double clamped_probability(const std::size_t* groups) const;
   /// The batch kernel: rows for `records` written row-major at `out` with
   /// leading dimension `ldo` (>= num_classes_). See score_batch() for the
   /// pass structure and the partition-invariance argument.

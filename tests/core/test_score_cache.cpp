@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <set>
 
 #include "common/error.h"
 #include "data/generators.h"
@@ -191,6 +194,155 @@ TEST(ScoreCacheQuant, Int8FootprintAtLeastThreeTimesSmaller) {
   EXPECT_GT(i8_ratio, bf16_ratio);
 }
 
+TEST(ScoreCache, AllRowsFootprintIs650BytesPerRecordAt8ClassesInF64) {
+  // README: ten f64 planes of 8 classes (64 bytes a row each) plus ten
+  // one-byte predictions per record; an all-rows cache has no row index.
+  const ScoreCache cache = float_cache();
+  ASSERT_EQ(cache.num_models(), 10u);
+  EXPECT_EQ(cache.footprint_bytes(), 650 * cache_dataset().size());
+}
+
+// --- row-subset caches -----------------------------------------------------
+
+/// Every third row, visited in a scrambled order: the held rows need not
+/// be sorted or contiguous.
+std::vector<std::size_t> subset_rows() {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < cache_dataset().size(); i += 3) {
+    rows.push_back((i * 7) % cache_dataset().size());
+  }
+  return rows;
+}
+
+bool held(std::span<const std::size_t> rows, std::size_t record) {
+  return std::find(rows.begin(), rows.end(), record) != rows.end();
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(ScoreCacheSubset, HeldRowsAreBitIdenticalToTheAllRowsCache) {
+  const std::vector<std::size_t> rows = subset_rows();
+  ASSERT_EQ(std::set<std::size_t>(rows.begin(), rows.end()).size(),
+            rows.size());
+  for (const tensor::QuantMode mode :
+       {tensor::QuantMode::Off, tensor::QuantMode::Bf16}) {
+    const ScoreCache all(cache_pool(), cache_dataset(), mode);
+    const ScoreCache subset(cache_pool(), cache_dataset(), rows, mode);
+    EXPECT_EQ(subset.num_records(), all.num_records());
+    EXPECT_EQ(subset.num_models(), all.num_models());
+    EXPECT_EQ(subset.quant_mode(), mode);
+    const std::vector<std::size_t> selected = {7, 0, 3};
+    tensor::Vector want(3 * 8);
+    tensor::Vector got(3 * 8);
+    for (const std::size_t i : rows) {
+      all.gather(selected, i, want);
+      subset.gather(selected, i, got);
+      ASSERT_TRUE(same_bits(want, got))
+          << tensor::quant_mode_name(mode) << " row " << i;
+      for (std::size_t m = 0; m < all.num_models(); ++m) {
+        ASSERT_EQ(subset.prediction(m, i), all.prediction(m, i));
+      }
+      std::size_t want_class = 99;
+      std::size_t got_class = 99;
+      ASSERT_EQ(subset.consensus(selected, i, got_class),
+                all.consensus(selected, i, want_class));
+      ASSERT_EQ(got_class, want_class);
+    }
+  }
+}
+
+TEST(ScoreCacheSubset, Int8ScalesAreTakenOverTheHeldRows) {
+  const std::vector<std::size_t> rows = subset_rows();
+  const ScoreCache exact = float_cache();
+  const ScoreCache subset(cache_pool(), cache_dataset(), rows,
+                          tensor::QuantMode::Int8);
+  for (std::size_t m = 0; m < exact.num_models(); ++m) {
+    // The held rows' full-precision scores, in the order they were given,
+    // quantized as one matrix: per-column scales over those rows only.
+    const tensor::Matrix dense = exact.scores_dense(m);
+    tensor::Matrix held_scores(rows.size(), 8);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const auto src = dense.row(rows[k]);
+      std::copy(src.begin(), src.end(), held_scores.row(k).begin());
+    }
+    const tensor::QuantMatrix reference(
+        tensor::QuantMode::Int8, rows.size(), 8, held_scores.flat().data(),
+        held_scores.stride(), /*col_stride=*/1);
+    const std::vector<std::size_t> solo = {m};
+    tensor::Vector want(8);
+    tensor::Vector got(8);
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      reference.decode_row(k, want);
+      subset.gather(solo, rows[k], got);
+      ASSERT_TRUE(same_bits(want, got)) << "model " << m << " row "
+                                                << rows[k];
+    }
+  }
+}
+
+TEST(ScoreCacheSubset, RejectsRowsItDoesNotHold) {
+  const std::vector<std::size_t> rows = subset_rows();
+  const ScoreCache subset(cache_pool(), cache_dataset(), rows,
+                          tensor::QuantMode::Off);
+  std::size_t missing = 0;
+  while (held(rows, missing)) ++missing;
+  const std::vector<std::size_t> selected = {0, 1};
+  tensor::Vector out(2 * 8);
+  std::size_t consensus_class = 0;
+  EXPECT_THROW(subset.gather(selected, missing, out), Error);
+  EXPECT_THROW((void)subset.consensus(selected, missing, consensus_class),
+               Error);
+  EXPECT_THROW((void)subset.prediction(0, missing), Error);
+  EXPECT_THROW((void)subset.prediction(0, subset.num_records()), Error);
+  EXPECT_THROW(subset.gather(selected, subset.num_records(), out), Error);
+  // The planes hold only the subset, so there is no dense matrix to give.
+  EXPECT_THROW((void)subset.scores_dense(0), Error);
+}
+
+TEST(ScoreCacheSubset, RejectsBadRowLists) {
+  const std::vector<std::size_t> duplicate = {4, 9, 4};
+  const std::vector<std::size_t> out_of_range = {0, cache_dataset().size()};
+  const std::vector<std::size_t> empty;
+  EXPECT_THROW(ScoreCache(cache_pool(), cache_dataset(), duplicate), Error);
+  EXPECT_THROW(ScoreCache(cache_pool(), cache_dataset(), out_of_range),
+               Error);
+  // An empty list is an error, never a stand-in for "all rows".
+  EXPECT_THROW(ScoreCache(cache_pool(), cache_dataset(), empty), Error);
+}
+
+TEST(ScoreCacheSubset, MovedCacheKeepsItsIndex) {
+  const std::vector<std::size_t> rows = {40, 2, 17};
+  const ScoreCache all = float_cache();
+  ScoreCache original(cache_pool(), cache_dataset(), rows,
+                      tensor::QuantMode::Off);
+  ScoreCache moved = std::move(original);
+  ScoreCache assigned(cache_pool(), cache_dataset(), tensor::QuantMode::Off);
+  assigned = std::move(moved);
+  const std::vector<std::size_t> solo = {5};
+  tensor::Vector want(8);
+  tensor::Vector got(8);
+  for (const std::size_t i : rows) {
+    all.gather(solo, i, want);
+    assigned.gather(solo, i, got);
+    EXPECT_TRUE(same_bits(want, got)) << "row " << i;
+  }
+  EXPECT_THROW(assigned.gather(solo, 3, got), Error);
+  EXPECT_THROW((void)assigned.scores_dense(0), Error);
+}
+
+TEST(ScoreCacheSubset, FootprintCountsHeldRowsAndTheIndex) {
+  const std::vector<std::size_t> rows = subset_rows();
+  const ScoreCache subset(cache_pool(), cache_dataset(), rows,
+                          tensor::QuantMode::Off);
+  // Per held row: 10 planes of 8 f64 scores and 10 prediction bytes; the
+  // index is 4 bytes per dataset row.
+  EXPECT_EQ(subset.footprint_bytes(),
+            650 * rows.size() + 4 * cache_dataset().size());
+}
+
 TEST(ScoreCacheQuant, FootprintGaugeTracksLifetimes) {
   obs::Gauge& gauge = obs::registry().gauge("core.score_cache_bytes");
   const std::int64_t before = gauge.value();
@@ -203,6 +355,11 @@ TEST(ScoreCacheQuant, FootprintGaugeTracksLifetimes) {
     const ScoreCache moved = std::move(const_cast<ScoreCache&>(cache));
     EXPECT_EQ(gauge.value() - before,
               static_cast<std::int64_t>(moved.footprint_bytes()));
+    const ScoreCache subset(cache_pool(), cache_dataset(), subset_rows(),
+                            tensor::QuantMode::Int8);
+    EXPECT_EQ(gauge.value() - before,
+              static_cast<std::int64_t>(moved.footprint_bytes() +
+                                        subset.footprint_bytes()));
   }
   EXPECT_EQ(gauge.value(), before);
 }

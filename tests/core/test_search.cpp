@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+
 #include "common/error.h"
 #include "data/generators.h"
+#include "tensor/quant.h"
 
 namespace muffin::core {
 namespace {
@@ -140,6 +144,97 @@ TEST(MuffinSearch, BuildFusedMatchesEvaluateChoice) {
   const auto fused = search.build_fused(choice, "Muffin-Test", 3);
   const auto report = fairness::evaluate_model(*fused, fixture().eval);
   EXPECT_NEAR(report.accuracy, record.eval_report.accuracy, 1e-12);
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+bool same_report(const fairness::FairnessReport& a,
+                 const fairness::FairnessReport& b) {
+  if (std::bit_cast<std::uint64_t>(a.accuracy) !=
+          std::bit_cast<std::uint64_t>(b.accuracy) ||
+      a.attributes.size() != b.attributes.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < a.attributes.size(); ++k) {
+    const fairness::AttributeFairness& x = a.attributes[k];
+    const fairness::AttributeFairness& y = b.attributes[k];
+    if (x.attribute != y.attribute || x.group_count != y.group_count ||
+        !same_bits(x.group_accuracy, y.group_accuracy) ||
+        std::bit_cast<std::uint64_t>(x.unfairness) !=
+            std::bit_cast<std::uint64_t>(y.unfairness)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool same_weights(nn::Mlp a, nn::Mlp b) {
+  const std::vector<nn::ParamView> pa = a.params();
+  const std::vector<nn::ParamView> pb = b.params();
+  if (pa.size() != pb.size()) return false;
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    if (!same_bits(pa[i].value, pb[i].value)) return false;
+  }
+  return true;
+}
+
+// The search's train cache holds only the proxy rows. Oracle: an episode
+// trained through an all-rows cache of the train split, on the same proxy,
+// with the same seed. A row's f64 or bf16 scores do not depend on which
+// other rows were scored, so both give the same bits. int8 searches differ
+// by design: each class column's scale is taken over the rows a cache
+// holds, so a proxy-rows cache quantizes on a different grid.
+TEST(MuffinSearch, ProxyRowsTrainCacheMatchesAllRowsOracle) {
+  const data::Dataset& train = fixture().train;
+  const data::Dataset& eval = fixture().eval;
+  const MuffinSearchConfig config = small_config();
+  rl::StructureChoice choice;
+  choice.model_indices = {2, 6};
+  choice.hidden_dims = {16, 10};
+  choice.activation = nn::Activation::Tanh;
+  const std::uint64_t episode_seed = 9;
+  for (const tensor::QuantMode mode :
+       {tensor::QuantMode::Off, tensor::QuantMode::Bf16}) {
+    const tensor::ScopedQuantMode scoped(mode);
+    MuffinSearch search(fixture().pool, train, eval, small_space(), config);
+    const ScoreCache all_rows(fixture().pool, train);
+    ASSERT_EQ(search.train_cache().quant_mode(), mode);
+
+    const FusingStructure structure =
+        FusingStructure::from_choice(choice, train.num_classes());
+    HeadTrainConfig head_config = config.head_train;
+    head_config.seed = SplitRng(config.seed)
+                           .fork("episode:" + std::to_string(episode_seed))
+                           .seed();
+    const nn::Mlp head =
+        train_head(all_rows, train, search.proxy(), structure, head_config);
+    const fairness::FairnessReport report = fairness::evaluate_predictions(
+        eval, fused_predictions(search.eval_cache(), structure, head,
+                                config.head_only_on_disagreement));
+    const double reward = multi_fairness_reward(report, config.reward);
+
+    const EpisodeRecord record = search.evaluate_choice(choice, episode_seed);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(record.reward),
+              std::bit_cast<std::uint64_t>(reward))
+        << tensor::quant_mode_name(mode);
+    EXPECT_TRUE(same_report(record.eval_report, report))
+        << tensor::quant_mode_name(mode);
+    const auto fused = search.build_fused(choice, "oracle", episode_seed);
+    EXPECT_TRUE(same_weights(fused->head(), head))
+        << tensor::quant_mode_name(mode);
+
+    // The train cache drops the planes and predictions of every train row
+    // outside the proxy and adds a 4-byte index entry per train row.
+    const std::size_t unread = train.size() - search.proxy().size();
+    const std::size_t per_row = all_rows.footprint_bytes() / train.size();
+    ASSERT_GT(unread, 0u);
+    EXPECT_EQ(all_rows.footprint_bytes() - search.train_cache().footprint_bytes(),
+              unread * per_row - 4 * train.size())
+        << tensor::quant_mode_name(mode);
+  }
 }
 
 TEST(MuffinSearch, ForcedModelAppearsInEveryEpisode) {

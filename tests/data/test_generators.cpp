@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -242,6 +245,146 @@ TEST(Generators, ValidateCatchesBrokenConfigs) {
   config = isic2019_config(100, 1);
   config.unprivileged_repulsion = -0.1;
   EXPECT_THROW(config.validate(), Error);
+}
+
+// --- bit-identity against a per-record reference ---------------------------
+
+std::vector<double> reference_normalized(std::vector<double> weights) {
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  for (double& w : weights) w /= total;
+  return weights;
+}
+
+/// Reference for generate(): the same streams, draws and arithmetic, but
+/// every record builds and normalizes its own attribute-k group
+/// distributions and class distribution.
+Dataset reference_generate(const SyntheticConfig& config) {
+  SplitRng master(config.seed);
+  SplitRng group_rng = master.fork("groups");
+  SplitRng class_rng = master.fork("classes");
+  SplitRng difficulty_rng = master.fork("difficulty");
+  SplitRng feature_rng = master.fork("features");
+  SplitRng geometry_rng = master.fork("geometry");
+  const double dim = static_cast<double>(config.feature_dim);
+  std::vector<std::vector<double>> class_centroids(config.num_classes);
+  for (auto& centroid : class_centroids) {
+    centroid.resize(config.feature_dim);
+    for (double& v : centroid) {
+      v = geometry_rng.normal(0.0, config.class_separation / std::sqrt(dim));
+    }
+  }
+  std::vector<std::vector<std::vector<double>>> group_offsets(
+      config.schema.size());
+  for (std::size_t a = 0; a < config.schema.size(); ++a) {
+    group_offsets[a].resize(config.schema[a].group_count());
+    for (auto& offset : group_offsets[a]) {
+      offset.resize(config.feature_dim);
+      for (double& v : offset) {
+        v = geometry_rng.normal(0.0, config.group_shift / std::sqrt(dim));
+      }
+    }
+  }
+  Dataset dataset(config.name, config.num_classes, config.schema);
+  for (std::size_t a = 0; a < config.schema.size(); ++a) {
+    dataset.set_unprivileged(a, config.unprivileged[a]);
+  }
+  const std::vector<double> marginal0 =
+      reference_normalized(config.group_marginals[0]);
+  for (std::size_t i = 0; i < config.num_samples; ++i) {
+    Record record;
+    record.uid = config.seed * 0x9e3779b97f4a7c15ULL + i;
+    record.groups.resize(config.schema.size());
+    record.groups[0] = group_rng.categorical(marginal0);
+    const bool g0_unprivileged = config.unprivileged[0][record.groups[0]];
+    for (std::size_t a = 1; a < config.schema.size(); ++a) {
+      std::vector<double> probs = config.group_marginals[a];
+      if (g0_unprivileged && config.unprivileged_repulsion > 0.0) {
+        for (std::size_t g = 0; g < probs.size(); ++g) {
+          if (config.unprivileged[a][g]) {
+            probs[g] *= std::exp(-config.unprivileged_repulsion);
+          }
+        }
+      }
+      record.groups[a] = group_rng.categorical(reference_normalized(probs));
+    }
+    std::size_t unprivileged_count = 0;
+    for (std::size_t a = 0; a < config.schema.size(); ++a) {
+      if (config.unprivileged[a][record.groups[a]]) ++unprivileged_count;
+    }
+    std::vector<double> classes = config.class_priors;
+    if (unprivileged_count > 0 && config.class_skew > 0.0) {
+      const double skew = std::min(
+          1.0, config.class_skew * static_cast<double>(unprivileged_count));
+      for (std::size_t c = 0; c < classes.size(); ++c) {
+        classes[c] = std::pow(config.class_priors[c], 1.0 - skew);
+      }
+      classes = reference_normalized(classes);
+    }
+    record.label = class_rng.categorical(classes);
+    record.difficulty = difficulty_rng.normal();
+    const double noise_scale =
+        config.feature_noise *
+        (1.0 + config.unprivileged_noise *
+                   static_cast<double>(unprivileged_count)) *
+        (1.0 + 0.25 * std::tanh(record.difficulty));
+    record.features.resize(config.feature_dim);
+    for (std::size_t d = 0; d < config.feature_dim; ++d) {
+      double value = class_centroids[record.label][d];
+      for (std::size_t a = 0; a < config.schema.size(); ++a) {
+        value += group_offsets[a][record.groups[a]][d];
+      }
+      value += feature_rng.normal(0.0, noise_scale);
+      record.features[d] = value;
+    }
+    dataset.add_record(std::move(record));
+  }
+  return dataset;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_bit_identical(const Dataset& got, const Dataset& want) {
+  EXPECT_EQ(got.name(), want.name());
+  EXPECT_EQ(got.num_classes(), want.num_classes());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t a = 0; a < want.schema().size(); ++a) {
+    EXPECT_EQ(got.unprivileged_groups(a), want.unprivileged_groups(a));
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Record& g = got.record(i);
+    const Record& w = want.record(i);
+    ASSERT_EQ(g.uid, w.uid) << "record " << i;
+    ASSERT_EQ(g.label, w.label) << "record " << i;
+    ASSERT_EQ(g.groups, w.groups) << "record " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(g.difficulty),
+              std::bit_cast<std::uint64_t>(w.difficulty))
+        << "record " << i;
+    ASSERT_TRUE(same_bits(g.features, w.features)) << "record " << i;
+  }
+}
+
+TEST(Generators, BitIdenticalToPerRecordDistributionsIsic) {
+  const SyntheticConfig config = isic2019_config(6000, 2019);
+  expect_bit_identical(generate(config), reference_generate(config));
+}
+
+TEST(Generators, BitIdenticalToPerRecordDistributionsFitzpatrick) {
+  const SyntheticConfig config = fitzpatrick17k_config(6000, 1717);
+  expect_bit_identical(generate(config), reference_generate(config));
+}
+
+TEST(Generators, BitIdenticalToPerRecordDistributionsWithoutRepulsionOrSkew) {
+  // Both shortcut branches: the group conditional is the normalized
+  // marginal and the class conditional is the unnormalized prior.
+  SyntheticConfig config = isic2019_config(4000, 31);
+  config.unprivileged_repulsion = 0.0;
+  config.class_skew = 0.0;
+  config.class_priors = {1.78, 5.08, 1.31, 0.34, 1.04, 0.10, 0.10, 0.25};
+  expect_bit_identical(generate(config), reference_generate(config));
 }
 
 class SampleSizeSweep : public ::testing::TestWithParam<std::size_t> {};
