@@ -6,7 +6,7 @@
 //             matmul_into and the transposed-B kernels against a local
 //             naive i-k-j reference (guards the scalar fallback against
 //             regression), plus the SIMD backend section — scalar vs
-//             runtime-dispatched SIMD vs SIMD+shared-pool row split on
+//             runtime-dispatched SIMD vs the public entry point on
 //             serving shapes, in GFLOP/s, gated at >= 3x (full mode, AVX2
 //             hosts) on matmul_transposed_b_bias_into.
 //   head      nn::Mlp forward: per-record forward_inference loop vs one
@@ -241,16 +241,17 @@ int main(int argc, char** argv) {
   // bit-identical first:
   //   scalar        the portable 2x4-tile kernel, serial (the PR 3 path)
   //   simd          the runtime-dispatched backend, serial
-  //   simd+threads  the public entry point: dispatched backend plus the
-  //                 shared-pool row split (what serving actually runs)
+  //   simd+threads  the public entry point, called from this thread with
+  //                 the pool at its configured width: the dispatched
+  //                 backend, one serial call over all rows (GEMMs do not
+  //                 split rows over the pool), so it reads as simd
   // Acceptance (full mode, SIMD-capable hosts): simd+threads >= 3x scalar
   // at the batch >= 64 serving shapes with full vector-lane occupancy
   // (m % 8 == 0 — wide heads / many-body structures). The 18-wide
   // 2-body head layer fills only 18 of 24 lanes (75%), and since the
   // bit-identity contract forbids FMA inside reductions the FP-ALU
   // ceiling bounds that shape below 3x on a single core — it is floored
-  // at 2.5x serial and clears 3x with the thread split on multi-core
-  // hosts. Scalar-only hosts report and skip the gates.
+  // at 2.5x. Scalar-only hosts report and skip the gates.
   {
     struct GemmShape {
       std::size_t n, depth, m;
@@ -287,8 +288,9 @@ int main(int argc, char** argv) {
                 << (threads_env != nullptr
                         ? std::string("MUFFIN_THREADS=") + threads_env
                         : std::string("single-core host"))
-                << "); full-mode numbers measure the serial path and "
-                   "row-split speedups will read as ~1x.\n\n";
+                << "); the calibrated-body score_batch b=256 rows, the "
+                   "only timed rows that split over the pool, measure "
+                   "the serial path.\n\n";
     }
     TextTable simd_table({"A*B^T+bias shape", "scalar GF/s", "simd GF/s",
                           "simd+threads GF/s", "speedup"});
@@ -379,8 +381,8 @@ int main(int argc, char** argv) {
     simd_table.print(std::cout);
     std::cout << (simd ? "full-lane serving shapes gate at >= 3x; the "
                          "18-wide head shapes occupy 75% of the vector "
-                         "lanes and gate at >= 2.5x serial (threads carry "
-                         "them past 3x on multi-core hosts)\n"
+                         "lanes and gate at >= 2.5x; GEMMs run serially, "
+                         "so simd+threads reads as simd\n"
                        : "scalar backend active: speedup floors skipped\n")
               << "\n";
   }

@@ -58,9 +58,6 @@ int main() {
   config.reward.attributes = {"age", "site"};
   config.head_train.epochs = 12;
   config.proxy.max_samples = 2500;
-  // TrainableClassifier::scores is not thread-safe (it reuses the MLP's
-  // forward caches), so evaluate episodes sequentially.
-  config.parallel = false;
 
   core::MuffinSearch search(pool, train, validation, space, config);
   const core::SearchResult result = search.run();

@@ -3,24 +3,27 @@
 // parallel_for(n, grain, body) splits the index range [0, n) into
 // contiguous blocks of at least `grain` indices and runs
 // body(begin, end) for each block, using the shared pool returned by
-// global_pool(). It is the one threading primitive the hot paths use:
-// GEMM row-blocks (tensor/ops.cpp), CalibratedModel / FusedModel
-// score_batch row splits, and anything later that needs data
-// parallelism — all drawing from the same pool as the serving engine
-// and MuffinSearch, so components never compete with per-call threads.
+// global_pool(), the same pool the serving engine and MuffinSearch use,
+// so components never compete with per-call threads. Its one caller is
+// CalibratedModel::score_batch (models/calibrated.cpp), the outermost
+// loop of every ScoreCache build. GEMMs are not split: a block was a few
+// microseconds of work, less than the hand-off to a worker costs.
+// FusedModel::score_batch leaves the split to its calibrated bodies, so
+// no split nests under another.
 //
 // Guarantees:
 //  * Every index in [0, n) is covered by exactly one body(begin, end)
 //    call with begin < end; blocks are contiguous and ascending per call
 //    site. Work that makes each output element entirely inside one block
-//    (e.g. GEMM row-blocks) is therefore bit-identical to a serial run.
+//    (e.g. one scored record per row) is therefore bit-identical to a
+//    serial run.
 //  * The calling thread participates: one block always runs inline, so a
 //    one-worker pool (or an empty queue slot) never deadlocks a caller.
 //  * Nested use is safe and serial: when the caller is already a pool
 //    worker (ThreadPool::current_worker() != npos) — an engine batch job
-//    or a MuffinSearch episode evaluating a kernel — the whole range runs
-//    inline on that worker instead of re-entering the pool, which would
-//    risk worker-starvation deadlock.
+//    scoring calibrated bodies — the whole range runs inline on that
+//    worker instead of re-entering the pool, which would risk
+//    worker-starvation deadlock.
 //  * Exceptions from body propagate: the first block exception is
 //    rethrown to the caller after all blocks finished (no detached work
 //    left touching caller state).
@@ -58,9 +61,9 @@ void parallel_for_impl(std::size_t n, std::size_t grain,
 /// Run body(begin, end) over a partition of [0, n) as described above.
 /// `grain` is the minimum block size (0 is treated as 1). The serial
 /// fallbacks (nested-in-worker, single-worker pool, range below two
-/// grains) are decided inline before any allocation, so kernels called
-/// from pool workers — every engine batch and search episode — pay two
-/// thread-local/static reads and no std::function or partition vector.
+/// grains) are decided inline before any allocation, so calls from pool
+/// workers — every engine batch — pay two thread-local/static reads and
+/// no std::function or partition vector.
 template <typename Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   if (n == 0) return;

@@ -6,9 +6,9 @@
 // to whoever awaits the job instead of crashing the process. The pool is
 // the shared threading substrate of the codebase: the serving engine runs
 // micro-batches on it, MuffinSearch evaluates controller batches on it,
-// and parallel_for (common/parallel_for.h) splits kernel row-blocks over
-// it. It lives in common (not serve) so the tensor layer can partition
-// GEMMs without depending on the serving runtime.
+// and parallel_for (common/parallel_for.h) splits calibrated score_batch
+// rows over it. It lives in common (not serve) so the models and core
+// layers can use it without depending on the serving runtime.
 //
 // Workers are numbered 0..size()-1; current_worker() returns the index of
 // the pool worker executing the current job (or npos outside a worker).

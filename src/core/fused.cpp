@@ -1,10 +1,8 @@
 #include "core/fused.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/error.h"
-#include "common/parallel_for.h"
 #include "tensor/ops.h"
 
 namespace muffin::core {
@@ -71,38 +69,6 @@ tensor::Vector FusedModel::scores(const data::Record& record) const {
 
 tensor::Matrix FusedModel::score_batch(
     std::span<const data::Record> records) const {
-  // Above the threshold, split the record rows over the shared worker
-  // pool: each block runs the full gather + row-wise fuse on its slice.
-  // Every output row depends only on its own record, so the partitioned
-  // result is bit-identical, row for row, to the serial path (and to
-  // per-record scores()). Below the threshold — and inside pool workers,
-  // where parallel_for degrades to serial — this is exactly the PR 3
-  // serial path with no extra copy.
-  constexpr std::size_t kParallelRowThreshold = 256;
-  if (records.size() >= kParallelRowThreshold &&
-      common::global_pool_size() > 1 &&
-      common::ThreadPool::current_worker() == common::ThreadPool::npos) {
-    tensor::Matrix out(records.size(), num_classes_);
-    parallel_for(records.size(), /*grain=*/128,
-                 [&](std::size_t begin, std::size_t end) {
-                   const tensor::Matrix gathered = gather_body_scores(
-                       body_, num_classes_,
-                       records.subspan(begin, end - begin));
-                   const FusedBatch fused = fuse_gathered_batch(
-                       gathered, head_, body_.size(), num_classes_,
-                       head_only_on_disagreement_);
-                   // Row-wise copy honoring both leading dimensions (the
-                   // stride() hook may pad rows some day); the copied
-                   // bytes are a small fraction of the scoring cost.
-                   for (std::size_t i = begin; i < end; ++i) {
-                     std::memcpy(out.flat().data() + i * out.stride(),
-                                 fused.scores.flat().data() +
-                                     (i - begin) * fused.scores.stride(),
-                                 num_classes_ * sizeof(double));
-                   }
-                 });
-    return out;
-  }
   const tensor::Matrix gathered =
       gather_body_scores(body_, num_classes_, records);
   return fuse_gathered_batch(gathered, head_, body_.size(), num_classes_,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <future>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -150,12 +149,10 @@ SearchResult MuffinSearch::run() {
   SplitRng sample_rng = SplitRng(config_.seed).fork("controller-sampling");
 
   // Controller batches evaluate on the process-wide shared pool — the
-  // same one the serving engine and the kernel-level parallel_for use —
-  // so a search running next to a serving tier queues work instead of
-  // spawning competing threads. (Episode jobs that reach a kernel split
-  // run it inline: parallel_for detects pool workers and stays serial.)
-  common::ThreadPool* pool =
-      config_.parallel ? &common::global_pool() : nullptr;
+  // same one the serving engine uses — so a search running next to a
+  // serving tier queues work instead of spawning competing threads.
+  // MUFFIN_THREADS=1 makes the evaluation serial.
+  common::ThreadPool& pool = common::global_pool();
 
   std::size_t episode = 0;
   while (episode < config_.episodes) {
@@ -185,21 +182,14 @@ SearchResult MuffinSearch::run() {
           continue;
         }
         const std::uint64_t episode_seed = episode + b;
-        if (config_.parallel) {
-          futures[b] = pool->submit([this, &sampled, b, episode_seed]() {
-            return evaluate_internal(sampled[b].choice, episode_seed);
-          });
-        } else {
-          records[b] = evaluate_internal(sampled[b].choice, episode_seed);
-          records[b].tokens = sampled[b].tokens;
-        }
+        futures[b] = pool.submit([this, &sampled, b, episode_seed]() {
+          return evaluate_internal(sampled[b].choice, episode_seed);
+        });
       }
-      if (config_.parallel) {
-        for (std::size_t b = 0; b < batch; ++b) {
-          if (from_memo[b]) continue;
-          records[b] = futures[b].get();
-          records[b].tokens = sampled[b].tokens;
-        }
+      for (std::size_t b = 0; b < batch; ++b) {
+        if (from_memo[b]) continue;
+        records[b] = futures[b].get();
+        records[b].tokens = sampled[b].tokens;
       }
     } catch (...) {
       // Pool futures do not block on destruction (std::async's did), so an

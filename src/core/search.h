@@ -11,9 +11,9 @@
 // final reporting in the benches is on the untouched test split. Episodes
 // within one controller batch are evaluated in parallel on the shared
 // process-wide worker pool (common::global_pool(), also used by the
-// serving engine and the kernel parallel_for) — structure evaluation is
-// embarrassingly parallel and
-// all shared state (score caches, proxy) is read-only. Results are
+// serving engine; MUFFIN_THREADS=1 makes it serial) — structure
+// evaluation is embarrassingly parallel and all shared state (score
+// caches, proxy) is read-only. Results are
 // bit-identical to the sequential loop because every episode derives its
 // seed from its index.
 #pragma once
@@ -40,8 +40,6 @@ struct MuffinSearchConfig {
   RewardConfig reward;
   ProxyConfig proxy;
   bool head_only_on_disagreement = true;
-  /// Evaluate episodes of one controller batch concurrently.
-  bool parallel = true;
   std::uint64_t seed = 123;
   /// Progress callback: (episode index, record).
   std::function<void(std::size_t, const struct EpisodeRecord&)> on_episode;

@@ -12,9 +12,11 @@
 //    span the caller already holds at once, as one batch, on the calling
 //    thread — the shard server's path for each decoded request frame.
 //    Both go through the same memo -> gather -> fuse -> memo-store core.
-//    Every engine replica, MuffinSearch and the kernel-level parallel_for
-//    draw from the one pool, so components never compete through
-//    oversubscribed per-component threads.
+//    Every engine replica, MuffinSearch and the calibrated score_batch
+//    row split draw from the one pool, so components never compete
+//    through oversubscribed per-component threads. A queued batch splits
+//    nothing further: on a pool worker the row split runs serially, and
+//    GEMMs never split.
 //  * **Matrix-in/Matrix-out batch scoring.** Each batch's memo misses are
 //    scored as one record span: every body model scores the whole span via
 //    its Model::score_batch override (batched GEMM for network-backed

@@ -19,8 +19,8 @@
 //    responses by sequence number without a reorder buffer;
 //  * the trade-off: a connection's pipelined frames are scored one after
 //    another. Server parallelism comes from the number of connections
-//    (RemoteShardConfig::connections) and from the parallel_for row split
-//    inside large frames. There is no admission queue: a client that
+//    (RemoteShardConfig::connections) and from the calibrated bodies' row
+//    split inside large frames. There is no admission queue: a client that
 //    pipelines faster than its connection is answered is pushed back
 //    through the socket, bounded by its own request deadline.
 //

@@ -148,11 +148,11 @@ inline void gemm_tb_row_tail(const double* ai, const double* bt,
 }
 
 /// A * B^T (+ bias): B is packed transposed once per call (per thread —
-/// the buffer is thread_local so row-partitioned parallel calls do not
-/// share it), then a 2-row x 8-column register tile accumulates with
-/// broadcast-A times contiguous-packed-B vectors. 2 x 8 doubles = 4
-/// accumulator registers, k ascending, mul-then-add per lane, bias last:
-/// the scalar reduction order, element for element.
+/// the buffer is thread_local so GEMMs running concurrently on pool
+/// workers do not share it), then a 2-row x 8-column register tile
+/// accumulates with broadcast-A times contiguous-packed-B vectors. 2 x 8
+/// doubles = 4 accumulator registers, k ascending, mul-then-add per lane,
+/// bias last: the scalar reduction order, element for element.
 void gemm_tb_avx2(const double* a, std::size_t lda, const double* b,
                   std::size_t ldb, const double* bias, double* out,
                   std::size_t ldo, std::size_t n, std::size_t m,

@@ -1,8 +1,8 @@
 // Portable scalar kernel backend — the bit-identity reference.
 //
 // These are the PR 3 register-tiled kernels, lifted to raw-pointer +
-// leading-dimension form so the SIMD backends and the row-partitioned
-// parallel wrappers can share one signature. The arithmetic is untouched:
+// leading-dimension form so the SIMD backends and the public entry points
+// in tensor/ops.cpp can share one signature. The arithmetic is untouched:
 // every output element accumulates in the same order as before.
 #include <algorithm>
 #include <cmath>

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/parallel_for.h"
 #include "tensor/simd.h"
 
 namespace muffin::tensor {
@@ -18,15 +17,6 @@ void require_same_size(std::span<const double> a, std::span<const double> b,
                        const char* op) {
   MUFFIN_REQUIRE(a.size() == b.size(),
                  std::string(op) + " requires matching sizes");
-}
-
-/// Row-block grain for the parallel GEMM split: target at least ~32k
-/// multiply-adds per block so the submit/future overhead stays noise, and
-/// never fewer than 8 rows. Each output element is computed entirely
-/// inside one block, so the partitioned run is bit-identical to serial.
-std::size_t gemm_row_grain(std::size_t m, std::size_t depth) {
-  const std::size_t flops_per_row = std::max<std::size_t>(1, m * depth);
-  return std::max<std::size_t>(8, 32768 / flops_per_row);
 }
 }  // namespace
 
@@ -43,24 +33,12 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
   } else {
     out.fill(0.0);
   }
-  // Kernel execution (scalar or AVX2 by runtime dispatch; see
-  // tensor/simd.h) over row-blocks: each block owns a contiguous slice of
-  // A/C rows, so every out(i, j) accumulates exactly as in a serial run.
-  const detail::KernelTable& kernels = detail::active_kernels();
-  const std::size_t depth = a.cols();
-  const std::size_t m = b.cols();
-  const double* a_data = a.flat().data();
-  const double* b_data = b.flat().data();
-  double* out_data = out.flat().data();
-  const std::size_t lda = a.stride();
-  const std::size_t ldb = b.stride();
-  const std::size_t ldo = out.stride();
-  parallel_for(a.rows(), gemm_row_grain(m, depth),
-               [&](std::size_t begin, std::size_t end) {
-                 kernels.matmul(a_data + begin * lda, lda, b_data, ldb,
-                                out_data + begin * ldo, ldo, end - begin,
-                                depth, m);
-               });
+  // One serial call into the dispatched kernel (tensor/simd.h) over all
+  // rows; ops.h says why GEMMs do not split.
+  detail::active_kernels().matmul(a.flat().data(), a.stride(),
+                                  b.flat().data(), b.stride(),
+                                  out.flat().data(), out.stride(), a.rows(),
+                                  a.cols(), b.cols());
 }
 
 Matrix matmul_transposed_b(const Matrix& a, const Matrix& b) {
@@ -71,28 +49,17 @@ Matrix matmul_transposed_b(const Matrix& a, const Matrix& b) {
 
 namespace {
 
-/// Shared A * B^T (+ bias) wrapper: dispatches to the active kernel
-/// backend (scalar 2x4 register tile, or the AVX2 column-vectorized
-/// kernel — see tensor/simd.h) and splits the batch rows over the shared
-/// worker pool above the grain threshold. Every out(i, j) accumulates its
-/// k terms in ascending order and adds the bias last in every backend and
-/// every partition, so results are bit-identical to
-/// matvec-then-add-bias. `bias` may be null.
+/// Shared A * B^T (+ bias) wrapper: one call into the active kernel
+/// backend (scalar 2x4 register tile, or the vector column kernels — see
+/// tensor/simd.h) over all rows. Every out(i, j) accumulates its k terms
+/// in ascending order and adds the bias last in every backend, so results
+/// are bit-identical to matvec-then-add-bias. `bias` may be null.
 void gemm_transposed_b_raw(const Matrix& a, const double* b_data,
                            std::size_t ldb, std::size_t m, const double* bias,
                            Matrix& out) {
-  const detail::KernelTable& kernels = detail::active_kernels();
-  const std::size_t depth = a.cols();
-  const double* a_data = a.flat().data();
-  double* out_data = out.flat().data();
-  const std::size_t lda = a.stride();
-  const std::size_t ldo = out.stride();
-  parallel_for(a.rows(), gemm_row_grain(m, depth),
-               [&](std::size_t begin, std::size_t end) {
-                 kernels.gemm_tb(a_data + begin * lda, lda, b_data, ldb, bias,
-                                 out_data + begin * ldo, ldo, end - begin, m,
-                                 depth);
-               });
+  detail::active_kernels().gemm_tb(a.flat().data(), a.stride(), b_data, ldb,
+                                   bias, out.flat().data(), out.stride(),
+                                   a.rows(), m, a.cols());
 }
 
 void gemm_transposed_b(const Matrix& a, const Matrix& b, const double* bias,
@@ -143,30 +110,15 @@ void matmul_transposed_b_bias_quant_into(const Matrix& a,
   out.resize_for_overwrite(a.rows(), b.cols());
   const detail::KernelTable& kernels = detail::active_kernels();
   const std::size_t m = b.cols();
-  const std::size_t depth = b.rows();
-  const double* a_data = a.flat().data();
-  double* out_data = out.flat().data();
-  const double* bias_data = bias.data();
-  const std::size_t lda = a.stride();
-  const std::size_t ldo = out.stride();
   if (b.mode() == QuantMode::Bf16) {
-    const std::uint16_t* bq = b.bf16().data();
-    parallel_for(a.rows(), gemm_row_grain(m, depth),
-                 [&](std::size_t begin, std::size_t end) {
-                   kernels.gemm_tb_bf16(a_data + begin * lda, lda, bq, m,
-                                        bias_data, out_data + begin * ldo,
-                                        ldo, end - begin, m, depth);
-                 });
+    kernels.gemm_tb_bf16(a.flat().data(), a.stride(), b.bf16().data(), m,
+                         bias.data(), out.flat().data(), out.stride(),
+                         a.rows(), m, b.rows());
     return;
   }
-  const std::int8_t* bq = b.i8().data();
-  const double* scales = b.scales().data();
-  parallel_for(a.rows(), gemm_row_grain(m, depth),
-               [&](std::size_t begin, std::size_t end) {
-                 kernels.gemm_tb_i8(a_data + begin * lda, lda, bq, m, scales,
-                                    bias_data, out_data + begin * ldo, ldo,
-                                    end - begin, m, depth);
-               });
+  kernels.gemm_tb_i8(a.flat().data(), a.stride(), b.i8().data(), m,
+                     b.scales().data(), bias.data(), out.flat().data(),
+                     out.stride(), a.rows(), m, b.rows());
 }
 
 Vector matvec(const Matrix& a, std::span<const double> x) {

@@ -8,10 +8,11 @@
 // matmul_transposed_b_bias_into and softmax_into — execute through the
 // runtime-dispatched SIMD backend layer (tensor/simd.h: AVX2 when compiled
 // in and reported by CPUID, scalar otherwise, MUFFIN_SIMD=off forces
-// scalar) and split GEMM row-blocks over the shared worker pool
-// (common/parallel_for.h) above a size threshold. Both are bit-invisible:
-// every backend and every partition produces bit-identical output to the
-// serial scalar kernels.
+// scalar), bit-identical to the scalar kernels in every backend. Each
+// GEMM is one serial kernel call on the calling thread: at head shapes a
+// whole GEMM costs a few microseconds, less than a hand-off to the worker
+// pool, so parallelism lives in the callers (engine batches, search
+// episodes, CalibratedModel::score_batch rows).
 #pragma once
 
 #include <cstdint>
@@ -57,10 +58,10 @@ void matmul_transposed_b_bias_into(const Matrix& a, const double* b,
 /// C = A * dequant(B) + bias through the active backend's dequantizing
 /// GEMM entry (tensor/simd.h): the quantized-inference forward. `b` is
 /// the k-major (depth x m) weight pack, i.e. the transposed weights (see
-/// tensor/quant.h). Same row-split parallelism and bit-identity
-/// guarantees as the float GEMM — within one quant mode, every backend,
-/// partition and batch size yields bit-identical rows. Requires
-/// b.mode() != QuantMode::Off and a.cols() == b.rows().
+/// tensor/quant.h). Same bit-identity guarantees as the float GEMM —
+/// within one quant mode, every backend and batch size yields
+/// bit-identical rows. Requires b.mode() != QuantMode::Off and
+/// a.cols() == b.rows().
 void matmul_transposed_b_bias_quant_into(const Matrix& a,
                                          const QuantMatrix& b,
                                          std::span<const double> bias,

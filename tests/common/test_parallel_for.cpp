@@ -1,6 +1,5 @@
 // parallel_for (common/parallel_for.h): partition rules, coverage,
-// exception propagation, nested-use safety, and determinism of the
-// partitioned GEMM against a serial kernel run.
+// exception propagation and nested-use safety.
 //
 // The partition rules are pinned through partition_blocks() so they are
 // machine-independent; the runtime tests exercise whatever pool the host
@@ -15,10 +14,6 @@
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "common/rng.h"
-#include "tensor/ops.h"
-#include "tensor/simd.h"
 
 namespace muffin::common {
 namespace {
@@ -98,9 +93,9 @@ TEST(ParallelFor, ExceptionFromWorkerBlockPropagates) {
 }
 
 TEST(ParallelFor, NestedCallFromPoolWorkerRunsInline) {
-  // An engine batch job (or a MuffinSearch episode) calling into a
-  // kernel split must not re-enter the pool: the nested parallel_for has
-  // to run serially on the same worker thread.
+  // An engine batch job scoring calibrated bodies must not re-enter the
+  // pool: the nested parallel_for has to run serially on the same worker
+  // thread.
   auto future = global_pool().submit([]() {
     EXPECT_NE(ThreadPool::current_worker(), ThreadPool::npos);
     const std::thread::id worker_id = std::this_thread::get_id();
@@ -147,45 +142,6 @@ TEST(ParallelFor, ConcurrentCallersBothComplete) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], 1);
     ASSERT_EQ(b[i], 1);
-  }
-}
-
-TEST(ParallelFor, PartitionedGemmBitIdenticalToSerialKernel) {
-  // The GEMM wrappers split rows over this pool; every output element is
-  // produced inside exactly one block, so the result must equal a serial
-  // kernel invocation bit for bit — on any pool size and any backend.
-  SplitRng rng(77);
-  tensor::Matrix a(513, 24);  // odd row count spanning many grains
-  tensor::Matrix w(19, 24);
-  tensor::Vector bias(19);
-  for (double& v : a.flat()) v = rng.normal(0.0, 1.0);
-  for (double& v : w.flat()) v = rng.normal(0.0, 1.0);
-  for (double& v : bias) v = rng.normal(0.0, 1.0);
-
-  const tensor::detail::KernelTable& active = tensor::detail::active_kernels();
-  tensor::Matrix serial(a.rows(), w.rows());
-  active.gemm_tb(a.flat().data(), a.stride(), w.flat().data(), w.stride(),
-                 bias.data(), serial.flat().data(), serial.stride(), a.rows(),
-                 w.rows(), a.cols());
-
-  tensor::Matrix split;
-  tensor::matmul_transposed_b_bias_into(a, w, bias, split);
-  ASSERT_EQ(split.rows(), serial.rows());
-  ASSERT_EQ(split.cols(), serial.cols());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(split.flat()[i], serial.flat()[i]) << "flat index " << i;
-  }
-
-  tensor::Matrix b_wide(24, 37);
-  for (double& v : b_wide.flat()) v = rng.normal(0.0, 1.0);
-  tensor::Matrix serial_mm(a.rows(), b_wide.cols());
-  active.matmul(a.flat().data(), a.stride(), b_wide.flat().data(),
-                b_wide.stride(), serial_mm.flat().data(), serial_mm.stride(),
-                a.rows(), a.cols(), b_wide.cols());
-  tensor::Matrix split_mm;
-  tensor::matmul_into(a, b_wide, split_mm);
-  for (std::size_t i = 0; i < serial_mm.size(); ++i) {
-    ASSERT_EQ(split_mm.flat()[i], serial_mm.flat()[i]) << "flat index " << i;
   }
 }
 

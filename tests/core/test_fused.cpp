@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
 #include "core/head_trainer.h"
 #include "data/generators.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 
 namespace muffin::core {
@@ -78,6 +80,29 @@ TEST(FusedModel, ScoresAreDistributions) {
     EXPECT_NEAR(tensor::sum(s), 1.0, 1e-9);
     for (const double p : s) EXPECT_GE(p, 0.0);
   }
+}
+
+// score_batch splits no records itself: from a thread outside the pool,
+// each calibrated body's score_batch splits its rows once (parallel_for's
+// pool path counts parallel_for.calls), and nothing nests under it.
+TEST(FusedModel, ScoreBatchSplitsOncePerCalibratedBody) {
+  if (common::global_pool_size() < 2 || !obs::compiled_in()) {
+    GTEST_SKIP() << "needs a pool of two or more workers and metrics";
+  }
+  const FusingStructure structure =
+      FusingStructure::from_choice(default_choice(), 8);
+  std::vector<models::ModelPtr> body = {
+      fused_pool().share(default_choice().model_indices[0]),
+      fused_pool().share(default_choice().model_indices[1])};
+  const FusedModel fused("Muffin", body, trained_head(structure));
+  const std::span<const data::Record> records =
+      std::span<const data::Record>(fused_dataset().records()).first(512);
+
+  const obs::Counter& calls = obs::registry().counter("parallel_for.calls");
+  const std::uint64_t before = calls.value();
+  const tensor::Matrix scores = fused.score_batch(records);
+  EXPECT_EQ(calls.value() - before, body.size());
+  EXPECT_EQ(scores.rows(), records.size());
 }
 
 TEST(FusedModel, ConsensusPreserved) {

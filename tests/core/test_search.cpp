@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <cstring>
+#include <set>
+#include <string>
 
 #include "common/error.h"
 #include "data/generators.h"
@@ -88,28 +90,6 @@ TEST(MuffinSearch, MemoizationGivesIdenticalRecords) {
   }
 }
 
-TEST(MuffinSearch, ParallelAndSequentialAgree) {
-  MuffinSearchConfig parallel_config = small_config();
-  parallel_config.parallel = true;
-  MuffinSearchConfig sequential_config = small_config();
-  sequential_config.parallel = false;
-
-  MuffinSearch parallel_search(fixture().pool, fixture().train,
-                               fixture().eval, small_space(),
-                               parallel_config);
-  MuffinSearch sequential_search(fixture().pool, fixture().train,
-                                 fixture().eval, small_space(),
-                                 sequential_config);
-  const SearchResult a = parallel_search.run();
-  const SearchResult b = sequential_search.run();
-  ASSERT_EQ(a.episodes.size(), b.episodes.size());
-  for (std::size_t i = 0; i < a.episodes.size(); ++i) {
-    EXPECT_EQ(a.episodes[i].choice.to_string(),
-              b.episodes[i].choice.to_string());
-    EXPECT_DOUBLE_EQ(a.episodes[i].reward, b.episodes[i].reward);
-  }
-}
-
 TEST(MuffinSearch, OnEpisodeCallbackFires) {
   MuffinSearchConfig config = small_config();
   std::size_t calls = 0;
@@ -179,6 +159,30 @@ bool same_weights(nn::Mlp a, nn::Mlp b) {
     if (!same_bits(pa[i].value, pb[i].value)) return false;
   }
   return true;
+}
+
+// run() evaluates each controller batch on the shared pool. Oracle: the
+// episode's choice evaluated alone, sequentially on this thread, with the
+// seed of the index where the choice first appears (a repeat in a later
+// batch is a memo hit).
+TEST(MuffinSearch, ParallelAndSequentialAgree) {
+  MuffinSearch search(fixture().pool, fixture().train, fixture().eval,
+                      small_space(), small_config());
+  const SearchResult result = search.run();
+  std::set<std::string> seen;
+  for (std::size_t i = 0; i < result.episodes.size(); ++i) {
+    const EpisodeRecord& episode = result.episodes[i];
+    if (!seen.insert(episode.choice.to_string()).second) continue;
+    const EpisodeRecord sequential = search.evaluate_choice(episode.choice, i);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(episode.reward),
+              std::bit_cast<std::uint64_t>(sequential.reward))
+        << "episode " << i;
+    EXPECT_TRUE(same_report(episode.eval_report, sequential.eval_report))
+        << "episode " << i;
+    EXPECT_EQ(episode.parameter_count, sequential.parameter_count)
+        << "episode " << i;
+  }
+  EXPECT_GT(seen.size(), 1u);
 }
 
 // The search's train cache holds only the proxy rows. Oracle: an episode

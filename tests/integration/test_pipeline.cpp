@@ -118,7 +118,6 @@ TEST(Pipeline, UserProvidedTrainablePoolWorks) {
   config.reward.attributes = {"age", "site"};
   config.head_train.epochs = 5;
   config.proxy.max_samples = 800;
-  config.parallel = false;  // TrainableClassifier::scores is not thread-safe
   core::MuffinSearch search(pool, train, val, space, config);
   const core::SearchResult result = search.run();
   EXPECT_EQ(result.episodes.size(), 4u);

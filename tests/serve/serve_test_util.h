@@ -8,12 +8,18 @@
 // binary instead of once per test, which matters ~10x under TSan.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/head_trainer.h"
 #include "data/generators.h"
+#include "data/serialize.h"
 #include "models/pool.h"
 #include "obs/metrics.h"
 #include "tensor/quant.h"
@@ -91,6 +97,20 @@ inline std::shared_ptr<core::FusedModel> build_fused(
   return std::make_shared<core::FusedModel>("Muffin", std::move(body),
                                             std::move(head),
                                             head_only_on_disagreement);
+}
+
+/// Write `fused`'s head as a reload artifact, stamped or not (0). The
+/// pid keeps concurrent runs of one test binary off each other's files.
+inline std::string write_head_artifact(const core::FusedModel& fused,
+                                       const char* stem,
+                                       std::uint64_t model_version) {
+  const std::string path = testing::TempDir() + "/" + stem + "_" +
+                           std::to_string(::getpid()) + ".mufa";
+  data::ArtifactWriter writer;
+  fused.head().save_artifact(writer, "head");
+  writer.set_model_version(model_version);
+  writer.write_file(path);
+  return path;
 }
 
 }  // namespace muffin::serve::testutil

@@ -18,7 +18,6 @@
 #include <thread>
 
 #include "common/error.h"
-#include "data/serialize.h"
 #include "serve/engine.h"
 #include "serve/model_registry.h"
 #include "serve_test_util.h"
@@ -174,16 +173,11 @@ TEST(EngineLifecycle, SwapRejectsShapeChange) {
 }
 
 TEST(EngineLifecycle, ReloadHeadArtifactInstallsStampedVersion) {
-  const std::string path = testing::TempDir() + "/lifecycle_head.mufa";
   InferenceEngine engine(model_a());
 
   // Stamped artifact: the engine must install exactly that version.
-  {
-    data::ArtifactWriter writer;
-    model_b()->head().save_artifact(writer, "head");
-    writer.set_model_version(7);
-    writer.write_file(path);
-  }
+  const std::string path =
+      testutil::write_head_artifact(*model_b(), "lifecycle_head", 7);
   EXPECT_EQ(reload_head_artifact(engine, path), 7u);
   EXPECT_EQ(engine.model_version(), 7u);
   const data::Record& record = lifecycle_dataset().record(5);
@@ -195,11 +189,8 @@ TEST(EngineLifecycle, ReloadHeadArtifactInstallsStampedVersion) {
   EXPECT_EQ(engine.model_version(), 7u);
 
   // An unstamped artifact auto-assigns the next version.
-  {
-    data::ArtifactWriter writer;
-    model_a()->head().save_artifact(writer, "head");
-    writer.write_file(path);
-  }
+  ASSERT_EQ(testutil::write_head_artifact(*model_a(), "lifecycle_head", 0),
+            path);
   EXPECT_EQ(reload_head_artifact(engine, path), 8u);
   EXPECT_EQ(engine.predict(record).scores,
             testutil::canonical_scores(model_a()->scores(record)));

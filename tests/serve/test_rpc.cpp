@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "data/serialize.h"
 #include "obs/trace.h"
 #include "serve/router.h"
 #include "serve/rpc/server.h"
@@ -722,26 +721,12 @@ std::shared_ptr<core::FusedModel> make_fused_v2() {
   return shared;
 }
 
-/// Write `fused`'s head as a reload artifact, stamped or not (0). The
-/// pid keeps concurrent runs of this binary off each other's files.
-std::string write_head_artifact(const core::FusedModel& fused,
-                                const char* stem,
-                                std::uint64_t model_version) {
-  const std::string path = testing::TempDir() + "/" + stem + "_" +
-                           std::to_string(::getpid()) + ".mufa";
-  data::ArtifactWriter writer;
-  fused.head().save_artifact(writer, "head");
-  writer.set_model_version(model_version);
-  writer.write_file(path);
-  return path;
-}
-
 TEST(RemoteShard, ReloadInstallsTheArtifactOverTheWire) {
   const auto fused = make_fused();
   rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShard shard(server.address(), fast_client());
   const std::string path =
-      write_head_artifact(*make_fused_v2(), "rpc_reload", 9);
+      testutil::write_head_artifact(*make_fused_v2(), "rpc_reload", 9);
 
   // Traffic before the roll serves version 1.
   std::span<const data::Record> records = rpc_dataset().records();
@@ -784,7 +769,7 @@ TEST(RemoteShard, ReloadFailureIsAnErrorFrameAndNeverCountsTowardDrain) {
 
   // A non-advancing stamp (rollback) is rejected the same way.
   const std::string path =
-      write_head_artifact(*make_fused_v2(), "rpc_rollback", 9);
+      testutil::write_head_artifact(*make_fused_v2(), "rpc_rollback", 9);
   EXPECT_EQ(shard.reload(path), 9u);
   EXPECT_THROW((void)shard.reload(path), Error);  // same stamp again
   EXPECT_EQ(server.engine().model_version(), 9u);
@@ -818,8 +803,8 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   // Version 1 is generations[0] (construction); roll k installs
   // generations[(k + 1) % 2] as version k + 2.
   const std::vector<std::string> paths = {
-      write_head_artifact(*generations[0], "rpc_roll_all_v1", 0),
-      write_head_artifact(*generations[1], "rpc_roll_all_v2", 0)};
+      testutil::write_head_artifact(*generations[0], "rpc_roll_all_v1", 0),
+      testutil::write_head_artifact(*generations[1], "rpc_roll_all_v2", 0)};
   const auto generation_for = [&](std::uint64_t version) {
     return generations[(version - 1) % generations.size()];
   };
@@ -934,7 +919,7 @@ TEST(ShardRouterRpc, ReloadShardTargetsOneLocalOrRemoteReplica) {
   ASSERT_EQ(router.replica_count(), 2u);
 
   const std::string path =
-      write_head_artifact(*make_fused_v2(), "rpc_roll_one", 5);
+      testutil::write_head_artifact(*make_fused_v2(), "rpc_roll_one", 5);
   // Shard 0 is the in-process replica: LocalReplica::reload reads the
   // path here. Shard 1 resolves it on its server — same file, same host.
   EXPECT_EQ(router.reload_shard(0, path), 5u);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 namespace muffin::tensor {
 namespace {
@@ -51,6 +54,40 @@ TEST(MatmulInto, ReusesStorage) {
   Matrix out(1, 1, 99.0);
   matmul_into(a, b, out);
   EXPECT_DOUBLE_EQ(out(0, 0), 6.0);
+}
+
+// Every GEMM entry point is one serial kernel call: even 4,096 head-sized
+// rows, called from a thread outside the pool, never reach parallel_for's
+// pool path (which counts parallel_for.calls).
+TEST(Gemm, EntryPointsNeverSplitRowsOverThePool) {
+  if (common::global_pool_size() < 2 || !obs::compiled_in()) {
+    GTEST_SKIP() << "needs a pool of two or more workers and metrics";
+  }
+  SplitRng rng(41);
+  const auto random = [&rng](std::size_t rows, std::size_t cols) {
+    Matrix m(rows, cols);
+    for (double& v : m.flat()) v = rng.normal();
+    return m;
+  };
+  const Matrix a = random(4096, 16);
+  const Matrix b = random(16, 18);    // depth x m, for matmul_into
+  const Matrix w = random(18, 16);    // m x depth, for the A * B^T forms
+  const Vector bias(w.rows(), 0.5);
+  const QuantMatrix bf16(QuantMode::Bf16, w.cols(), w.rows(),
+                         w.flat().data(), 1, w.stride());
+  const QuantMatrix int8(QuantMode::Int8, w.cols(), w.rows(),
+                         w.flat().data(), 1, w.stride());
+
+  const obs::Counter& calls = obs::registry().counter("parallel_for.calls");
+  const std::uint64_t before = calls.value();
+  Matrix out;
+  matmul_into(a, b, out);
+  matmul_transposed_b_into(a, w, out);
+  matmul_transposed_b_bias_into(a, w, bias, out);
+  matmul_transposed_b_bias_into(a, w.flat().data(), w.rows(), bias, out);
+  matmul_transposed_b_bias_quant_into(a, bf16, bias, out);
+  matmul_transposed_b_bias_quant_into(a, int8, bias, out);
+  EXPECT_EQ(calls.value(), before);
 }
 
 TEST(Matvec, Basic) {

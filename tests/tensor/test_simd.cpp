@@ -254,8 +254,8 @@ TEST(SimdDispatch, ActiveBackendHonorsEnvironment) {
 }
 
 TEST(SimdDispatch, PublicKernelsMatchScalarReferenceBitwise) {
-  // Whatever backend dispatch picked (including the row-parallel split in
-  // the wrappers), the public entry points must equal a serial scalar run.
+  // Whatever backend dispatch picked, the public entry points must equal
+  // a scalar run.
   const Matrix a = random_matrix(97, 23, 41);
   const Matrix w = random_matrix(13, 23, 43);
   const Vector bias = random_vector(13, 47);
