@@ -83,6 +83,11 @@ MuffinSearch::MuffinSearch(const models::ModelPool& pool,
   MUFFIN_REQUIRE(config_.episodes > 0, "need at least one episode");
   MUFFIN_REQUIRE(config_.controller_batch > 0,
                  "controller batch must be positive");
+  // Every episode may read any model, so score every column now: the cost
+  // stays in set-up and the row split runs from this thread, not from the
+  // pool workers that run the episodes.
+  train_cache_.score_all();
+  eval_cache_.score_all();
 }
 
 EpisodeRecord MuffinSearch::evaluate_internal(

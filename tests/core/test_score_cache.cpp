@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <set>
+#include <thread>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
+#include "counting_model.h"
 #include "data/generators.h"
 #include "obs/metrics.h"
 #include "tensor/ops.h"
@@ -180,10 +185,12 @@ TEST(ScoreCacheQuant, PredictionsAndConsensusUnaffectedByQuantization) {
 }
 
 TEST(ScoreCacheQuant, Int8FootprintAtLeastThreeTimesSmaller) {
-  const ScoreCache exact = float_cache();
-  const ScoreCache bf16(cache_pool(), cache_dataset(),
-                        tensor::QuantMode::Bf16);
-  const ScoreCache i8(cache_pool(), cache_dataset(), tensor::QuantMode::Int8);
+  ScoreCache exact = float_cache();
+  ScoreCache bf16(cache_pool(), cache_dataset(), tensor::QuantMode::Bf16);
+  ScoreCache i8(cache_pool(), cache_dataset(), tensor::QuantMode::Int8);
+  exact.score_all();
+  bf16.score_all();
+  i8.score_all();
   ASSERT_GT(exact.footprint_bytes(), 0u);
   const double bf16_ratio = static_cast<double>(exact.footprint_bytes()) /
                             static_cast<double>(bf16.footprint_bytes());
@@ -197,7 +204,8 @@ TEST(ScoreCacheQuant, Int8FootprintAtLeastThreeTimesSmaller) {
 TEST(ScoreCache, AllRowsFootprintIs650BytesPerRecordAt8ClassesInF64) {
   // README: ten f64 planes of 8 classes (64 bytes a row each) plus ten
   // one-byte predictions per record; an all-rows cache has no row index.
-  const ScoreCache cache = float_cache();
+  ScoreCache cache = float_cache();
+  cache.score_all();
   ASSERT_EQ(cache.num_models(), 10u);
   EXPECT_EQ(cache.footprint_bytes(), 650 * cache_dataset().size());
 }
@@ -335,8 +343,9 @@ TEST(ScoreCacheSubset, MovedCacheKeepsItsIndex) {
 
 TEST(ScoreCacheSubset, FootprintCountsHeldRowsAndTheIndex) {
   const std::vector<std::size_t> rows = subset_rows();
-  const ScoreCache subset(cache_pool(), cache_dataset(), rows,
-                          tensor::QuantMode::Off);
+  ScoreCache subset(cache_pool(), cache_dataset(), rows,
+                    tensor::QuantMode::Off);
+  subset.score_all();
   // Per held row: 10 planes of 8 f64 scores and 10 prediction bytes; the
   // index is 4 bytes per dataset row.
   EXPECT_EQ(subset.footprint_bytes(),
@@ -347,21 +356,275 @@ TEST(ScoreCacheQuant, FootprintGaugeTracksLifetimes) {
   obs::Gauge& gauge = obs::registry().gauge("core.score_cache_bytes");
   const std::int64_t before = gauge.value();
   {
-    const ScoreCache cache(cache_pool(), cache_dataset(),
-                           tensor::QuantMode::Int8);
+    ScoreCache cache(cache_pool(), cache_dataset(), tensor::QuantMode::Int8);
+    cache.score_all();
     EXPECT_EQ(gauge.value() - before,
               static_cast<std::int64_t>(cache.footprint_bytes()));
     // Moving transfers the accounting without double counting.
-    const ScoreCache moved = std::move(const_cast<ScoreCache&>(cache));
+    const ScoreCache moved = std::move(cache);
     EXPECT_EQ(gauge.value() - before,
               static_cast<std::int64_t>(moved.footprint_bytes()));
-    const ScoreCache subset(cache_pool(), cache_dataset(), subset_rows(),
-                            tensor::QuantMode::Int8);
+    ScoreCache subset(cache_pool(), cache_dataset(), subset_rows(),
+                      tensor::QuantMode::Int8);
+    subset.score_all();
     EXPECT_EQ(gauge.value() - before,
               static_cast<std::int64_t>(moved.footprint_bytes() +
                                         subset.footprint_bytes()));
   }
   EXPECT_EQ(gauge.value(), before);
+  {
+    // A partly scored cache: the row index from the start, then one
+    // column's int8 payload, 8 scales and prediction bytes on its first
+    // read, and nothing more on later reads.
+    const std::vector<std::size_t> rows = subset_rows();
+    const ScoreCache partial(cache_pool(), cache_dataset(), rows,
+                             tensor::QuantMode::Int8);
+    const std::int64_t index = 4 * cache_dataset().size();
+    const std::int64_t column = 8 * rows.size() + 8 * 8 + rows.size();
+    EXPECT_EQ(gauge.value() - before, index);
+    (void)partial.prediction(6, rows[0]);
+    EXPECT_EQ(gauge.value() - before, index + column);
+    (void)partial.prediction(6, rows[1]);
+    EXPECT_EQ(gauge.value() - before, index + column);
+    EXPECT_EQ(static_cast<std::int64_t>(partial.footprint_bytes()),
+              index + column);
+  }
+  EXPECT_EQ(gauge.value(), before);
+}
+
+// --- columns scored on first read -------------------------------------------
+
+/// Eager oracle of one column: one score_batch over the held rows, argmax
+/// before quantization, then the QuantMatrix encode.
+struct EagerColumn {
+  tensor::QuantMatrix scores;
+  std::vector<std::size_t> predictions;
+};
+
+std::vector<EagerColumn> eager_columns(std::span<const data::Record> held,
+                                       tensor::QuantMode mode) {
+  std::vector<EagerColumn> columns;
+  for (std::size_t m = 0; m < cache_pool().size(); ++m) {
+    const tensor::Matrix scores = cache_pool().at(m).score_batch(held);
+    EagerColumn column;
+    for (std::size_t i = 0; i < scores.rows(); ++i) {
+      column.predictions.push_back(tensor::argmax(scores.row(i)));
+    }
+    column.scores =
+        tensor::QuantMatrix(mode, scores.rows(), scores.cols(),
+                            scores.flat().data(), scores.stride(), 1);
+    columns.push_back(std::move(column));
+  }
+  return columns;
+}
+
+/// Every held row of every column of `cache` against the oracle, bit for
+/// bit; `rows[k]` is the dataset row in oracle row k.
+void expect_matches_oracle(const ScoreCache& cache,
+                           std::span<const std::size_t> rows,
+                           const std::vector<EagerColumn>& oracle) {
+  tensor::Vector want(8);
+  tensor::Vector got(8);
+  for (std::size_t m = 0; m < oracle.size(); ++m) {
+    const std::vector<std::size_t> solo = {m};
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      oracle[m].scores.decode_row(k, want);
+      cache.gather(solo, rows[k], got);
+      ASSERT_TRUE(same_bits(want, got)) << "model " << m << " row " << rows[k];
+      ASSERT_EQ(cache.prediction(m, rows[k]), oracle[m].predictions[k])
+          << "model " << m << " row " << rows[k];
+    }
+  }
+}
+
+std::size_t oracle_bytes(const std::vector<EagerColumn>& oracle) {
+  std::size_t bytes = 0;
+  for (const EagerColumn& column : oracle) {
+    bytes += column.scores.footprint_bytes() + column.predictions.size();
+  }
+  return bytes;
+}
+
+std::vector<std::size_t> all_rows() {
+  std::vector<std::size_t> rows(cache_dataset().size());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  return rows;
+}
+
+std::vector<data::Record> held_records(std::span<const std::size_t> rows) {
+  std::vector<data::Record> held;
+  for (const std::size_t row : rows) held.push_back(cache_dataset().record(row));
+  return held;
+}
+
+/// One reader's pass over every column of `cache`, reader `t` through
+/// its own accessor, all readers in the same column order so that first
+/// reads collide.
+void read_every_column(const ScoreCache& cache, std::size_t t,
+                       std::size_t row, bool all_rows_cache) {
+  tensor::Vector out(8);
+  for (std::size_t m = 0; m < cache.num_models(); ++m) {
+    const std::vector<std::size_t> solo = {m};
+    std::size_t consensus_class = 0;
+    switch (t % 4) {
+      case 0:
+        cache.gather(solo, row, out);
+        break;
+      case 1:
+        (void)cache.consensus(solo, row, consensus_class);
+        break;
+      case 2:
+        (void)cache.prediction(m, row);
+        break;
+      default:
+        if (all_rows_cache) {
+          (void)cache.scores_dense(m);
+        } else {
+          cache.gather(solo, row, out);
+        }
+    }
+  }
+}
+
+const tensor::QuantMode kModes[] = {tensor::QuantMode::Off,
+                                    tensor::QuantMode::Bf16,
+                                    tensor::QuantMode::Int8};
+
+TEST(ScoreCacheLazy, FreshCacheHasScoredNothing) {
+  CountingPool counting(cache_pool());
+  const ScoreCache all(counting.pool, cache_dataset(), tensor::QuantMode::Off);
+  const ScoreCache subset(counting.pool, cache_dataset(), subset_rows(),
+                          tensor::QuantMode::Off);
+  EXPECT_EQ(counting.calls(), std::vector<int>(10, 0));
+  EXPECT_EQ(all.footprint_bytes(), 0u);
+  EXPECT_EQ(subset.footprint_bytes(), 4 * cache_dataset().size());
+}
+
+TEST(ScoreCacheLazy, ReadsScoreOnlyTheColumnsTheyRead) {
+  CountingPool counting(cache_pool());
+  ScoreCache cache(counting.pool, cache_dataset(), tensor::QuantMode::Off);
+  const std::vector<std::size_t> pair = {2, 5};
+  tensor::Vector out(2 * 8);
+  for (std::size_t i = 0; i < 50; ++i) {
+    cache.gather(pair, i, out);
+    std::size_t consensus_class = 0;
+    (void)cache.consensus(pair, i, consensus_class);
+    (void)cache.prediction(2, i);
+    (void)cache.prediction(5, i);
+  }
+  (void)cache.scores_dense(2);
+  (void)cache.scores_dense(5);
+  const std::vector<int> two = {0, 0, 1, 0, 0, 1, 0, 0, 0, 0};
+  EXPECT_EQ(counting.calls(), two);
+  EXPECT_EQ(cache.footprint_bytes(), 2 * 65 * cache_dataset().size());
+
+  cache.score_all();
+  EXPECT_EQ(counting.calls(), std::vector<int>(10, 1));
+  EXPECT_EQ(cache.footprint_bytes(), 650 * cache_dataset().size());
+  cache.score_all();
+  EXPECT_EQ(counting.calls(), std::vector<int>(10, 1));
+}
+
+TEST(ScoreCacheLazy, ConcurrentFirstReadsMatchTheEagerOracle) {
+  constexpr std::size_t kReaders = 8;
+  const std::vector<std::size_t> everything = all_rows();
+  const std::vector<std::size_t> subset = subset_rows();
+  for (const tensor::QuantMode mode : kModes) {
+    for (const bool all_rows_cache : {true, false}) {
+      const std::span<const std::size_t> rows =
+          all_rows_cache ? std::span<const std::size_t>(everything)
+                         : std::span<const std::size_t>(subset);
+      const std::vector<EagerColumn> oracle =
+          eager_columns(held_records(rows), mode);
+      CountingPool counting(cache_pool());
+      const ScoreCache cache =
+          all_rows_cache
+              ? ScoreCache(counting.pool, cache_dataset(), mode)
+              : ScoreCache(counting.pool, cache_dataset(), subset, mode);
+      std::atomic<bool> go{false};
+      std::vector<std::thread> readers;
+      for (std::size_t t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t] {
+          while (!go.load()) std::this_thread::yield();
+          read_every_column(cache, t, rows[t], all_rows_cache);
+        });
+      }
+      go.store(true);
+      for (std::thread& reader : readers) reader.join();
+
+      const std::string label = std::string(tensor::quant_mode_name(mode)) +
+                                (all_rows_cache ? " all rows" : " subset");
+      for (const int calls : counting.calls()) {
+        EXPECT_GE(calls, 1) << label;
+        EXPECT_LE(calls, static_cast<int>(kReaders)) << label;
+      }
+      // Only each column's winner counts its bytes.
+      const std::size_t index =
+          all_rows_cache ? 0 : 4 * cache_dataset().size();
+      EXPECT_EQ(cache.footprint_bytes(), index + oracle_bytes(oracle))
+          << label;
+      expect_matches_oracle(cache, rows, oracle);
+    }
+  }
+}
+
+TEST(ScoreCacheLazy, CallerRacingPoolJobsFinishesAndMatchesTheOracle) {
+  // The caller's first read splits its rows over the shared pool and
+  // waits for its blocks while every pool worker reads the same columns.
+  // A reader that waited on another's column would never finish here.
+  const std::size_t workers = common::global_pool_size();
+  const std::vector<std::size_t> rows = all_rows();
+  for (const tensor::QuantMode mode : kModes) {
+    const std::vector<EagerColumn> oracle =
+        eager_columns(cache_dataset().records(), mode);
+    CountingPool counting(cache_pool());
+    const ScoreCache cache(counting.pool, cache_dataset(), mode);
+    std::atomic<bool> go{false};
+    std::vector<std::future<void>> jobs;
+    for (std::size_t t = 1; t <= workers; ++t) {
+      jobs.push_back(common::global_pool().submit([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        read_every_column(cache, t, rows[t], true);
+      }));
+    }
+    go.store(true);
+    read_every_column(cache, 0, rows[0], true);
+    for (std::future<void>& job : jobs) job.get();
+
+    EXPECT_EQ(cache.footprint_bytes(), oracle_bytes(oracle))
+        << tensor::quant_mode_name(mode);
+    expect_matches_oracle(cache, rows, oracle);
+  }
+}
+
+TEST(ScoreCacheLazy, FailedScoringRethrowsAndTheNextReadScores) {
+  CountingPool counting(cache_pool());
+  const ScoreCache cache(counting.pool, cache_dataset(),
+                         tensor::QuantMode::Off);
+  const ScoreCache reference = float_cache();
+  counting.models[3]->fail_next(1);
+  const std::vector<std::size_t> solo = {3};
+  tensor::Vector want(8);
+  tensor::Vector got(8);
+  EXPECT_THROW(cache.gather(solo, 10, got), Error);
+  EXPECT_EQ(cache.footprint_bytes(), 0u);
+  cache.gather(solo, 10, got);
+  reference.gather(solo, 10, want);
+  EXPECT_TRUE(same_bits(want, got));
+  EXPECT_EQ(counting.models[3]->batch_calls(), 2);
+  EXPECT_EQ(cache.footprint_bytes(), 65 * cache_dataset().size());
+
+  // A failed score_all() keeps a row-subset cache's records, so the next
+  // score_all() can finish the columns it left.
+  const std::vector<std::size_t> rows = subset_rows();
+  ScoreCache subset(counting.pool, cache_dataset(), rows,
+                    tensor::QuantMode::Off);
+  counting.models[7]->fail_next(1);
+  EXPECT_THROW(subset.score_all(), Error);
+  subset.score_all();
+  expect_matches_oracle(subset, rows,
+                        eager_columns(held_records(rows),
+                                      tensor::QuantMode::Off));
 }
 
 }  // namespace

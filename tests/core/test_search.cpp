@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "counting_model.h"
 #include "data/generators.h"
 #include "tensor/quant.h"
 
@@ -204,7 +205,7 @@ TEST(MuffinSearch, ProxyRowsTrainCacheMatchesAllRowsOracle) {
        {tensor::QuantMode::Off, tensor::QuantMode::Bf16}) {
     const tensor::ScopedQuantMode scoped(mode);
     MuffinSearch search(fixture().pool, train, eval, small_space(), config);
-    const ScoreCache all_rows(fixture().pool, train);
+    ScoreCache all_rows(fixture().pool, train);
     ASSERT_EQ(search.train_cache().quant_mode(), mode);
 
     const FusingStructure structure =
@@ -232,6 +233,7 @@ TEST(MuffinSearch, ProxyRowsTrainCacheMatchesAllRowsOracle) {
 
     // The train cache drops the planes and predictions of every train row
     // outside the proxy and adds a 4-byte index entry per train row.
+    all_rows.score_all();
     const std::size_t unread = train.size() - search.proxy().size();
     const std::size_t per_row = all_rows.footprint_bytes() / train.size();
     ASSERT_GT(unread, 0u);
@@ -239,6 +241,26 @@ TEST(MuffinSearch, ProxyRowsTrainCacheMatchesAllRowsOracle) {
               unread * per_row - 4 * train.size())
         << tensor::quant_mode_name(mode);
   }
+}
+
+// Every episode may read any model, so the constructor scores every
+// column of both caches and run() scores none: search scoring stays in
+// set-up, on the caller's thread, not in the episodes on pool workers.
+TEST(MuffinSearch, ConstructorScoresEveryColumnAndRunScoresNone) {
+  const tensor::ScopedQuantMode scoped(tensor::QuantMode::Off);
+  CountingPool counting(fixture().pool);
+  MuffinSearch search(counting.pool, fixture().train, fixture().eval,
+                      small_space(), small_config());
+  // Per f64 row: 10 planes of 8 scores and 10 prediction bytes; the train
+  // cache holds the proxy rows plus a 4-byte index entry per train row.
+  EXPECT_EQ(search.eval_cache().footprint_bytes(),
+            650 * fixture().eval.size());
+  EXPECT_EQ(search.train_cache().footprint_bytes(),
+            650 * search.proxy().size() + 4 * fixture().train.size());
+  const std::vector<int> after_setup = counting.calls();
+  EXPECT_EQ(after_setup, std::vector<int>(fixture().pool.size(), 2));
+  (void)search.run();
+  EXPECT_EQ(counting.calls(), after_setup);
 }
 
 TEST(MuffinSearch, ForcedModelAppearsInEveryEpisode) {
