@@ -66,43 +66,6 @@ double unfairness_score(std::span<const double> group_accuracy,
   return total;
 }
 
-FairnessReport evaluate_predictions(const data::Dataset& dataset,
-                                    std::span<const std::size_t> predictions) {
-  MUFFIN_REQUIRE(predictions.size() == dataset.size(),
-                 "prediction count must match dataset size");
-  MUFFIN_REQUIRE(dataset.size() > 0, "cannot evaluate an empty dataset");
-  FairnessReport report;
-  report.accuracy = accuracy(dataset, predictions);
-
-  const auto& schema = dataset.schema();
-  report.attributes.resize(schema.size());
-  for (std::size_t a = 0; a < schema.size(); ++a) {
-    AttributeFairness& attr = report.attributes[a];
-    attr.attribute = schema[a].name;
-    attr.group_accuracy.assign(schema[a].group_count(), 0.0);
-    attr.group_count.assign(schema[a].group_count(), 0);
-  }
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const data::Record& record = dataset.record(i);
-    const double correct = predictions[i] == record.label ? 1.0 : 0.0;
-    for (std::size_t a = 0; a < schema.size(); ++a) {
-      AttributeFairness& attr = report.attributes[a];
-      attr.group_accuracy[record.groups[a]] += correct;
-      ++attr.group_count[record.groups[a]];
-    }
-  }
-  for (AttributeFairness& attr : report.attributes) {
-    for (std::size_t g = 0; g < attr.group_accuracy.size(); ++g) {
-      if (attr.group_count[g] > 0) {
-        attr.group_accuracy[g] /= static_cast<double>(attr.group_count[g]);
-      }
-    }
-    attr.unfairness = unfairness_score(attr.group_accuracy, attr.group_count,
-                                       report.accuracy);
-  }
-  return report;
-}
-
 GroupPartition::GroupPartition(const data::Dataset& dataset) {
   MUFFIN_REQUIRE(dataset.size() > 0, "cannot partition an empty dataset");
   size = dataset.size();
@@ -129,10 +92,6 @@ FairnessReport evaluate_predictions(const GroupPartition& partition,
   MUFFIN_REQUIRE(predictions.size() == partition.size,
                  "prediction count must match partition size");
   FairnessReport report;
-
-  // Same accumulation order as the Dataset overload (ascending record
-  // index, correctness as 0.0/1.0 sums), so reports are bit-identical —
-  // only the group membership walk is precomputed away.
   std::size_t correct_total = 0;
   for (std::size_t i = 0; i < partition.size; ++i) {
     if (predictions[i] == partition.labels[i]) ++correct_total;
@@ -147,6 +106,7 @@ FairnessReport evaluate_predictions(const GroupPartition& partition,
     attr.attribute = source.name;
     attr.group_accuracy.assign(source.group_count.size(), 0.0);
     attr.group_count = source.group_count;
+    // Sums of 1.0 are exact integers until the one division per group.
     for (std::size_t i = 0; i < partition.size; ++i) {
       if (predictions[i] == partition.labels[i]) {
         attr.group_accuracy[source.group_of[i]] += 1.0;
@@ -161,6 +121,11 @@ FairnessReport evaluate_predictions(const GroupPartition& partition,
                                        report.accuracy);
   }
   return report;
+}
+
+FairnessReport evaluate_predictions(const data::Dataset& dataset,
+                                    std::span<const std::size_t> predictions) {
+  return evaluate_predictions(GroupPartition(dataset), predictions);
 }
 
 FairnessReport evaluate_model(const models::Model& model,

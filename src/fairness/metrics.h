@@ -50,17 +50,13 @@ struct FairnessReport {
                                       std::span<const std::size_t> group_count,
                                       double overall_accuracy);
 
-/// Evaluate a prediction vector on every attribute of the dataset.
-[[nodiscard]] FairnessReport evaluate_predictions(
-    const data::Dataset& dataset, std::span<const std::size_t> predictions);
-
 /// Prediction-independent group structure of a dataset, precomputed once
 /// and reused across many evaluations: per-record labels, per-attribute
 /// flat record->group index arrays, and the (static) per-group counts.
 /// MuffinSearch builds one per eval split so every candidate-structure
 /// episode only accumulates correctness numerators over flat arrays
 /// instead of re-walking Record structs and re-counting group membership.
-/// Reports are bit-identical to evaluate_predictions(dataset, ...).
+/// It is the one layout every fairness report is accumulated over.
 struct GroupPartition {
   explicit GroupPartition(const data::Dataset& dataset);
 
@@ -78,6 +74,11 @@ struct GroupPartition {
 /// Evaluate a prediction vector against a precomputed partition.
 [[nodiscard]] FairnessReport evaluate_predictions(
     const GroupPartition& partition, std::span<const std::size_t> predictions);
+
+/// Evaluate a prediction vector on every attribute of the dataset:
+/// evaluate_predictions(GroupPartition(dataset), predictions).
+[[nodiscard]] FairnessReport evaluate_predictions(
+    const data::Dataset& dataset, std::span<const std::size_t> predictions);
 
 /// Evaluate a model (runs predict on every record).
 [[nodiscard]] FairnessReport evaluate_model(const models::Model& model,

@@ -16,8 +16,8 @@
 //    latency as measured by this process, counters reconstructed from
 //    the response flags (cached/consensus per prediction). The remote
 //    server's engine keeps its own authoritative numbers in its own
-//    process. cache_entries()/cache_contains() are unknowable across the
-//    wire and report 0/false.
+//    process. cache_entries() is unknowable across the wire and reports
+//    0.
 //  * probe() is the health check the router's monitor thread calls:
 //    local replicas are healthy while running; remote replicas send an
 //    EMPTY score request through the server's full request path (not a
@@ -79,14 +79,12 @@ class ReplicaBackend {
   /// a drained replica, so the restored shard starts with a clean slate.
   virtual void reset_failures() {}
 
-  [[nodiscard]] virtual bool remote() const = 0;
   /// Human-readable placement ("local" or the endpoint).
   [[nodiscard]] virtual std::string describe() const = 0;
 
   /// This replica's accounting as seen from this process (see above).
   [[nodiscard]] virtual obs::MetricsSnapshot metrics() const = 0;
   [[nodiscard]] virtual std::size_t cache_entries() const = 0;
-  [[nodiscard]] virtual bool cache_contains(std::uint64_t uid) const = 0;
 
   /// Authoritative accounting, as opposed to the client-observed
   /// metrics() above: local replicas answer from their own
@@ -130,16 +128,12 @@ class LocalReplica final : public ReplicaBackend {
     engine_.shutdown();
   }
   [[nodiscard]] bool probe() override { return !stopped_; }
-  [[nodiscard]] bool remote() const override { return false; }
   [[nodiscard]] std::string describe() const override { return "local"; }
   [[nodiscard]] obs::MetricsSnapshot metrics() const override {
     return engine_.metrics();
   }
   [[nodiscard]] std::size_t cache_entries() const override {
     return engine_.cache_entries();
-  }
-  [[nodiscard]] bool cache_contains(std::uint64_t uid) const override {
-    return engine_.cache_contains(uid);
   }
   [[nodiscard]] std::optional<StatsReport> authoritative_stats() override {
     StatsReport report;

@@ -643,8 +643,7 @@ void ShardRouter::health_loop() {
             RouterMetrics::get().auto_drains.inc();
           }
         } else if (replica.state == State::Drained &&
-                   replica.auto_drained && target.was_auto_drained &&
-                   config_.health.auto_restore) {
+                   replica.auto_drained && target.was_auto_drained) {
           // Hysteresis: one lucky probe is not recovery. The probe is an
           // end-to-end canary (empty score request), so consecutive
           // successes mean the serving path itself is back.

@@ -77,8 +77,6 @@ struct HealthConfig {
   /// Consecutive probe failures (or backend-reported consecutive submit
   /// failures) that trigger auto-drain.
   std::size_t failure_threshold = 3;
-  /// Restore an auto-drained replica once probes succeed again.
-  bool auto_restore = true;
   /// Consecutive successful probes required before an auto-drained
   /// replica is restored — hysteresis so one lucky probe cannot bounce a
   /// flaky shard straight back onto the ring. Restoring also clears the

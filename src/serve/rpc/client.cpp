@@ -1,6 +1,11 @@
 #include "serve/rpc/client.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/error.h"
@@ -45,6 +50,13 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+/// Make the eventfd `wake` readable, ending its thread's poll().
+void notify(const common::Socket& wake) {
+  const std::uint64_t one = 1;
+  // Fails only if the counter neared 2^64 — the thread is awake then.
+  [[maybe_unused]] const ssize_t written = ::write(wake.fd(), &one, sizeof(one));
+}
+
 }  // namespace
 
 RemoteShard::Metrics::Metrics(obs::Registry& registry)
@@ -60,62 +72,70 @@ RemoteShard::RemoteShard(const std::string& endpoint,
                          RemoteShardConfig config)
     : endpoint_(common::Endpoint::parse(endpoint)),
       config_(config),
-      metrics_(telemetry_),
-      batcher_({config.max_batch, config.max_delay, 0,
-                "rpc.client.batcher"}) {
+      metrics_(telemetry_) {
   MUFFIN_REQUIRE(config_.connections > 0,
                  "remote shard needs at least one connection");
-  connections_.reserve(config_.connections);
+  MUFFIN_REQUIRE(config_.max_batch > 0, "remote shard needs max_batch >= 1");
   for (std::size_t c = 0; c < config_.connections; ++c) {
-    connections_.push_back(std::make_unique<Connection>());
+    auto connection = std::make_unique<Connection>();
+    connection->wake =
+        common::Socket(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+    MUFFIN_REQUIRE(connection->wake.valid(), "eventfd failed");
+    connections_.push_back(std::move(connection));
   }
-  dispatcher_ = std::thread([this]() { dispatch_loop(); });
+  // Threads start once the pool is whole: each reads its siblings' state.
+  for (const std::unique_ptr<Connection>& connection : connections_) {
+    Connection& ref = *connection;
+    ref.thread = std::thread([this, &ref]() { connection_loop(ref); });
+  }
 }
 
 RemoteShard::~RemoteShard() { shutdown(); }
 
 std::future<Prediction> RemoteShard::submit(const data::Record& record) {
-  MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped remote shard");
   ClientRequest request{record, Clock::now(), {},
                        obs::Tracer::instance().sample()};
   std::future<Prediction> future = request.promise.get_future();
-  batcher_.push(std::move(request));
+  Connection* woken = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    MUFFIN_REQUIRE(!stopped_, "cannot submit to a stopped remote shard");
+    queue_.push_back(std::move(request));
+    // One wake-up at a time: the woken thread takes all that is queued
+    // when it runs, so a burst of submits costs one wake-up.
+    for (const std::unique_ptr<Connection>& connection : connections_) {
+      if (connection->waiting && !wake_pending_ &&
+          (woken == nullptr || (connection->open && !woken->open))) {
+        woken = connection.get();
+      }
+    }
+    if (woken != nullptr) woken->waiting = false;
+    wake_pending_ = wake_pending_ || woken != nullptr;
+  }
+  if (woken != nullptr) notify(woken->wake);
   return future;
 }
 
 void RemoteShard::shutdown() {
-  if (stopped_.exchange(true)) return;
-  batcher_.close();
-  // The dispatcher drains queued batches (sending them if it can), then
-  // exits; readers keep collecting responses for in-flight batches.
-  if (dispatcher_.joinable()) dispatcher_.join();
-  const Clock::time_point grace =
-      Clock::now() + config_.request_timeout +
-      std::chrono::milliseconds(200);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (stopped_) return;
+    stopped_ = true;
+  }
+  // Each thread sends and answers what is already queued, then exits.
   for (const std::unique_ptr<Connection>& connection : connections_) {
-    for (;;) {
-      {
-        const std::lock_guard<std::mutex> lock(connection->mutex);
-        if (connection->pending.empty() || connection->dead) break;
-      }
-      if (Clock::now() >= grace) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    fail_connection(*connection, "remote shard shut down");
-    if (connection->reader.joinable()) connection->reader.join();
-    connection->socket.close();
+    notify(connection->wake);
+  }
+  for (const std::unique_ptr<Connection>& connection : connections_) {
+    connection->thread.join();
   }
 }
 
 bool RemoteShard::probe() {
-  // The probe is an EMPTY ScoreRequest, the frame real traffic sends: it
-  // exercises the server's whole request path — framing, decode, the
-  // engine's stopped check (a stopped engine throws and comes back as an
-  // Error frame), response encode — so a process that is alive but can
-  // no longer serve fails its probe. It deliberately does NOT reset
-  // consecutive_failures(): the counter clears only when real requests
-  // succeed or the router restores the shard (reset_failures), so a
-  // probe-alive/request-dead server cannot launder its failure history.
+  // An EMPTY ScoreRequest runs the server's whole request path (framing,
+  // decode, the engine's stopped check, response encode), so a process
+  // that is alive but can no longer serve fails its probe. It never
+  // resets consecutive_failures() (see the header).
   if (fail::fires("rpc.client.probe")) return false;  // injected probe loss
   try {
     common::Socket socket =
@@ -139,121 +159,197 @@ void RemoteShard::reset_failures() {
   consecutive_failures_.store(0, std::memory_order_relaxed);
 }
 
-void RemoteShard::dispatch_loop() {
+void RemoteShard::connection_loop(Connection& connection) {
   for (;;) {
-    std::vector<ClientRequest> batch = batcher_.next_batch();
-    if (batch.empty()) return;  // closed and drained
-    send_batch(std::move(batch));
+    std::vector<ClientRequest> batch;
+    bool dial_now = false;
+    bool stranded = false;  // no pooled connection can carry `batch`
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      connection.waiting = false;
+      wake_pending_ = false;  // this thread looks at the queue now
+      const bool slot = connection.in_flight.size() < kMaxInFlight;
+      const auto take = [&]() {
+        const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(queue_.size(),
+                                                       config_.max_batch));
+        batch.assign(std::make_move_iterator(queue_.begin()),
+                     std::make_move_iterator(end));
+        queue_.erase(queue_.begin(), end);
+      };
+      if (slot && !queue_.empty()) {
+        if (connection.open) {
+          take();
+        } else if (!stopped_ && Clock::now() >= next_connect_attempt_) {
+          dial_now = true;
+        } else if (std::none_of(connections_.begin(), connections_.end(),
+                                [](const std::unique_ptr<Connection>& c) {
+                                  return c->open;
+                                })) {
+          // Inside the backoff window (or shut down) with no open
+          // sibling: fail fast rather than queue behind a dead endpoint.
+          take();
+          stranded = true;
+        }
+      }  // otherwise an open sibling takes the work
+      if (batch.empty() && !dial_now) {
+        if (stopped_ && connection.in_flight.empty()) return;
+        connection.waiting = slot;
+      }
+    }
+    if (dial_now) {
+      dial(connection);
+    } else if (stranded) {
+      count_failure();
+      fail_batch(batch, "no connection to " + endpoint_.to_string());
+    } else if (!batch.empty()) {
+      send(connection, std::move(batch));
+    } else {
+      wait(connection);
+    }
   }
 }
 
-void RemoteShard::send_batch(std::vector<ClientRequest> batch) {
-  ClientMetrics& metrics = ClientMetrics::get();
-  bool any_traced = false;
-  for (const ClientRequest& request : batch) any_traced |= request.traced;
-  // Try every pooled connection once, starting at the round-robin
-  // cursor; a batch only fails when no connection can be (re)established.
-  for (std::size_t attempt = 0; attempt < connections_.size(); ++attempt) {
-    Connection& connection =
-        *connections_[next_connection_++ % connections_.size()];
-    try {
-      bool dead;
-      {
-        const std::lock_guard<std::mutex> lock(connection.mutex);
-        dead = connection.dead;
-      }
-      if (dead) {
-        // Inside the reconnect backoff window, do not dial the endpoint
-        // again: sweep on to the next pooled connection (which shares
-        // the shard-level window), so a fully dead shard fails the batch
-        // fast — feeding consecutive_failures and the router's
-        // auto-drain/retry machinery — instead of paying a connect
-        // timeout per request.
-        if (Clock::now() < next_connect_attempt_) continue;
-        // Replace the transport only after the previous reader exited.
-        if (connection.reader.joinable()) connection.reader.join();
-        // A write can race the teardown and leave an entry queued after
-        // the reader is gone; it belongs to the dead transport and can
-        // never be answered on the new one — fail it now.
-        fail_connection(connection, "connection reset before response");
-        connect_attempts_.fetch_add(1, std::memory_order_relaxed);
-        try {
-          fail::maybe_fail("rpc.client.connect");
-          connection.socket =
-              common::connect_endpoint(endpoint_, ms(config_.connect_timeout));
-        } catch (...) {
-          note_connect_failure();
-          throw;  // the outer catch sweeps this connection
-        }
-        connect_failures_ = 0;
-        metrics.reconnects.inc();
-        {
-          const std::lock_guard<std::mutex> lock(connection.mutex);
-          connection.dead = false;
-        }
-        connection.reader =
-            std::thread([this, &connection]() { reader_loop(connection); });
-      }
-
-      const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-      // Encode straight from the request wrappers — no record copies on
-      // the dispatch hot path.
-      std::vector<const data::Record*> records;
-      records.reserve(batch.size());
-      for (const ClientRequest& request : batch) {
-        records.push_back(&request.record);
-      }
-      const auto encode_start = std::chrono::steady_clock::now();
-      const std::vector<std::uint8_t> frame = [&]() {
-        const obs::TraceSpan encode_span(
-            "rpc.client.encode", any_traced,
-            any_traced ? "\"seq\":" + std::to_string(seq) : std::string());
-        return encode_score_request(seq, records);
-      }();
-      metrics.encode_us.observe(elapsed_us(encode_start));
-
-      // Register the in-flight batch BEFORE sending: the response can
-      // arrive the instant the frame hits the wire.
-      PendingBatch pending;
-      pending.seq = seq;
-      pending.deadline = Clock::now() + config_.request_timeout;
-      pending.requests = std::move(batch);
-      pending.traced = any_traced;
-      {
-        const std::lock_guard<std::mutex> lock(connection.mutex);
-        connection.pending.push_back(std::move(pending));
-      }
-      try {
-        const obs::TraceSpan write_span(
-            "rpc.client.write", any_traced,
-            any_traced ? "\"bytes\":" + std::to_string(frame.size())
-                       : std::string());
-        fail::maybe_fail("rpc.client.send");
-        write_frame(connection.socket, frame, ms(config_.request_timeout));
-        metrics.frames_sent.inc();
-        metrics.bytes_sent.inc(frame.size());
-      } catch (const std::exception& error) {
-        // A partial frame write poisons the stream; everything pipelined
-        // on this connection is undeliverable. Write failures count
-        // toward auto-drain like any other failed submit (counted
-        // before the promises fail, so observers see both together).
-        consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
-        metrics.request_failures.inc();
-        fail_connection(connection, error.what());
-        return;
-      }
-      return;  // sent; the reader owns it now
-    } catch (const std::exception& error) {
-      // Usually a failed connect (pending empty, this is a no-op sweep);
-      // but if the failure struck a live connection before the write —
-      // e.g. an allocation failure while encoding — its pipelined
-      // batches must fail too, not hang until shutdown.
-      fail_connection(connection, error.what());
-    }
+void RemoteShard::dial(Connection& connection) {
+  connect_attempts_.fetch_add(1, std::memory_order_relaxed);
+  try {
+    fail::maybe_fail("rpc.client.connect");
+    connection.socket =
+        common::connect_endpoint(endpoint_, ms(config_.connect_timeout));
+  } catch (const std::exception&) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    note_connect_failure();
+    return;
   }
-  consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
-  metrics.request_failures.inc();
-  fail_batch(batch, "no connection to " + endpoint_.to_string());
+  ClientMetrics::get().reconnects.inc();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  connect_failures_ = 0;
+  connection.open = true;
+}
+
+void RemoteShard::send(Connection& connection,
+                       std::vector<ClientRequest> batch) {
+  ClientMetrics& metrics = ClientMetrics::get();
+  PendingBatch pending;
+  pending.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  pending.requests = std::move(batch);
+  for (const ClientRequest& request : pending.requests) {
+    pending.traced |= request.traced;
+  }
+  try {
+    // Encode straight from the request wrappers — no record copies.
+    std::vector<const data::Record*> records;
+    records.reserve(pending.requests.size());
+    for (const ClientRequest& request : pending.requests) {
+      records.push_back(&request.record);
+    }
+    const auto encode_start = Clock::now();
+    const std::vector<std::uint8_t> frame = [&]() {
+      const obs::TraceSpan encode_span(
+          "rpc.client.encode", pending.traced,
+          pending.traced ? "\"seq\":" + std::to_string(pending.seq)
+                         : std::string());
+      return encode_score_request(pending.seq, records);
+    }();
+    metrics.encode_us.observe(elapsed_us(encode_start));
+    const obs::TraceSpan write_span(
+        "rpc.client.write", pending.traced,
+        pending.traced ? "\"bytes\":" + std::to_string(frame.size())
+                       : std::string());
+    fail::maybe_fail("rpc.client.send");
+    write_frame(connection.socket, frame, ms(config_.request_timeout));
+    metrics.frames_sent.inc();
+    metrics.bytes_sent.inc(frame.size());
+  } catch (const std::exception& error) {
+    // A partial frame write poisons the stream; everything pipelined on
+    // this connection is undeliverable.
+    count_failure();
+    fail_batch(pending.requests, error.what());
+    fail_connection(connection, error.what());
+    return;
+  }
+  pending.deadline = Clock::now() + config_.request_timeout;
+  connection.in_flight.push_back(std::move(pending));
+}
+
+void RemoteShard::wait(Connection& connection) {
+  int timeout_ms = -1;
+  if (!connection.in_flight.empty()) {
+    timeout_ms = static_cast<int>(std::max<std::int64_t>(
+        0, std::chrono::ceil<std::chrono::milliseconds>(
+               connection.in_flight.front().deadline - Clock::now())
+               .count()));
+  }
+  // An open socket is watched even while idle, so a server that closed
+  // it between batches is seen (EOF) before the next batch is sent.
+  pollfd fds[2] = {
+      {connection.wake.fd(), POLLIN, 0},
+      {connection.open ? connection.socket.fd() : -1, POLLIN, 0}};
+  (void)::poll(fds, 2, timeout_ms);  // EINTR: nothing ready; loop again
+  if (fds[0].revents != 0) {
+    std::uint64_t wakes = 0;
+    [[maybe_unused]] const ssize_t drained =
+        ::read(connection.wake.fd(), &wakes, sizeof(wakes));
+  }
+  try {
+    if (fds[1].revents != 0) {
+      read_reply(connection);
+    } else if (!connection.in_flight.empty() &&
+               Clock::now() >= connection.in_flight.front().deadline) {
+      ClientMetrics::get().deadline_expiries.inc();
+      throw Error("request to " + endpoint_.to_string() + " timed out after " +
+                  std::to_string(config_.request_timeout.count()) + " ms");
+    }
+  } catch (const std::exception& error) {
+    count_failure();
+    fail_connection(connection, error.what());
+  }
+}
+
+void RemoteShard::read_reply(Connection& connection) {
+  ClientMetrics& metrics = ClientMetrics::get();
+  const std::optional<Frame> frame = read_frame(
+      connection.socket, kDefaultMaxFrameBytes, ms(config_.request_timeout));
+  if (!frame.has_value()) {
+    // Clean EOF: fine when idle (the next batch redials), else fatal.
+    MUFFIN_REQUIRE(connection.in_flight.empty(),
+                   "server closed with requests in flight");
+    fail_connection(connection, "server closed the connection");
+    return;
+  }
+  metrics.frames_received.inc();
+  metrics.bytes_received.inc(kHeaderBytes + frame->payload.size());
+  MUFFIN_REQUIRE(!connection.in_flight.empty(),
+                 "response frame with nothing in flight");
+  // The batch stays in flight until its reply is decoded: if anything
+  // below throws, fail_connection fails it with the rest.
+  PendingBatch& oldest = connection.in_flight.front();
+  MUFFIN_REQUIRE(frame->header.seq == oldest.seq,
+                 "response sequence mismatch (pipelining broken)");
+  if (frame->header.type == MsgType::Error) {
+    const std::string why = decode_error(frame->payload);
+    count_failure();
+    fail_batch(oldest.requests, why);
+    connection.in_flight.pop_front();
+    return;
+  }
+  MUFFIN_REQUIRE(frame->header.type == MsgType::ScoreResponse,
+                 "unexpected frame type from server");
+  const auto decode_start = Clock::now();
+  std::vector<Prediction> predictions = [&]() {
+    const obs::TraceSpan decode_span(
+        "rpc.client.decode", oldest.traced,
+        oldest.traced ? "\"seq\":" + std::to_string(oldest.seq)
+                      : std::string());
+    return decode_score_response(frame->payload);
+  }();
+  metrics.decode_us.observe(elapsed_us(decode_start));
+  MUFFIN_REQUIRE(predictions.size() == oldest.requests.size(),
+                 "response row count does not match the request batch");
+  PendingBatch batch = std::move(oldest);
+  connection.in_flight.pop_front();
+  deliver(std::move(batch), std::move(predictions));
+  consecutive_failures_.store(0, std::memory_order_relaxed);
 }
 
 void RemoteShard::note_connect_failure() {
@@ -277,99 +373,6 @@ void RemoteShard::note_connect_failure() {
   next_connect_attempt_ = Clock::now() + std::chrono::milliseconds(wait);
 }
 
-void RemoteShard::reader_loop(Connection& connection) {
-  ClientMetrics& metrics = ClientMetrics::get();
-  for (;;) {
-    // Exit once the shard is stopped and nothing is in flight here.
-    bool has_pending;
-    Clock::time_point oldest_deadline;
-    {
-      const std::lock_guard<std::mutex> lock(connection.mutex);
-      if (connection.dead) return;
-      has_pending = !connection.pending.empty();
-      if (has_pending) oldest_deadline = connection.pending.front().deadline;
-    }
-    if (!has_pending && stopped_.load(std::memory_order_relaxed)) return;
-
-    // Once a batch is popped it is OURS: if anything below throws, its
-    // promises must still be failed explicitly — fail_connection only
-    // sweeps what is left in the pending deque.
-    PendingBatch batch;
-    bool popped = false;
-    try {
-      // Short poll slices let the deadline check run even when the
-      // server sends nothing at all.
-      if (!connection.socket.readable(/*timeout_ms=*/50)) {
-        if (has_pending && Clock::now() >= oldest_deadline) {
-          metrics.deadline_expiries.inc();
-          throw Error("request to " + endpoint_.to_string() +
-                      " timed out after " +
-                      std::to_string(config_.request_timeout.count()) + " ms");
-        }
-        continue;
-      }
-      std::optional<Frame> frame =
-          read_frame(connection.socket, kDefaultMaxFrameBytes,
-                     ms(config_.request_timeout));
-      if (frame.has_value()) {
-        metrics.frames_received.inc();
-        metrics.bytes_received.inc(kHeaderBytes + frame->payload.size());
-      }
-      if (!frame.has_value()) {
-        // Clean EOF. Fine when idle; fatal with work in flight.
-        const std::lock_guard<std::mutex> lock(connection.mutex);
-        if (connection.pending.empty()) {
-          connection.dead = true;
-          return;
-        }
-        throw Error("server closed with requests in flight");
-      }
-
-      {
-        const std::lock_guard<std::mutex> lock(connection.mutex);
-        MUFFIN_REQUIRE(!connection.pending.empty(),
-                       "response frame with nothing in flight");
-        MUFFIN_REQUIRE(frame->header.seq == connection.pending.front().seq,
-                       "response sequence mismatch (pipelining broken)");
-        batch = std::move(connection.pending.front());
-        connection.pending.pop_front();
-        popped = true;
-      }
-
-      if (frame->header.type == MsgType::Error) {
-        consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
-        metrics.request_failures.inc();
-        fail_batch(batch.requests, decode_error(frame->payload));
-        continue;
-      }
-      MUFFIN_REQUIRE(frame->header.type == MsgType::ScoreResponse,
-                     "unexpected frame type from server");
-      const auto decode_start = std::chrono::steady_clock::now();
-      std::vector<Prediction> predictions = [&]() {
-        const obs::TraceSpan decode_span(
-            "rpc.client.decode", batch.traced,
-            batch.traced ? "\"seq\":" + std::to_string(batch.seq)
-                         : std::string());
-        return decode_score_response(frame->payload);
-      }();
-      metrics.decode_us.observe(elapsed_us(decode_start));
-      MUFFIN_REQUIRE(predictions.size() == batch.requests.size(),
-                     "response row count does not match the request batch");
-      deliver(std::move(batch), std::move(predictions));
-      consecutive_failures_.store(0, std::memory_order_relaxed);
-    } catch (const std::exception& error) {
-      // Count BEFORE failing promises: a caller that observes a failed
-      // future must also observe a non-zero failure count (the health
-      // monitor reads it; tests pin the ordering).
-      consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
-      metrics.request_failures.inc();
-      if (popped) fail_batch(batch.requests, error.what());
-      fail_connection(connection, error.what());
-      return;
-    }
-  }
-}
-
 void RemoteShard::deliver(PendingBatch batch,
                           std::vector<Prediction> predictions) {
   const Clock::time_point now = Clock::now();
@@ -383,8 +386,9 @@ void RemoteShard::deliver(PendingBatch batch,
                                                   batch.requests[i].enqueued)
             .count());
     if (batch.requests[i].traced) {
-      // Client-observed round trip: submit (incl. client batching delay)
-      // to response delivery — the client-side mirror of serve.request.
+      // Client-observed round trip: submit (incl. time queued for a free
+      // slot) to response delivery — the client-side mirror of
+      // serve.request.
       const double enqueued_us = tracer.to_us(batch.requests[i].enqueued);
       tracer.record("rpc.client.roundtrip", enqueued_us,
                     now_us - enqueued_us,
@@ -454,30 +458,29 @@ std::optional<StatsReport> RemoteShard::authoritative_stats() {
   }
 }
 
+void RemoteShard::count_failure() {
+  consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
+  ClientMetrics::get().request_failures.inc();
+}
+
 void RemoteShard::fail_connection(Connection& connection,
                                   const std::string& why) {
-  std::deque<PendingBatch> orphaned;
   {
-    const std::lock_guard<std::mutex> lock(connection.mutex);
-    connection.dead = true;
-    orphaned.swap(connection.pending);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    connection.open = false;
   }
-  connection.socket.shutdown_both();
-  for (PendingBatch& batch : orphaned) {
+  connection.socket.close();
+  for (PendingBatch& batch : connection.in_flight) {
     fail_batch(batch.requests, why);
   }
+  connection.in_flight.clear();
 }
 
 void RemoteShard::fail_batch(std::vector<ClientRequest>& requests,
                              const std::string& why) {
   for (ClientRequest& request : requests) {
-    try {
-      request.promise.set_exception(
-          std::make_exception_ptr(Error("remote shard failure: " + why)));
-    } catch (const std::future_error&) {
-      // Already settled (e.g. a batch that failed after partial
-      // delivery); the caller has its answer, nothing to do.
-    }
+    request.promise.set_exception(
+        std::make_exception_ptr(Error("remote shard failure: " + why)));
   }
 }
 

@@ -2,46 +2,53 @@
 //
 // Satisfies the same submit/stats/health surface as an in-process
 // replica (serve/replica.h), so the ShardRouter routes to it without
-// knowing there is a socket in the way. Three mechanisms keep the remote
-// hop batch-first and pipelined:
+// knowing there is a socket in the way.
 //
-//  * **Client-side micro-batching.** submit() enqueues into a Batcher
-//    (same size/deadline policy as the engine); a dispatcher thread pops
-//    whole batches and ships each as ONE ScoreRequest frame. The wire
-//    carries record batches, so the server's GEMM path stays hot and the
-//    per-frame syscall/framing cost is amortized across the batch.
-//  * **Connection pooling + pipelining.** A small pool of connections is
-//    used round-robin; the dispatcher does not wait for a response
-//    before sending the next batch on the same connection. The server
-//    answers per connection strictly in request order, so each
-//    connection's reader matches responses to its FIFO of in-flight
-//    batches by sequence number.
+//  * **One thread per pooled connection, sending what is queued.**
+//    submit() appends to the shard's queue and, unless a woken thread
+//    has yet to look, wakes one waiting connection thread (a connected
+//    one first). While fewer than two of its frames are unanswered, a
+//    connection's thread sends whatever is queued (up to max_batch rows)
+//    as ONE ScoreRequest frame; else it reads the next reply, matches it
+//    to its oldest frame by sequence number (the server answers each
+//    connection in request order) and delivers it. There is no flush
+//    timer: a request leaves as soon as a slot is free, and frames grow
+//    with load, because requests that arrive while every slot is taken
+//    leave together. Two frames keep a connection's server thread busy:
+//    one being scored, the next waiting in its socket.
+//  * **Lazy transport.** A connection is dialed when there is work for
+//    it. After a failed dial the shard waits out a full-jittered
+//    exponential backoff window before dialing again; while no pooled
+//    connection is open inside that window, queued batches fail fast
+//    (feeding consecutive_failures and the router's auto-drain/retry
+//    machinery). A batch fails for want of a transport only when no
+//    pooled connection can carry it. Waiting threads watch their idle
+//    sockets, so a connection the server closed is redialed, not failed.
 //  * **Deadlines everywhere.** Connect, request, and probe deadlines turn
 //    a dead or wedged server into failed futures and a rising
-//    consecutive_failures() count — the signal the router's health
-//    monitor consumes for auto-drain — never into a hung client thread.
+//    consecutive_failures() count, never into a hung client thread.
 //
 // Failure semantics (shared with ShardRouter::predict_batch): a batch is
 // all-or-error. If its connection dies or its deadline passes, every
-// in-flight request on that connection fails with muffin::Error; the
-// next batch tries a fresh connection. probe() opens a dedicated
-// short-lived connection for an end-to-end canary (an empty score
-// request through the server's full request path). A probe deliberately
-// does NOT clear consecutive_failures() — only real request successes
-// or the router restoring the shard (reset_failures()) do — so a
-// probe-alive but request-dead server cannot launder its failure
-// history.
+// in-flight request on that connection fails with muffin::Error.
+// shutdown() still sends and answers everything already submitted.
+// probe(), fetch_stats() and reload() each open a dedicated short-lived
+// connection. A probe (an empty score request through the server's full
+// request path) deliberately does NOT clear consecutive_failures() —
+// only real request successes or the router restoring the shard
+// (reset_failures()) do — so a probe-alive but request-dead server
+// cannot launder its failure history.
 //
 // Stats are client-observed and recorded under the engine's names into a
 // registry of this shard's own: engine.latency_us is the round trip
-// measured here (submit to response, including client batching delay —
-// what a caller of this process actually waits), and engine.requests /
-// .batches / .cache_hits / .consensus_short_circuits / .head_evaluations
-// are reconstructed from the per-prediction response flags. That registry
-// is detached from the process registry on purpose: in a one-process
-// topology the serving engine already counts each request there, and a
-// second count would double the process totals. cache_entries()/
-// cache_contains() are unknowable across the wire and report 0/false.
+// measured here (submit to response, including time queued for a free
+// slot), and engine.requests / .batches / .cache_hits /
+// .consensus_short_circuits / .head_evaluations are reconstructed from
+// the per-prediction response flags. That registry is detached from the
+// process registry on purpose: in a one-process topology the serving
+// engine already counts each request there, and a second count would
+// double the process totals. cache_entries() is unknowable across the
+// wire and reports 0.
 #pragma once
 
 #include <atomic>
@@ -56,25 +63,20 @@
 #include <vector>
 
 #include "common/socket.h"
-#include "serve/batcher.h"
 #include "serve/replica.h"
 #include "serve/rpc/wire.h"
 
 namespace muffin::serve::rpc {
 
 struct RemoteShardConfig {
-  std::size_t connections = 2;   ///< pooled connections, used round-robin
-  std::size_t max_batch = 32;    ///< client-side batch size flush
-  std::chrono::microseconds max_delay{500};  ///< client-side deadline flush
+  std::size_t connections = 2;  ///< pooled connections, one thread each
+  std::size_t max_batch = 32;   ///< most rows one request frame carries
   std::chrono::milliseconds connect_timeout{1000};
   std::chrono::milliseconds request_timeout{5000};
   std::chrono::milliseconds probe_timeout{500};
   /// Reconnect backoff: after a failed connect the shard waits a full-
   /// jittered exponential window — U(0, min(cap, initial·2^failures)) —
-  /// before dialing the endpoint again. Batches arriving inside the
-  /// window fail fast (feeding consecutive_failures and the router's
-  /// auto-drain/retry machinery) instead of hammering a dead endpoint
-  /// once per request.
+  /// before dialing the endpoint again.
   std::chrono::milliseconds backoff_initial{50};
   std::chrono::milliseconds backoff_cap{2000};
 };
@@ -100,7 +102,6 @@ class RemoteShard final : public ReplicaBackend {
   [[nodiscard]] std::size_t consecutive_failures() const override {
     return consecutive_failures_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] bool remote() const override { return true; }
   [[nodiscard]] std::string describe() const override {
     return endpoint_.to_string();
   }
@@ -108,34 +109,22 @@ class RemoteShard final : public ReplicaBackend {
     return telemetry_.snapshot();
   }
   [[nodiscard]] std::size_t cache_entries() const override { return 0; }
-  [[nodiscard]] bool cache_contains(std::uint64_t) const override {
-    return false;
-  }
 
-  /// Fetch the server's authoritative stats over the Stats RPC, on a
-  /// dedicated short-lived connection (like probe(), so it cannot
-  /// interleave with pipelined score traffic). Throws muffin::Error when
-  /// the server is unreachable or does not speak the Stats op.
+  /// Fetch the server's authoritative stats over the Stats RPC. Throws
+  /// muffin::Error when the server is unreachable or lacks the Stats op.
   [[nodiscard]] StatsReport fetch_stats();
   /// ReplicaBackend surface: fetch_stats with failures mapped to nullopt.
   [[nodiscard]] std::optional<StatsReport> authoritative_stats() override;
 
-  /// Hot-swap the server's model over the Reload RPC, on a dedicated
-  /// short-lived connection (like probe/stats — control traffic must not
-  /// queue behind pipelined score batches, and a failed reload must not
-  /// poison them). `artifact_path` names a file on the *server's*
-  /// filesystem. Returns the installed model version; throws
-  /// muffin::Error when the server is unreachable, rejects the artifact,
-  /// or refuses a non-advancing version. Deliberately not counted toward
-  /// consecutive_failures — a bad rollout artifact must not drain an
-  /// otherwise healthy shard.
+  /// Hot-swap the server's model over the Reload RPC. `artifact_path`
+  /// names a file on the *server's* filesystem. Returns the installed
+  /// model version; throws muffin::Error when the server is unreachable,
+  /// rejects the artifact, or refuses a non-advancing version. Not
+  /// counted toward consecutive_failures — a bad rollout artifact must
+  /// not drain an otherwise healthy shard.
   [[nodiscard]] std::uint64_t reload(const std::string& artifact_path) override;
 
-  [[nodiscard]] const RemoteShardConfig& config() const { return config_; }
-
-  /// Lifetime count of data-path connect attempts (reconnect dials;
-  /// probe/stats connections excluded). The backoff tests pin how often
-  /// a dead endpoint gets dialed over a time window.
+  /// Lifetime count of data-path dials (probe/stats/reload excluded).
   [[nodiscard]] std::size_t connect_attempts() const {
     return connect_attempts_.load(std::memory_order_relaxed);
   }
@@ -147,12 +136,10 @@ class RemoteShard final : public ReplicaBackend {
     data::Record record;
     Clock::time_point enqueued;
     std::promise<Prediction> promise;
-    /// Picked by the edge sampler (obs::Tracer::sample) at submit time;
-    /// traced requests emit rpc.client.roundtrip span events.
-    bool traced = false;
+    bool traced = false;  ///< picked by obs::Tracer::sample at submit
   };
 
-  /// One pipelined request frame awaiting its response, in send order.
+  /// One request frame awaiting its reply, in send order.
   struct PendingBatch {
     std::uint64_t seq = 0;
     Clock::time_point deadline;
@@ -160,24 +147,40 @@ class RemoteShard final : public ReplicaBackend {
     bool traced = false;  ///< any request in the batch is traced
   };
 
+  /// One pooled connection: its thread alone uses `socket` and
+  /// `in_flight`; mutex_ guards `open` (only its thread writes it) and
+  /// `waiting`.
   struct Connection {
     common::Socket socket;
-    std::mutex mutex;  ///< guards pending and dead
-    std::deque<PendingBatch> pending;
-    bool dead = true;  ///< (re)connected lazily by the dispatcher
-    std::thread reader;
+    std::deque<PendingBatch> in_flight;  ///< at most kMaxInFlight, oldest first
+    /// An eventfd (a Socket only for its RAII close): submit() and
+    /// shutdown() write it to wake the thread out of its poll.
+    common::Socket wake;
+    bool open = false;
+    bool waiting = false;  ///< polling with a free slot; submit() may wake it
+    std::thread thread;
   };
 
-  void dispatch_loop();
-  /// Send one batch on some pooled connection; fails every promise in
-  /// the batch if no connection can be established.
-  void send_batch(std::vector<ClientRequest> batch);
-  void reader_loop(Connection& connection);
-  /// Fail every in-flight batch on `connection` and mark it dead.
+  /// One request frame being scored, the next waiting in the server's
+  /// socket: enough to keep a connection busy without a deeper pipeline.
+  static constexpr std::size_t kMaxInFlight = 2;
+
+  void connection_loop(Connection& connection);
+  void dial(Connection& connection);
+  void send(Connection& connection, std::vector<ClientRequest> batch);
+  /// Poll for a wake-up or a reply (bounded by the oldest in-flight
+  /// deadline) and handle what arrived.
+  void wait(Connection& connection);
+  void read_reply(Connection& connection);
+  /// Close `connection` and fail every batch still in flight on it.
   void fail_connection(Connection& connection, const std::string& why);
   void fail_batch(std::vector<ClientRequest>& requests,
                   const std::string& why);
   void deliver(PendingBatch batch, std::vector<Prediction> predictions);
+  /// Count a failed batch before failing its promises (observers see both).
+  void count_failure();
+  /// Arm the reconnect backoff window after a failed dial (mutex_ held).
+  void note_connect_failure();
 
   /// Client-observed accounting (detached; see the header comment).
   struct Metrics {
@@ -195,23 +198,17 @@ class RemoteShard final : public ReplicaBackend {
   obs::Registry telemetry_;
   Metrics metrics_;
 
-  /// Arm the reconnect backoff window after a failed dial. Dispatcher-
-  /// thread-only (send_batch runs solely on the dispatcher), like the
-  /// window state below.
-  void note_connect_failure();
-
-  Batcher<ClientRequest> batcher_;
   std::vector<std::unique_ptr<Connection>> connections_;
-  std::size_t next_connection_ = 0;  ///< dispatcher-only round-robin cursor
-  std::size_t connect_failures_ = 0;          ///< consecutive failed dials
-  Clock::time_point next_connect_attempt_{};  ///< epoch: first dial is free
   std::atomic<std::uint64_t> connect_attempts_{0};
-
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::size_t> consecutive_failures_{0};
 
-  std::atomic<bool> stopped_{false};
-  std::thread dispatcher_;
+  std::mutex mutex_;  ///< guards everything below, and Connection::open/waiting
+  std::deque<ClientRequest> queue_;
+  bool stopped_ = false;
+  bool wake_pending_ = false;  ///< a woken thread has yet to see the queue
+  std::size_t connect_failures_ = 0;          ///< consecutive failed dials
+  Clock::time_point next_connect_attempt_{};  ///< epoch: first dial is free
 };
 
 }  // namespace muffin::serve::rpc

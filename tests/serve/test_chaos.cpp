@@ -354,7 +354,6 @@ RouterConfig remote_router(const std::vector<std::string>& endpoints,
   config.remote_endpoints = endpoints;
   config.remote.connections = 2;
   config.remote.max_batch = 16;
-  config.remote.max_delay = 200us;
   config.remote.connect_timeout = 500ms;
   config.remote.request_timeout = 2000ms;
   config.remote.backoff_initial = 20ms;
@@ -496,7 +495,6 @@ TEST(ChaosDrain, ServerDrainDeliversAcceptedWorkThenRefusesNewConnections) {
   rpc::RemoteShardConfig client_config;
   client_config.connections = 2;
   client_config.max_batch = 16;
-  client_config.max_delay = 200us;
   client_config.connect_timeout = 500ms;
   client_config.request_timeout = 5000ms;
   rpc::RemoteShard shard(server.address(), client_config);
@@ -509,9 +507,9 @@ TEST(ChaosDrain, ServerDrainDeliversAcceptedWorkThenRefusesNewConnections) {
   for (std::size_t i = 0; i < 48; ++i) {
     futures.push_back(shard.submit(records[i]));
   }
-  // Let the client-side batcher flush the frames onto the wire before
-  // the listener goes away; drain protects accepted work, not frames
-  // still sitting in the sender's queue.
+  // Let the client send every frame before the listener goes away; drain
+  // protects accepted work, not requests still sitting in the sender's
+  // queue.
   std::this_thread::sleep_for(100ms);
 
   const auto start = std::chrono::steady_clock::now();
@@ -549,8 +547,7 @@ TEST(ChaosDrain, ServerDrainWaitsForRepliesStillBeingScored) {
   rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShardConfig client_config;
   client_config.connections = 1;
-  client_config.max_batch = 16;  // all 16 records leave as one frame
-  client_config.max_delay = 200us;
+  client_config.max_batch = 16;  // 16 records fill at most both slots
   client_config.connect_timeout = 500ms;
   client_config.request_timeout = 5000ms;
   rpc::RemoteShard shard(server.address(), client_config);
@@ -577,15 +574,15 @@ TEST(ChaosDrain, ServerDrainWaitsForRepliesStillBeingScored) {
 
 TEST(ChaosDrain, ServerDrainServesFramesPipelinedOnOneConnection) {
   // One connection scores its frames one after another, so when drain()
-  // lands during the first of three pipelined frames, the other two are
-  // still unread in the socket. Drain must answer them too: they were on
-  // the wire before it began.
+  // lands during the first pipelined frame, the next is still unread in
+  // the socket, and the client sends the one after as soon as the first
+  // reply frees its slot. Drain must answer them all: each was on the
+  // wire before the connection went idle.
   const auto fused = make_fused();
   rpc::ShardServer server(fused, "127.0.0.1:0");
   rpc::RemoteShardConfig client_config;
   client_config.connections = 1;
-  client_config.max_batch = 16;  // 48 records leave as three frames
-  client_config.max_delay = 200us;
+  client_config.max_batch = 16;  // 48 records need at least three frames
   client_config.connect_timeout = 500ms;
   client_config.request_timeout = 5000ms;
   rpc::RemoteShard shard(server.address(), client_config);
@@ -622,7 +619,6 @@ TEST(ChaosBackoff, DeadEndpointDialsAreBackedOff) {
   rpc::RemoteShardConfig config;
   config.connections = 1;
   config.max_batch = 4;
-  config.max_delay = 200us;
   config.connect_timeout = 200ms;
   config.request_timeout = 500ms;
   config.backoff_initial = 100ms;
@@ -666,7 +662,6 @@ TEST(ChaosHealth, FlappingProbesNeverOscillateUnbounded) {
                     /*max_attempts=*/3);
   config.health.probe_interval = 25ms;
   config.health.failure_threshold = 2;
-  config.health.auto_restore = true;
   config.health.recovery_threshold = 3;
 
   const std::uint64_t drains_before = counter_value("router.auto_drains");

@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/failpoint.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/router.h"
 #include "serve/rpc/server.h"
@@ -65,11 +67,15 @@ rpc::RemoteShardConfig fast_client() {
   rpc::RemoteShardConfig config;
   config.connections = 2;
   config.max_batch = 16;
-  config.max_delay = std::chrono::microseconds(200);
   config.connect_timeout = 500ms;
   config.request_timeout = 5000ms;
   config.probe_timeout = 500ms;
   return config;
+}
+
+/// Request frames every RemoteShard in this process has sent.
+std::uint64_t frames_sent() {
+  return obs::registry().snapshot().counter_value("rpc.client.frames_sent");
 }
 
 /// Wait until `predicate` holds or `deadline_ms` expires.
@@ -126,7 +132,13 @@ TEST(RemoteShard, BitIdenticalOverUnixDomainSocket) {
 TEST(RemoteShard, PipelinedBatchesFromManyThreads) {
   const auto fused = make_fused();
   rpc::ShardServer server(fused, "127.0.0.1:0");
-  rpc::RemoteShard shard(server.address(), fast_client());
+  // One connection has two frame slots for four callers, and the scoring
+  // delay holds each frame, so requests that arrive meanwhile queue and
+  // leave together.
+  rpc::RemoteShardConfig config = fast_client();
+  config.connections = 1;
+  rpc::RemoteShard shard(server.address(), config);
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:1ms");
 
   std::span<const data::Record> records = rpc_dataset().records();
   constexpr std::size_t kClients = 4;
@@ -148,10 +160,159 @@ TEST(RemoteShard, PipelinedBatchesFromManyThreads) {
   EXPECT_EQ(mismatches.load(), 0u);
   const obs::MetricsSnapshot observed = shard.metrics();
   EXPECT_EQ(observed.counter_value("engine.requests"), kClients * kPerClient);
-  // Micro-batching must actually batch: far fewer frames than requests.
+  // Queued requests share frames: fewer frames than requests.
   EXPECT_LT(observed.counter_value("engine.batches"), kClients * kPerClient);
   shard.shutdown();
   server.stop();
+}
+
+TEST(RemoteShard, SendsWhatIsQueuedWhileASlotIsFree) {
+  // No flush timer: a connection sends whatever is queued while fewer
+  // than two of its frames are unanswered. The scoring delay holds each
+  // frame 100 ms, so the two slots alone decide when frames leave.
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0");
+  rpc::RemoteShardConfig config = fast_client();
+  config.connections = 1;
+  rpc::RemoteShard shard(server.address(), config);
+  std::span<const data::Record> records = rpc_dataset().records();
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:100ms");
+  const std::uint64_t before = frames_sent();
+  const auto sent = [&]() { return frames_sent() - before; };
+
+  // Two lone submits leave at once, as two frames.
+  std::vector<std::future<Prediction>> futures;
+  futures.push_back(shard.submit(records[0]));
+  ASSERT_TRUE(eventually([&]() { return sent() == 1; }));
+  futures.push_back(shard.submit(records[1]));
+  ASSERT_TRUE(eventually([&]() { return sent() == 2; }));
+  // Both slots are taken: 32 more stay queued...
+  for (std::size_t i = 2; i < 34; ++i) {
+    futures.push_back(shard.submit(records[i]));
+  }
+  std::this_thread::sleep_for(30ms);
+  EXPECT_EQ(sent(), 2u);
+  // ...until each reply frees a slot; then they leave as 16 + 16.
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].get().scores,
+              testutil::canonical_scores(fused->scores(records[i])))
+        << "record " << i;
+  }
+  EXPECT_EQ(sent(), 4u);
+  EXPECT_EQ(shard.metrics().counter_value("engine.batches"), 4u);
+  shard.shutdown();
+  server.stop();
+}
+
+TEST(RemoteShard, ShutdownAnswersEverythingQueuedBehindAHeldFrame) {
+  // shutdown() sends and answers what callers already submitted: the
+  // connection's thread keeps going until its queue and its frames are
+  // empty, and only then exits.
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0");
+  rpc::RemoteShardConfig config = fast_client();
+  config.connections = 1;
+  rpc::RemoteShard shard(server.address(), config);
+  std::span<const data::Record> records = rpc_dataset().records();
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:100ms");
+  const std::uint64_t before = frames_sent();
+
+  std::vector<std::future<Prediction>> futures;
+  futures.push_back(shard.submit(records[0]));
+  ASSERT_TRUE(eventually([&]() { return frames_sent() - before == 1; }));
+  for (std::size_t i = 1; i <= 40; ++i) {
+    futures.push_back(shard.submit(records[i]));
+  }
+  shard.shutdown();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(0s), std::future_status::ready)
+        << "record " << i;
+    ASSERT_EQ(futures[i].get().scores,
+              testutil::canonical_scores(fused->scores(records[i])))
+        << "record " << i;
+  }
+  server.stop();
+}
+
+TEST(RemoteShard, BatchesMoveToTheSiblingWhenAConnectionCannotRedial) {
+  // A batch fails for want of a transport only when no pooled connection
+  // can carry it: one connection that cannot redial leaves the work to
+  // its open sibling.
+  const auto fused = make_fused();
+  rpc::ShardServer server(fused, "127.0.0.1:0");
+  rpc::RemoteShard shard(server.address(), fast_client());
+  std::span<const data::Record> records = rpc_dataset().records();
+  const std::uint64_t before = frames_sent();
+  {
+    // Open both connections: three held frames need both.
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:50ms");
+    std::vector<std::future<Prediction>> futures;
+    for (std::size_t i = 0; i < 3; ++i) {
+      futures.push_back(shard.submit(records[i]));
+      ASSERT_TRUE(eventually([&]() { return frames_sent() - before == i + 1; }));
+    }
+    for (std::future<Prediction>& future : futures) (void)future.get();
+  }
+  ASSERT_EQ(shard.connect_attempts(), 2u);
+  {
+    // The first connection's send fails, which closes it...
+    const fail::ScopedFailpoints send_fault("rpc.client.send=error");
+    EXPECT_THROW((void)shard.submit(records[3]).get(), Error);
+  }
+  // ...and its redial fails too. Two held frames fill the sibling's
+  // slots, so the rest wake the closed connection, whose dial fails:
+  // every request still succeeds, on the sibling.
+  const fail::ScopedFailpoints faults(
+      "rpc.client.connect=error;serve.engine.score=delay:100ms");
+  const std::uint64_t dial_faults = fail::hits("rpc.client.connect");
+  const std::uint64_t sent_before = frames_sent();
+  std::vector<std::future<Prediction>> futures;
+  for (std::size_t i = 0; i < 40; ++i) {
+    futures.push_back(shard.submit(records[10 + i]));
+    if (i < 2) {
+      ASSERT_TRUE(
+          eventually([&]() { return frames_sent() - sent_before == i + 1; }));
+    }
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].get().scores,
+              testutil::canonical_scores(fused->scores(records[10 + i])))
+        << "record " << 10 + i;
+  }
+  EXPECT_GT(fail::hits("rpc.client.connect"), dial_faults);
+  EXPECT_EQ(shard.consecutive_failures(), 0u);
+  shard.shutdown();
+  server.stop();
+}
+
+TEST(RemoteShard, IdleConnectionsTheServerClosedAreRedialed) {
+  // A server restarted on the same path while the client sits idle: the
+  // waiting connection threads see the EOF and redial for the next batch,
+  // so not one request fails.
+  const auto fused = make_fused();
+  const std::string path =
+      "unix:/tmp/muffin_rpc_idle_" + std::to_string(::getpid()) + ".sock";
+  auto server = std::make_unique<rpc::ShardServer>(fused, path);
+  rpc::RemoteShard shard(path, fast_client());
+  std::span<const data::Record> records = rpc_dataset().records();
+  const auto serve_40 = [&]() {
+    std::vector<std::future<Prediction>> futures;
+    for (std::size_t i = 0; i < 40; ++i) {
+      futures.push_back(shard.submit(records[i]));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      ASSERT_EQ(futures[i].get().scores,
+                testutil::canonical_scores(fused->scores(records[i])))
+          << "record " << i;
+    }
+  };
+  serve_40();
+  server->stop();
+  server = std::make_unique<rpc::ShardServer>(fused, path);
+  serve_40();
+  EXPECT_EQ(shard.consecutive_failures(), 0u);
+  shard.shutdown();
+  server->stop();
 }
 
 TEST(RemoteShard, RepeatsAreServedFromTheServerMemo) {
@@ -785,8 +946,8 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   // shard by shard, alternating two head generations, so a stale memo
   // entry (old scores under a new version) shows up as a mismatch. Zero
   // caller-visible errors; every reply is bit-identical to the
-  // generation its row-level version names; the roll-window p99 stays
-  // within one batch latency of the warm p99.
+  // generation its row-level version names; and no roll pauses traffic
+  // (the latency gate below).
   const std::vector<std::shared_ptr<core::FusedModel>> generations = {
       make_fused(), make_fused_v2()};
   rpc::ShardServer server_a(generations[0], "127.0.0.1:0");
@@ -809,24 +970,29 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
     return generations[(version - 1) % generations.size()];
   };
 
+  // Window 0 is the warm-up; window k + 1 runs from the start of roll k
+  // to the start of the next (the reload itself, then 30 ms of traffic).
+  constexpr std::size_t kRolls = 6;
   std::span<const data::Record> records = rpc_dataset().records();
   constexpr std::size_t kClients = 3;
-  std::atomic<int> phase{0};  // 0 warm, 1 rolling, 2 done
+  std::atomic<std::size_t> window{0};
+  std::atomic<bool> done{false};
   std::atomic<std::size_t> failures{0};
   std::atomic<std::size_t> mismatches{0};
-  std::vector<std::vector<double>> warm_us(kClients);
-  std::vector<std::vector<double>> roll_us(kClients);
+  // latency_us[client][window]
+  std::vector<std::vector<std::vector<double>>> latency_us(
+      kClients, std::vector<std::vector<double>>(kRolls + 1));
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t]() {
-      for (std::size_t i = 0; phase.load() != 2; ++i) {
+      for (std::size_t i = 0; !done.load(); ++i) {
         const data::Record& record =
             records[(t * 41 + i * 7) % records.size()];
-        const int current = phase.load();
+        const std::size_t current = window.load();
         const auto begin = std::chrono::steady_clock::now();
         try {
           const Prediction reply = router.predict(record);
-          (current == 0 ? warm_us : roll_us)[t].push_back(
+          latency_us[t][current].push_back(
               std::chrono::duration<double, std::micro>(
                   std::chrono::steady_clock::now() - begin)
                   .count());
@@ -843,20 +1009,18 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   }
 
   // Let traffic warm up, then roll the whole fleet six times mid-stream.
-  constexpr std::size_t kRolls = 6;
   std::this_thread::sleep_for(150ms);
-  phase.store(1);
   std::vector<std::vector<std::uint64_t>> versions;
   try {
     for (std::size_t k = 0; k < kRolls; ++k) {
+      window.store(k + 1);
       versions.push_back(router.reload_all(paths[(k + 1) % paths.size()]));
       std::this_thread::sleep_for(30ms);
     }
-    std::this_thread::sleep_for(100ms);
   } catch (const std::exception& e) {
     ADD_FAILURE() << "reload_all threw: " << e.what();
   }
-  phase.store(2);
+  done.store(true);
   for (std::thread& client : clients) client.join();
 
   ASSERT_EQ(versions.size(), kRolls);
@@ -870,24 +1034,35 @@ TEST(ShardRouterRpc, ReloadAllRollsTheFleetUnderTrafficWithZeroFailures) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(mismatches.load(), 0u);
 
-  std::vector<double> warm;
-  std::vector<double> rolling;
-  for (std::size_t t = 0; t < kClients; ++t) {
-    warm.insert(warm.end(), warm_us[t].begin(), warm_us[t].end());
-    rolling.insert(rolling.end(), roll_us[t].begin(), roll_us[t].end());
+  std::vector<std::vector<double>> windows(kRolls + 1);
+  for (std::size_t w = 0; w <= kRolls; ++w) {
+    for (std::size_t t = 0; t < kClients; ++t) {
+      windows[w].insert(windows[w].end(), latency_us[t][w].begin(),
+                        latency_us[t][w].end());
+    }
+    ASSERT_FALSE(windows[w].empty()) << "window " << w;
   }
-  ASSERT_FALSE(warm.empty());
-  ASSERT_FALSE(rolling.empty());
 #if !MUFFIN_UNDER_TSAN
-  // A swap never pauses traffic: the roll window's p99 exceeds the warm
-  // p99 by at most one batch latency, the engine's 1 ms flush deadline
-  // plus the warm p99. Wall-clock bounds mean nothing under TSan's ~10x
-  // slowdown, so only the regular builds enforce it.
-  const double warm_p99 = percentile(warm, 99);
-  const double roll_p99 = percentile(rolling, 99);
-  EXPECT_LE(roll_p99 - warm_p99, 1000.0 + warm_p99)
-      << "warm p99 " << warm_p99 << " us, roll-window p99 " << roll_p99
-      << " us";
+  // A swap never pauses traffic. A swap that held the memo lock for 20 ms
+  // shows in every roll's p99.9, while one roll can stall for an
+  // unrelated hypervisor hiccup; so the median over the rolls of the
+  // per-roll p99.9 must stay within the warm window's worst request (the
+  // warm window is five rolls long, so its max carries the host's own
+  // stalls) plus one frame round trip (the warm p50). Wall-clock bounds
+  // mean nothing under TSan's ~10x slowdown, so only the regular builds
+  // enforce it.
+  const double warm_tail = percentile(windows[0], 100);
+  const double round_trip = percentile(windows[0], 50);
+  std::vector<double> roll_tails;
+  std::string rolls;
+  for (std::size_t k = 1; k <= kRolls; ++k) {
+    roll_tails.push_back(percentile(windows[k], 99.9));
+    rolls += " " + std::to_string(roll_tails.back());
+  }
+  const double median_roll_tail = percentile(roll_tails, 50);
+  EXPECT_LE(median_roll_tail, warm_tail + round_trip)
+      << "warm max " << warm_tail << " us, warm p50 " << round_trip
+      << " us, per-roll p99.9 (us):" << rolls;
 #endif
 
   // Post-roll, both shards serve the last generation rolled.
