@@ -100,20 +100,25 @@ std::future<Prediction> RemoteShard::submit(const data::Record& record) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     MUFFIN_REQUIRE(!stopped_, "cannot submit to a stopped remote shard");
+    // Work already queued has a thread bound to look at it (woken for it,
+    // or busy and looking next), so a burst of submits costs one wake-up.
+    if (queue_.empty()) woken = claim_waiter();
     queue_.push_back(std::move(request));
-    // One wake-up at a time: the woken thread takes all that is queued
-    // when it runs, so a burst of submits costs one wake-up.
-    for (const std::unique_ptr<Connection>& connection : connections_) {
-      if (connection->waiting && !wake_pending_ &&
-          (woken == nullptr || (connection->open && !woken->open))) {
-        woken = connection.get();
-      }
-    }
-    if (woken != nullptr) woken->waiting = false;
-    wake_pending_ = wake_pending_ || woken != nullptr;
   }
   if (woken != nullptr) notify(woken->wake);
   return future;
+}
+
+RemoteShard::Connection* RemoteShard::claim_waiter() {
+  Connection* woken = nullptr;
+  for (const std::unique_ptr<Connection>& connection : connections_) {
+    if (connection->waiting &&
+        (woken == nullptr || (connection->open && !woken->open))) {
+      woken = connection.get();
+    }
+  }
+  if (woken != nullptr) woken->waiting = false;
+  return woken;
 }
 
 void RemoteShard::shutdown() {
@@ -160,14 +165,24 @@ void RemoteShard::reset_failures() {
 }
 
 void RemoteShard::connection_loop(Connection& connection) {
+  const std::string timed_out =
+      "request to " + endpoint_.to_string() + " timed out after " +
+      std::to_string(config_.request_timeout.count()) + " ms";
   for (;;) {
+    const Clock::time_point now = Clock::now();
+    if (!connection.in_flight.empty() &&
+        now >= connection.in_flight.front().deadline) {
+      ClientMetrics::get().deadline_expiries.inc();
+      count_failure();
+      fail_connection(connection, timed_out);
+    }
     std::vector<ClientRequest> batch;
+    std::string why;  // when set, fail `batch` for this reason
     bool dial_now = false;
-    bool stranded = false;  // no pooled connection can carry `batch`
+    Connection* woken = nullptr;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       connection.waiting = false;
-      wake_pending_ = false;  // this thread looks at the queue now
       const bool slot = connection.in_flight.size() < kMaxInFlight;
       const auto take = [&]() {
         const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(
@@ -177,10 +192,19 @@ void RemoteShard::connection_loop(Connection& connection) {
                      std::make_move_iterator(end));
         queue_.erase(queue_.begin(), end);
       };
-      if (slot && !queue_.empty()) {
+      while (!queue_.empty() &&
+             now - queue_.front().enqueued >= config_.request_timeout) {
+        batch.push_back(std::move(queue_.front()));  // failed unsent
+        queue_.pop_front();
+      }
+      if (!batch.empty()) {
+        ClientMetrics::get().deadline_expiries.inc();
+        why = timed_out;
+      } else if (slot && !queue_.empty()) {
         if (connection.open) {
           take();
-        } else if (!stopped_ && Clock::now() >= next_connect_attempt_) {
+          if (!queue_.empty()) woken = claim_waiter();  // pass the rest on
+        } else if (!stopped_ && now >= next_connect_attempt_) {
           dial_now = true;
         } else if (std::none_of(connections_.begin(), connections_.end(),
                                 [](const std::unique_ptr<Connection>& c) {
@@ -189,7 +213,7 @@ void RemoteShard::connection_loop(Connection& connection) {
           // Inside the backoff window (or shut down) with no open
           // sibling: fail fast rather than queue behind a dead endpoint.
           take();
-          stranded = true;
+          why = "no connection to " + endpoint_.to_string();
         }
       }  // otherwise an open sibling takes the work
       if (batch.empty() && !dial_now) {
@@ -197,11 +221,12 @@ void RemoteShard::connection_loop(Connection& connection) {
         connection.waiting = slot;
       }
     }
-    if (dial_now) {
-      dial(connection);
-    } else if (stranded) {
+    if (woken != nullptr) notify(woken->wake);
+    if (!why.empty()) {
       count_failure();
-      fail_batch(batch, "no connection to " + endpoint_.to_string());
+      fail_batch(batch, why);
+    } else if (dial_now) {
+      dial(connection);
     } else if (!batch.empty()) {
       send(connection, std::move(batch));
     } else {
@@ -233,6 +258,8 @@ void RemoteShard::send(Connection& connection,
   PendingBatch pending;
   pending.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   pending.requests = std::move(batch);
+  pending.deadline =
+      pending.requests.front().enqueued + config_.request_timeout;
   for (const ClientRequest& request : pending.requests) {
     pending.traced |= request.traced;
   }
@@ -268,7 +295,6 @@ void RemoteShard::send(Connection& connection,
     fail_connection(connection, error.what());
     return;
   }
-  pending.deadline = Clock::now() + config_.request_timeout;
   connection.in_flight.push_back(std::move(pending));
 }
 
@@ -291,15 +317,9 @@ void RemoteShard::wait(Connection& connection) {
     [[maybe_unused]] const ssize_t drained =
         ::read(connection.wake.fd(), &wakes, sizeof(wakes));
   }
+  if (fds[1].revents == 0) return;  // a wake-up or a deadline: loop again
   try {
-    if (fds[1].revents != 0) {
-      read_reply(connection);
-    } else if (!connection.in_flight.empty() &&
-               Clock::now() >= connection.in_flight.front().deadline) {
-      ClientMetrics::get().deadline_expiries.inc();
-      throw Error("request to " + endpoint_.to_string() + " timed out after " +
-                  std::to_string(config_.request_timeout.count()) + " ms");
-    }
+    read_reply(connection);
   } catch (const std::exception& error) {
     count_failure();
     fail_connection(connection, error.what());

@@ -5,17 +5,16 @@
 // knowing there is a socket in the way.
 //
 //  * **One thread per pooled connection, sending what is queued.**
-//    submit() appends to the shard's queue and, unless a woken thread
-//    has yet to look, wakes one waiting connection thread (a connected
-//    one first). While fewer than two of its frames are unanswered, a
-//    connection's thread sends whatever is queued (up to max_batch rows)
-//    as ONE ScoreRequest frame; else it reads the next reply, matches it
-//    to its oldest frame by sequence number (the server answers each
-//    connection in request order) and delivers it. There is no flush
-//    timer: a request leaves as soon as a slot is free, and frames grow
-//    with load, because requests that arrive while every slot is taken
-//    leave together. Two frames keep a connection's server thread busy:
-//    one being scored, the next waiting in its socket.
+//    submit() appends to the shard's queue and, if it was empty, wakes
+//    one waiting connection thread (a connected one first); a thread that
+//    takes a frame and leaves work queued wakes the next. While
+//    fewer than two of its frames are unanswered, a connection's thread
+//    sends whatever is queued (up to max_batch rows) as ONE ScoreRequest
+//    frame; else it reads the next reply, matches it to its oldest frame
+//    by sequence number (the server answers each connection in request
+//    order) and delivers it. There is no flush timer: a request leaves
+//    as soon as a slot is free, and frames grow with load, because
+//    requests that arrive while every slot is taken leave together.
 //  * **Lazy transport.** A connection is dialed when there is work for
 //    it. After a failed dial the shard waits out a full-jittered
 //    exponential backoff window before dialing again; while no pooled
@@ -25,8 +24,10 @@
 //    pooled connection can carry it. Waiting threads watch their idle
 //    sockets, so a connection the server closed is redialed, not failed.
 //  * **Deadlines everywhere.** Connect, request, and probe deadlines turn
-//    a dead or wedged server into failed futures and a rising
-//    consecutive_failures() count, never into a hung client thread.
+//    a dead, wedged or overloaded server into failed futures and a rising
+//    consecutive_failures() count, never into a hung client thread. A
+//    request's deadline runs from submit(), through the queue and its
+//    frame, so a backlog longer than request_timeout fails.
 //
 // Failure semantics (shared with ShardRouter::predict_batch): a batch is
 // all-or-error. If its connection dies or its deadline passes, every
@@ -142,6 +143,7 @@ class RemoteShard final : public ReplicaBackend {
   /// One request frame awaiting its reply, in send order.
   struct PendingBatch {
     std::uint64_t seq = 0;
+    /// Its first request's submit() time plus request_timeout.
     Clock::time_point deadline;
     std::vector<ClientRequest> requests;
     bool traced = false;  ///< any request in the batch is traced
@@ -153,11 +155,11 @@ class RemoteShard final : public ReplicaBackend {
   struct Connection {
     common::Socket socket;
     std::deque<PendingBatch> in_flight;  ///< at most kMaxInFlight, oldest first
-    /// An eventfd (a Socket only for its RAII close): submit() and
-    /// shutdown() write it to wake the thread out of its poll.
+    /// An eventfd (a Socket only for its RAII close): submit(), a sibling
+    /// and shutdown() write it to wake the thread out of its poll.
     common::Socket wake;
     bool open = false;
-    bool waiting = false;  ///< polling with a free slot; submit() may wake it
+    bool waiting = false;  ///< polling with a free slot; claimable
     std::thread thread;
   };
 
@@ -165,11 +167,14 @@ class RemoteShard final : public ReplicaBackend {
   /// socket: enough to keep a connection busy without a deeper pipeline.
   static constexpr std::size_t kMaxInFlight = 2;
 
+  /// Pick a waiting connection (a connected one first) to wake for queued
+  /// work; mutex_ held, notify() it after unlocking.
+  Connection* claim_waiter();
   void connection_loop(Connection& connection);
   void dial(Connection& connection);
   void send(Connection& connection, std::vector<ClientRequest> batch);
-  /// Poll for a wake-up or a reply (bounded by the oldest in-flight
-  /// deadline) and handle what arrived.
+  /// Poll until a wake-up, a reply or the oldest in-flight deadline, and
+  /// read the reply if one arrived (the loop fails what is overdue).
   void wait(Connection& connection);
   void read_reply(Connection& connection);
   /// Close `connection` and fail every batch still in flight on it.
@@ -206,7 +211,6 @@ class RemoteShard final : public ReplicaBackend {
   std::mutex mutex_;  ///< guards everything below, and Connection::open/waiting
   std::deque<ClientRequest> queue_;
   bool stopped_ = false;
-  bool wake_pending_ = false;  ///< a woken thread has yet to see the queue
   std::size_t connect_failures_ = 0;          ///< consecutive failed dials
   Clock::time_point next_connect_attempt_{};  ///< epoch: first dial is free
 };
