@@ -8,16 +8,21 @@ ProxyDataset build_proxy(const data::Dataset& dataset,
                          const ProxyConfig& config) {
   MUFFIN_REQUIRE(dataset.size() > 0, "cannot build a proxy of an empty set");
   const auto& schema = dataset.schema();
+  const std::vector<data::Record>& records = dataset.records();
+  // The unprivileged flags, [attribute][group], read once.
+  std::vector<std::vector<unsigned char>> unprivileged(schema.size());
+  for (std::size_t a = 0; a < schema.size(); ++a) {
+    for (std::size_t g = 0; g < schema[a].group_count(); ++g) {
+      unprivileged[a].push_back(dataset.is_unprivileged(a, g) ? 1 : 0);
+    }
+  }
 
   // Pass 1 (Algorithm 1, first loop): per-image weight = number of
   // unprivileged groups the image belongs to.
   std::vector<std::size_t> image_weight(dataset.size(), 0);
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const data::Record& record = dataset.record(i);
     for (std::size_t a = 0; a < schema.size(); ++a) {
-      if (dataset.is_unprivileged(a, record.groups[a])) {
-        ++image_weight[i];
-      }
+      image_weight[i] += unprivileged[a][records[i].groups[a]];
     }
   }
 
@@ -31,10 +36,9 @@ ProxyDataset build_proxy(const data::Dataset& dataset,
     group_n[a].assign(schema[a].group_count(), 0);
   }
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const data::Record& record = dataset.record(i);
     for (std::size_t a = 0; a < schema.size(); ++a) {
-      const std::size_t g = record.groups[a];
-      if (!dataset.is_unprivileged(a, g)) continue;
+      const std::size_t g = records[i].groups[a];
+      if (!unprivileged[a][g]) continue;
       proxy.group_weight[a][g] += static_cast<double>(image_weight[i]);
       ++group_n[a][g];
     }
@@ -56,12 +60,11 @@ ProxyDataset build_proxy(const data::Dataset& dataset,
       proxy.weights.push_back(1.0);
       continue;
     }
-    const data::Record& record = dataset.record(i);
     double sum = 0.0;
     std::size_t count = 0;
     for (std::size_t a = 0; a < schema.size(); ++a) {
-      const std::size_t g = record.groups[a];
-      if (!dataset.is_unprivileged(a, g)) continue;
+      const std::size_t g = records[i].groups[a];
+      if (!unprivileged[a][g]) continue;
       sum += proxy.group_weight[a][g];
       ++count;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "common/error.h"
@@ -73,20 +74,73 @@ std::vector<double> solve_offsets(const std::vector<std::size_t>& sizes,
 
 }  // namespace
 
+CalibrationWalk::CalibrationWalk(const data::Dataset& source)
+    : dataset(&source), class_sizes(source.num_classes(), 0) {
+  const std::vector<data::AttributeSchema>& schema = source.schema();
+  const std::size_t attributes = schema.size();
+  MUFFIN_REQUIRE(source.size() <= UINT32_MAX,
+                 "calibration set too large for 32-bit cell ids");
+  group_sizes.resize(attributes);
+  for (std::size_t a = 0; a < attributes; ++a) {
+    group_sizes[a].assign(schema[a].group_count(), 0);
+  }
+  // Cells are numbered through an open-addressing table over the group
+  // tuples (cell id + 1 per slot, 0 = empty) with at least twice as many
+  // slots as records, so it never fills.
+  std::size_t capacity = 16;
+  while (capacity < 2 * source.size()) capacity *= 2;
+  std::vector<std::uint32_t> table(capacity, 0);
+  record_cells.reserve(source.size());
+  for (const data::Record& record : source.records()) {
+    MUFFIN_REQUIRE(record.groups.size() == attributes,
+                   "record schema mismatch");
+    MUFFIN_REQUIRE(record.label < class_sizes.size(),
+                   "record label out of range");
+    ++class_sizes[record.label];
+    std::uint64_t hash = 0;
+    for (std::size_t a = 0; a < attributes; ++a) {
+      const std::size_t g = record.groups[a];
+      MUFFIN_REQUIRE(g < group_sizes[a].size(),
+                     "group id " + std::to_string(g) +
+                         " out of range for attribute '" + schema[a].name +
+                         "'");
+      ++group_sizes[a][g];
+      hash = mix64(hash ^ g);
+    }
+    std::size_t slot = hash & (capacity - 1);
+    for (; table[slot] != 0; slot = (slot + 1) & (capacity - 1)) {
+      const std::size_t* cell = &cell_groups[(table[slot] - 1) * attributes];
+      if (std::equal(record.groups.begin(), record.groups.end(), cell)) break;
+    }
+    if (table[slot] == 0) {
+      cell_groups.insert(cell_groups.end(), record.groups.begin(),
+                         record.groups.end());
+      table[slot] =
+          static_cast<std::uint32_t>(cell_groups.size() / attributes);
+    }
+    record_cells.push_back(table[slot] - 1);
+  }
+}
+
 CalibratedModel::CalibratedModel(ArchitectureProfile profile,
                                  const data::Dataset& dataset,
                                  CalibrationConfig config)
+    : CalibratedModel(std::move(profile), CalibrationWalk(dataset), config) {}
+
+CalibratedModel::CalibratedModel(ArchitectureProfile profile,
+                                 const CalibrationWalk& walk,
+                                 CalibrationConfig config)
     : profile_(std::move(profile)),
       config_(config),
-      num_classes_(dataset.num_classes()),
-      schema_(dataset.schema()),
+      num_classes_(walk.dataset->num_classes()),
+      schema_(walk.dataset->schema()),
       base_accuracy_(0.0),
       model_seed_(fnv1a64(profile_.calibration_alias.empty()
                               ? profile_.name
                               : profile_.calibration_alias)),
       family_seed_(fnv1a64(profile_.family)) {
-  MUFFIN_REQUIRE(dataset.size() > 0,
-                 "calibration requires a non-empty dataset");
+  const std::size_t records = walk.record_cells.size();
+  MUFFIN_REQUIRE(records > 0, "calibration requires a non-empty dataset");
   MUFFIN_REQUIRE(profile_.accuracy > 0.0 && profile_.accuracy < 1.0,
                  "profile accuracy must be a fraction in (0, 1)");
   MUFFIN_REQUIRE(config_.copula_rho >= 0.0 && config_.copula_rho < 1.0,
@@ -96,36 +150,10 @@ CalibratedModel::CalibratedModel(ArchitectureProfile profile,
                  "family rho must be non-negative with rho sum below 1");
   base_accuracy_ = profile_.accuracy;
 
-  // One walk of the calibration set: class sizes, group sizes and every
-  // record's group ids, flat, so the calibration rounds read one array
-  // instead of chasing each record's group vector.
-  const std::size_t attributes = schema_.size();
-  std::vector<std::size_t> sizes(num_classes_, 0);
-  std::vector<std::vector<std::size_t>> group_sizes(attributes);
-  for (std::size_t a = 0; a < attributes; ++a) {
-    group_sizes[a].assign(schema_[a].group_count(), 0);
-  }
-  std::vector<std::size_t> group_ids;
-  group_ids.reserve(dataset.size() * attributes);
-  for (const data::Record& record : dataset.records()) {
-    MUFFIN_REQUIRE(record.groups.size() == attributes,
-                   "record schema mismatch");
-    MUFFIN_REQUIRE(record.label < num_classes_, "record label out of range");
-    ++sizes[record.label];
-    for (std::size_t a = 0; a < attributes; ++a) {
-      const std::size_t g = record.groups[a];
-      MUFFIN_REQUIRE(g < group_sizes[a].size(),
-                     "group id " + std::to_string(g) +
-                         " out of range for attribute '" + schema_[a].name +
-                         "'");
-      ++group_sizes[a][g];
-      group_ids.push_back(g);
-    }
-  }
   class_priors_.resize(num_classes_);
   for (std::size_t c = 0; c < num_classes_; ++c) {
-    class_priors_[c] = static_cast<double>(sizes[c]) /
-                       static_cast<double>(dataset.size());
+    class_priors_[c] = static_cast<double>(walk.class_sizes[c]) /
+                       static_cast<double>(records);
   }
   // Per-label confusion mass: total weight of the wrong-prediction
   // categorical over c != label, accumulated in ascending class order (the
@@ -152,45 +180,47 @@ CalibratedModel::CalibratedModel(ArchitectureProfile profile,
   latent_eps_w_ =
       std::sqrt(1.0 - config_.copula_rho - config_.family_rho);
 
-  derive_offsets(dataset, group_sizes);
-  fixed_point_calibrate(dataset.size(), group_ids, group_sizes);
+  derive_offsets(walk);
+  fixed_point_calibrate(walk);
 }
 
-void CalibratedModel::derive_offsets(
-    const data::Dataset& dataset,
-    const std::vector<std::vector<std::size_t>>& group_sizes) {
+void CalibratedModel::derive_offsets(const CalibrationWalk& walk) {
   offsets_.assign(schema_.size(), {});
   for (std::size_t a = 0; a < schema_.size(); ++a) {
     const auto it = profile_.unfairness.find(schema_[a].name);
     const double target = it == profile_.unfairness.end() ? 0.0 : it->second;
     std::vector<bool> low_side(schema_[a].group_count(), false);
     for (std::size_t g = 0; g < schema_[a].group_count(); ++g) {
-      low_side[g] = dataset.is_unprivileged(a, g);
+      low_side[g] = walk.dataset->is_unprivileged(a, g);
     }
-    offsets_[a] = solve_offsets(group_sizes[a], low_side, target);
+    offsets_[a] = solve_offsets(walk.group_sizes[a], low_side, target);
   }
 }
 
-void CalibratedModel::fixed_point_calibrate(
-    std::size_t records, std::span<const std::size_t> group_ids,
-    const std::vector<std::vector<std::size_t>>& group_sizes) {
+void CalibratedModel::fixed_point_calibrate(const CalibrationWalk& walk) {
   const std::size_t attributes = schema_.size();
+  const std::vector<std::vector<std::size_t>>& group_sizes = walk.group_sizes;
+  std::vector<double> cell_probability(walk.cell_groups.size() / attributes);
   std::vector<std::vector<double>> group_sum(attributes);
   for (std::size_t round = 0; round < config_.calibration_rounds; ++round) {
     // Expected (not sampled) accuracy per group and overall.
+    for (std::size_t c = 0; c < cell_probability.size(); ++c) {
+      cell_probability[c] =
+          clamped_probability(&walk.cell_groups[c * attributes]);
+    }
     double overall = 0.0;
     for (std::size_t a = 0; a < attributes; ++a) {
       group_sum[a].assign(schema_[a].group_count(), 0.0);
     }
-    const std::size_t* groups = group_ids.data();
-    for (std::size_t i = 0; i < records; ++i, groups += attributes) {
-      const double p = clamped_probability(groups);
+    for (const std::uint32_t cell : walk.record_cells) {
+      const double p = cell_probability[cell];
+      const std::size_t* groups = &walk.cell_groups[cell * attributes];
       overall += p;
       for (std::size_t a = 0; a < attributes; ++a) {
         group_sum[a][groups[a]] += p;
       }
     }
-    overall /= static_cast<double>(records);
+    overall /= static_cast<double>(walk.record_cells.size());
 
     // Re-center the base accuracy.
     base_accuracy_ += 0.9 * (profile_.accuracy - overall);

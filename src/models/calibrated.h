@@ -71,12 +71,38 @@ struct CalibrationConfig {
   double hesitant_rate = 0.28;
 };
 
+/// The profile-independent part of calibration: one walk of the
+/// calibration set, which every model calibrated against that set can
+/// share (the pool factories build one for all their models). Besides
+/// class and group sizes it numbers the set's cells, its distinct
+/// combinations of groups, so that a fixed-point round evaluates a
+/// model's correctness probability once per cell instead of once per
+/// record. There are never more cells than records.
+struct CalibrationWalk {
+  /// Walks `dataset` once, range-checking every label and group id. The
+  /// walk points at `dataset`, which must outlive it.
+  explicit CalibrationWalk(const data::Dataset& dataset);
+
+  const data::Dataset* dataset = nullptr;
+  std::vector<std::size_t> class_sizes;
+  std::vector<std::vector<std::size_t>> group_sizes;  ///< [attribute][group]
+  /// Each cell's group ids, flat and cell-major ([cell * attributes + a]);
+  /// cells are numbered in order of first appearance.
+  std::vector<std::size_t> cell_groups;
+  /// The cell of every record, in record order.
+  std::vector<std::uint32_t> record_cells;
+};
+
 /// A simulated, frozen, pretrained classifier.
 class CalibratedModel final : public Model {
  public:
   /// Calibrates the profile against `dataset` (typically the full dataset;
   /// splits of it share records and therefore behave consistently).
   CalibratedModel(ArchitectureProfile profile, const data::Dataset& dataset,
+                  CalibrationConfig config = {});
+  /// Calibrates against a shared walk of the calibration set, bit for bit
+  /// as the constructor above does against `*walk.dataset`.
+  CalibratedModel(ArchitectureProfile profile, const CalibrationWalk& walk,
                   CalibrationConfig config = {});
 
   [[nodiscard]] const std::string& name() const override {
@@ -139,13 +165,10 @@ class CalibratedModel final : public Model {
     std::vector<unsigned char> correct;
   };
 
-  void derive_offsets(const data::Dataset& dataset,
-                      const std::vector<std::vector<std::size_t>>& group_sizes);
-  /// Step 2 over the calibration set's group ids, flat and record-major
-  /// ([record * attributes + attribute]); sums run in record order.
-  void fixed_point_calibrate(
-      std::size_t records, std::span<const std::size_t> group_ids,
-      const std::vector<std::vector<std::size_t>>& group_sizes);
+  void derive_offsets(const CalibrationWalk& walk);
+  /// Step 2: each round evaluates the probability once per cell, then
+  /// sums it over the records in record order.
+  void fixed_point_calibrate(const CalibrationWalk& walk);
   /// base_accuracy_ plus one offset per attribute for `groups` (one
   /// range-checked id per attribute), clamped to the probability bounds.
   [[nodiscard]] double clamped_probability(const std::size_t* groups) const;

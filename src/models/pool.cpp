@@ -47,22 +47,30 @@ std::vector<std::string> ModelPool::names() const {
   return out;
 }
 
-ModelPool calibrated_isic_pool(const data::Dataset& dataset,
-                               CalibrationConfig config) {
+namespace {
+
+/// Every profile calibrated against one shared walk of `dataset`.
+ModelPool calibrated_pool(const std::vector<ArchitectureProfile>& profiles,
+                          const data::Dataset& dataset,
+                          CalibrationConfig config) {
+  const CalibrationWalk walk(dataset);
   ModelPool pool;
-  for (const ArchitectureProfile& profile : isic2019_profiles()) {
-    pool.add(std::make_shared<CalibratedModel>(profile, dataset, config));
+  for (const ArchitectureProfile& profile : profiles) {
+    pool.add(std::make_shared<CalibratedModel>(profile, walk, config));
   }
   return pool;
 }
 
+}  // namespace
+
+ModelPool calibrated_isic_pool(const data::Dataset& dataset,
+                               CalibrationConfig config) {
+  return calibrated_pool(isic2019_profiles(), dataset, config);
+}
+
 ModelPool calibrated_fitzpatrick_pool(const data::Dataset& dataset,
                                       CalibrationConfig config) {
-  ModelPool pool;
-  for (const ArchitectureProfile& profile : fitzpatrick17k_profiles()) {
-    pool.add(std::make_shared<CalibratedModel>(profile, dataset, config));
-  }
-  return pool;
+  return calibrated_pool(fitzpatrick17k_profiles(), dataset, config);
 }
 
 }  // namespace muffin::models

@@ -95,7 +95,7 @@ ShardRouter::~ShardRouter() { shutdown(); }
 
 std::future<Prediction> ShardRouter::submit(const data::Record& record) {
   if (config_.retry.max_attempts <= 1) {
-    return submit_routed(record, {}, nullptr);
+    return submit_routed(record, nullptr, nullptr);
   }
   // Retries on. The first attempt still goes out EAGERLY so batching and
   // pipelining behave exactly as in the no-retry path; only the retry
@@ -106,7 +106,7 @@ std::future<Prediction> ShardRouter::submit(const data::Record& record) {
   std::future<Prediction> first;
   std::exception_ptr first_error;
   try {
-    first = submit_routed(record, {}, &first_shard);
+    first = submit_routed(record, nullptr, &first_shard);
   } catch (const Overloaded&) {
     throw;  // shed is a capacity signal, never retried
   } catch (...) {
@@ -122,19 +122,23 @@ std::future<Prediction> ShardRouter::submit(const data::Record& record) {
 }
 
 std::future<Prediction> ShardRouter::submit_routed(
-    const data::Record& record, const std::vector<std::uint64_t>& avoid,
+    const data::Record& record, std::vector<std::uint64_t>* avoid,
     std::uint64_t* shard_out) {
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   MUFFIN_REQUIRE(!stopped_, "cannot submit to a stopped router");
-  std::uint64_t shard = 0;
-  if (avoid.empty()) {
-    shard = ring_.node_for(record.uid);
-  } else {
-    const std::optional<std::uint64_t> candidate =
-        ring_.node_for_excluding(record.uid, avoid);
-    MUFFIN_REQUIRE(candidate.has_value(),
-                   "no healthy replica left to fail over to");
-    shard = *candidate;
+  std::optional<std::uint64_t> candidate;
+  if (avoid != nullptr && !avoid->empty()) {
+    candidate = ring_.node_for_excluding(record.uid, *avoid);
+    // Every replica has failed this request once: transient faults must
+    // not end it early, so it gets the full ring back.
+    if (!candidate.has_value()) avoid->clear();
+  }
+  const std::uint64_t shard =
+      candidate.has_value() ? *candidate : ring_.node_for(record.uid);
+  // A retry spends a token, and counts, only when it will really submit.
+  if (avoid != nullptr) {
+    if (!try_take_retry_token()) return {};
+    RouterMetrics::get().retries.inc();
   }
   if (shard_out != nullptr) *shard_out = shard;
   Replica& replica = *replicas_[shard];
@@ -174,29 +178,21 @@ Prediction ShardRouter::submit_with_retries(data::Record record,
   if (first_shard != kNoShard) avoid.push_back(first_shard);
   for (std::size_t attempt = 1; attempt < config_.retry.max_attempts;
        ++attempt) {
-    if (!try_take_retry_token()) break;  // budget dry: fail fast, no storm
-    metrics.retries.inc();
     std::uint64_t shard = kNoShard;
     std::future<Prediction> future;
     try {
-      future = submit_routed(record, avoid, &shard);
+      future = submit_routed(record, &avoid, &shard);
     } catch (const Overloaded&) {
       throw;
     } catch (...) {
-      if (shard == kNoShard) {
-        // Routing itself failed. With an empty avoid list there is
-        // genuinely nowhere to go (stopped router); otherwise transient
-        // faults have blacklisted every replica — give later attempts
-        // the full ring back rather than giving up early. Either way
-        // keep the real (submit-time) error for the caller.
-        if (avoid.empty()) break;
-        avoid.clear();
-      } else {
-        last_error = std::current_exception();
-        avoid.push_back(shard);
-      }
+      // Routing itself failed (a stopped router, an empty ring): there is
+      // nowhere to go. Keep the real (submit-time) error for the caller.
+      if (shard == kNoShard) break;
+      last_error = std::current_exception();
+      avoid.push_back(shard);
       continue;
     }
+    if (!future.valid()) break;  // budget dry: fail fast, no storm
     if (shard != first_shard) metrics.failovers.inc();
     try {
       return future.get();

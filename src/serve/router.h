@@ -265,12 +265,16 @@ class ShardRouter {
   [[nodiscard]] Replica& checked_locked(std::size_t shard) const;
   [[nodiscard]] std::size_t active_count_locked() const;
 
-  /// Route `record` to a ring replica not in `avoid` and submit it.
+  /// Route `record` to its ring replica and submit it. A retry passes
+  /// the shards that already failed it as `avoid`: it goes to a replica
+  /// outside that list, or, once every replica is in it, clears the list
+  /// and uses the full ring. A retry then takes a token from the budget;
+  /// when none is left it submits nothing and returns an invalid future.
   /// Writes the chosen shard id through `shard_out` (when non-null)
   /// BEFORE the backend submit, so a submit-time throw still tells the
   /// retry loop which shard to avoid next.
   [[nodiscard]] std::future<Prediction> submit_routed(
-      const data::Record& record, const std::vector<std::uint64_t>& avoid,
+      const data::Record& record, std::vector<std::uint64_t>* avoid,
       std::uint64_t* shard_out);
   /// Deferred-retry driver: resolve the eager first attempt, then fail
   /// over across the ring under the token budget. Runs on the caller's

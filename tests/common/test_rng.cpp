@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <random>
 #include <set>
 #include <string>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -182,6 +185,120 @@ TEST(SplitRng, SampleWithoutReplacementFull) {
 TEST(SplitRng, SampleWithoutReplacementRejectsOversample) {
   SplitRng rng(23);
   EXPECT_THROW(rng.sample_without_replacement(3, 4), Error);
+}
+
+// ---------------------------------------------------------------------
+// Mt19937_64 and SplitRng's written-out draws, against <random>.
+// ---------------------------------------------------------------------
+
+std::vector<std::uint64_t> engine_seeds() {
+  return {0, 1, 5489, ~std::uint64_t{0},
+          SplitRng(2019).fork("features").seed()};
+}
+
+TEST(Mt19937_64, EqualsStdEngineOverAMillionDrawsPerSeed) {
+  // A million draws cross the 312-word refill boundary 3,205 times.
+  for (const std::uint64_t seed : engine_seeds()) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (std::size_t i = 0; i < 1'000'000; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64, GoldenValuesOfTheStandard) {
+  // [rand.predef]: the 10000th draw of a default-seeded mt19937_64.
+  Mt19937_64 engine(5489);
+  EXPECT_EQ(engine(), 14514284786278117030ULL);
+  for (int i = 2; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+/// A draw's bits: a double's representation, an integer's value.
+template <typename T>
+std::uint64_t bits(T value) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(value);
+  } else {
+    return static_cast<std::uint64_t>(value);
+  }
+}
+
+/// Runs `draw(rng, reference)` 20,000 times per seed on a SplitRng and a
+/// std::mt19937_64 seeded alike; `draw` returns the pair of results.
+template <typename Draw>
+void expect_draws_match(Draw draw) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    SplitRng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 20000; ++i) {
+      const auto [ours, theirs] = draw(rng, reference);
+      ASSERT_EQ(bits(ours), bits(theirs)) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(SplitRngDraws, UniformEqualsStdUniformReal) {
+  expect_draws_match([](SplitRng& rng, std::mt19937_64& reference) {
+    return std::pair(rng.uniform(),
+                     std::uniform_real_distribution<double>(0.0, 1.0)(
+                         reference));
+  });
+  expect_draws_match([](SplitRng& rng, std::mt19937_64& reference) {
+    return std::pair(rng.uniform(-3.5, 12.25),
+                     std::uniform_real_distribution<double>(-3.5, 12.25)(
+                         reference));
+  });
+}
+
+TEST(SplitRngDraws, IndexEqualsStdUniformInt) {
+  // 2^63 + 1 rejects about half its draws, so the rejection loop runs.
+  for (const std::size_t n :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{1} << 32,
+        (std::size_t{1} << 63) + 1}) {
+    expect_draws_match([n](SplitRng& rng, std::mt19937_64& reference) {
+      return std::pair(
+          rng.index(n),
+          std::uniform_int_distribution<std::size_t>(0, n - 1)(reference));
+    });
+  }
+}
+
+TEST(SplitRngDraws, NormalEqualsAFreshStdNormalPerDraw) {
+  expect_draws_match([](SplitRng& rng, std::mt19937_64& reference) {
+    return std::pair(rng.normal(),
+                     std::normal_distribution<double>(0.0, 1.0)(reference));
+  });
+  expect_draws_match([](SplitRng& rng, std::mt19937_64& reference) {
+    return std::pair(rng.normal(-1.5, 2.75),
+                     std::normal_distribution<double>(-1.5, 2.75)(reference));
+  });
+}
+
+TEST(SplitRngDraws, BernoulliEqualsStdBernoulli) {
+  for (const double p : {0.3, 1e-9, 0.999}) {
+    expect_draws_match([p](SplitRng& rng, std::mt19937_64& reference) {
+      return std::pair(rng.bernoulli(p),
+                       std::bernoulli_distribution(p)(reference));
+    });
+  }
+}
+
+TEST(SplitRngDraws, GoldenFirstValues) {
+  // Fixed bits, so a toolchain whose libm log or sqrt rounds differently
+  // shows up here before it re-bases every dataset.
+  EXPECT_EQ(SplitRng(2019).uniform(), 0x1.5dea1fd4d75efp-1);
+  EXPECT_EQ(SplitRng(2019).uniform(-3.0, 5.0), 0x1.3bd43fa9aebdep+1);
+  EXPECT_EQ(SplitRng(2019).normal(), -0x1.2483a464d064p-2);
+  EXPECT_EQ(SplitRng(2019).normal(3.0, 0.5), 0x1.6db7c5b9b2f9cp+1);
+  EXPECT_EQ(SplitRng(2019).index(1000), 683u);
+  EXPECT_EQ(SplitRng(2019).index((std::size_t{1} << 63) + 1),
+            7009009104243795583u);
+  SplitRng rng(2019);
+  double sum = 0.0;
+  for (int i = 0; i < 1000; ++i) sum += rng.normal();
+  EXPECT_EQ(sum, -0x1.20c94de718e4fp+4);
 }
 
 TEST(Fnv1a64, KnownValuesStable) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/stats.h"
 #include "data/generators.h"
 #include "fairness/metrics.h"
 #include "models/profiles.h"
@@ -226,6 +227,79 @@ TEST(CalibratedModel, RejectsBadInputs) {
     EXPECT_THROW((void)model.scores(record), Error) << "attribute " << a;
     EXPECT_THROW((void)model.score_batch({&record, 1}), Error)
         << "attribute " << a;
+  }
+}
+
+/// Step 2 as it was first written: each round evaluates the clamped
+/// probability once per record. Starts from the model's state after zero
+/// rounds and returns {base accuracy, offsets...} after `rounds`.
+std::vector<std::vector<double>> per_record_rounds(
+    const ArchitectureProfile& profile, const data::Dataset& dataset,
+    std::size_t rounds) {
+  CalibrationConfig start;
+  start.calibration_rounds = 0;
+  const CalibratedModel unrounded(profile, dataset, start);
+  const auto& schema = dataset.schema();
+  double base = unrounded.base_accuracy();
+  std::vector<std::vector<double>> offsets;
+  for (std::size_t a = 0; a < schema.size(); ++a) {
+    offsets.push_back(unrounded.group_offsets(a));
+  }
+  for (std::size_t round = 0; round < rounds; ++round) {
+    double overall = 0.0;
+    std::vector<std::vector<double>> group_sum(schema.size());
+    for (std::size_t a = 0; a < schema.size(); ++a) {
+      group_sum[a].assign(schema[a].group_count(), 0.0);
+    }
+    for (const data::Record& record : dataset.records()) {
+      double p = base;
+      for (std::size_t a = 0; a < schema.size(); ++a) {
+        p += offsets[a][record.groups[a]];
+      }
+      p = clamp(p, start.min_probability, start.max_probability);
+      overall += p;
+      for (std::size_t a = 0; a < schema.size(); ++a) {
+        group_sum[a][record.groups[a]] += p;
+      }
+    }
+    overall /= static_cast<double>(dataset.size());
+    base += 0.9 * (profile.accuracy - overall);
+    for (std::size_t a = 0; a < schema.size(); ++a) {
+      const auto it = profile.unfairness.find(schema[a].name);
+      if (it == profile.unfairness.end() || it->second <= 0.0) continue;
+      const std::vector<std::size_t> sizes = dataset.group_sizes(a);
+      double realized = 0.0;
+      for (std::size_t g = 0; g < sizes.size(); ++g) {
+        if (sizes[g] == 0) continue;
+        realized += std::abs(group_sum[a][g] / static_cast<double>(sizes[g]) -
+                             overall);
+      }
+      if (realized <= 1e-9) continue;
+      const double scale = clamp(it->second / realized, 0.5, 2.0);
+      for (double& d : offsets[a]) d *= 1.0 + 0.8 * (scale - 1.0);
+    }
+  }
+  offsets.insert(offsets.begin(), {base});
+  return offsets;
+}
+
+TEST(CalibratedModel, CellRoundsEqualPerRecordRounds) {
+  // The rounds evaluate the probability once per cell of the calibration
+  // walk; the sums still run in record order, so every bit must match.
+  const data::Dataset fitzpatrick = data::synthetic_fitzpatrick17k(2000, 5);
+  const std::vector<std::pair<const data::Dataset*, ArchitectureProfile>>
+      cases = {{&shared_dataset(), test_profile()},
+               {&shared_dataset(), isic2019_profiles().front()},
+               {&fitzpatrick, fitzpatrick17k_profiles().back()}};
+  for (const auto& [dataset, profile] : cases) {
+    const CalibratedModel model(profile, *dataset);
+    std::vector<std::vector<double>> state = {{model.base_accuracy()}};
+    for (std::size_t a = 0; a < dataset->schema().size(); ++a) {
+      state.push_back(model.group_offsets(a));
+    }
+    EXPECT_EQ(state, per_record_rounds(profile, *dataset,
+                                       CalibrationConfig{}.calibration_rounds))
+        << profile.name;
   }
 }
 

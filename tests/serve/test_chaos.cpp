@@ -343,6 +343,24 @@ TEST(ChaosRouter, InjectedRouterFaultsAreRetriedTransparently) {
   router.shutdown();
 }
 
+TEST(ChaosRouter, EveryAttemptIsARealSubmit) {
+  // max_attempts counts submits. Once both replicas have failed a
+  // request, its next retry gets the full ring back instead of spending an
+  // attempt, a retry token and a serve.retries count on a routing failure.
+  const std::uint64_t submits_before =
+      counter_value("router.submit_failures");
+  const std::uint64_t retries_before = counter_value("serve.retries");
+  RouterConfig config = local_router(/*shards=*/2, /*max_attempts=*/4);
+  config.health.probe_interval = 0ms;  // nothing drains the dead shards
+  ShardRouter router(make_fused(), config);
+  RouterTestAccess::shutdown_backend(router, 0);
+  RouterTestAccess::shutdown_backend(router, 1);
+  EXPECT_THROW((void)router.predict(chaos_dataset().record(0)), Error);
+  EXPECT_EQ(counter_value("router.submit_failures") - submits_before, 4u);
+  EXPECT_EQ(counter_value("serve.retries") - retries_before, 3u);
+  router.shutdown();
+}
+
 // ---------------------------------------------------------------------
 // ChaosRpc: real loopback sockets, killed shards, injected wire faults.
 // ---------------------------------------------------------------------
