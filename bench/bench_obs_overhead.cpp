@@ -2,7 +2,7 @@
 //
 // Serves one trace through the steady-state batched engine (the hottest
 // instrumented path: per-request counters, batch/latency histograms,
-// batcher flush accounting, the disarmed submit and score failpoints),
+// the queue-depth gauge, the disarmed submit and score failpoints),
 // best of 3 so scheduler noise on a shared runner does not decide a
 // sub-2% comparison. Every reply's argmax is checked against a
 // per-record FusedModel::scores loop over the same trace.
@@ -139,7 +139,6 @@ int main(int argc, char** argv) {
 
   serve::EngineConfig engine_config;
   engine_config.max_batch = 32;
-  engine_config.max_delay = std::chrono::microseconds(1000);
 
   const RunResult seq = run_sequential(*fused, trace);
   RunResult best = run_engine(fused, trace, engine_config);

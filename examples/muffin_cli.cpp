@@ -58,7 +58,8 @@
 //       socket also reloads its --artifact in place on SIGHUP.
 //
 // serve and route also accept --max-queue N (bound the engine admission
-// queue; excess submits are shed with an Overloaded error) and
+// queue; excess submits are shed and counted: serve's table has a shed
+// row, route prints shed= on its resilience line) and
 // --deadline-ms D (drop requests that waited longer than D before
 // scoring). serve --listen rejects both: a shard server scores each frame
 // as it is read, so nothing queues. All three accept
@@ -739,8 +740,13 @@ int run_serve(const CliOptions& options) {
   futures.reserve(options.requests);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < options.requests; ++i) {
-    futures.push_back(
-        engine.submit(pool_split.record(trace_rng.index(pool_split.size()))));
+    const data::Record& record =
+        pool_split.record(trace_rng.index(pool_split.size()));
+    try {
+      futures.push_back(engine.submit(record));
+    } catch (const Overloaded&) {
+      // --max-queue reached: dropped, and counted in the shed row below.
+    }
   }
   for (auto& future : futures) (void)future.get();
   const double seconds = seconds_since(start);
@@ -761,7 +767,8 @@ int run_serve(const CliOptions& options) {
         std::pair{"consensus short-circuits",
                   "engine.consensus_short_circuits"},
         std::pair{"head evaluations", "engine.head_evaluations"},
-        std::pair{"cache hits", "engine.cache_hits"}}) {
+        std::pair{"cache hits", "engine.cache_hits"},
+        std::pair{"shed", "serve.shed"}}) {
     table.add_row({row, std::to_string(metrics.counter_value(name))});
   }
   table.print(std::cout);
@@ -818,10 +825,21 @@ int run_route(const CliOptions& options) {
   futures.reserve(options.requests);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < options.requests; ++i) {
-    futures.push_back(
-        router.submit(pool_split.record(trace_rng.index(pool_split.size()))));
+    const data::Record& record =
+        pool_split.record(trace_rng.index(pool_split.size()));
+    try {
+      futures.push_back(router.submit(record));
+    } catch (const Overloaded&) {
+      // --max-queue reached: dropped, and counted in the shed= line below.
+    }
   }
-  for (auto& future : futures) (void)future.get();
+  for (auto& future : futures) {
+    try {
+      (void)future.get();
+    } catch (const Overloaded&) {
+      // A retry shed by a full replica: counted like a submit-time shed.
+    }
+  }
   const double seconds = seconds_since(start);
   ticker.stop();
 

@@ -18,10 +18,10 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Load-shed rejection: an admission-bounded queue (serve::Batcher with
-/// max_queue set) is full. Thrown at enqueue, before any scoring work,
-/// so overload is reported in microseconds instead of timing out deep
-/// in the stack. Deliberately a distinct type: retry layers must NOT
+/// Load-shed rejection: an admission-bounded queue (the queue of a
+/// serve::InferenceEngine with max_queue set) is full. Thrown at
+/// enqueue, before any scoring work, so overload is reported in
+/// microseconds instead of timing out deep in the stack. Deliberately a distinct type: retry layers must NOT
 /// retry it (a shed is a capacity signal — retrying amplifies the
 /// overload), and callers are expected to back off instead.
 class Overloaded : public Error {

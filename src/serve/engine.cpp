@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -53,7 +54,8 @@ InferenceEngine::Metrics::Metrics(obs::Registry& registry)
       shed_latency_us(registry.histogram("serve.shed_latency_us",
                                          obs::latency_us_buckets())),
       deadline_drops(registry.counter("serve.deadline_drops")),
-      memo_bytes(registry.gauge("serve.result_memo_bytes")) {}
+      memo_bytes(registry.gauge("serve.result_memo_bytes")),
+      queue_depth(obs::registry().gauge("engine.batcher.depth")) {}
 
 InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
                                  EngineConfig config)
@@ -63,10 +65,9 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
       telemetry_(obs::registry()),
       metrics_(telemetry_),
       pool_(common::global_pool()),
-      batcher_({config.max_batch, config.max_delay, config.max_queue,
-                "engine.batcher"}),
       memo_(config.result_cache_capacity, num_classes_,
             tensor::active_quant_mode()) {
+  MUFFIN_REQUIRE(config_.max_batch > 0, "engine needs max_batch >= 1");
   LifecycleMetrics::get().model_version.set(
       static_cast<std::int64_t>(registry_.version()));
   dispatcher_ = std::thread([this]() { dispatch_loop(); });
@@ -75,7 +76,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
 InferenceEngine::~InferenceEngine() { shutdown(); }
 
 std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
-  MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped engine");
   // Before any accounting: an injected submit fault must look like the
   // submit never happened (the router's failover path depends on that).
   fail::maybe_fail("serve.engine.submit");
@@ -85,14 +85,32 @@ std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
   // Requests are counted when a batch picks them up (process_batch), so
   // a shed or a submit that loses the race with shutdown() is never
   // counted at all.
-  try {
-    batcher_.push(std::move(request));
-  } catch (const Overloaded&) {
+  std::size_t queued = 0;
+  bool admitted = false;
+  bool wake = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    MUFFIN_REQUIRE(!stopped_, "cannot submit to a stopped engine");
+    queued = queue_.size();
+    admitted = config_.max_queue == 0 || queued < config_.max_queue;
+    if (admitted) {
+      queue_.push_back(std::move(request));
+      metrics_.queue_depth.add(1);
+      // Wake the dispatcher only when this push makes a hand-off due; a
+      // finishing batch wakes it for everything else.
+      wake = (queued == 0 && running_ == 0) ||
+             (queued + 1 == config_.max_batch && running_ < pool_.size());
+    }
+  }
+  if (!admitted) {
     // Admission bound reached: the request never entered the engine.
     metrics_.shed.inc();
     metrics_.shed_latency_us.observe(micros(Clock::now() - request.enqueued));
-    throw;
+    throw Overloaded("engine queue full (" + std::to_string(queued) + " of " +
+                     std::to_string(config_.max_queue) +
+                     " queued): request shed");
   }
+  if (wake) wake_.notify_one();
   return future;
 }
 
@@ -108,10 +126,15 @@ std::vector<Prediction> InferenceEngine::predict_batch(
   {
     // Checked and counted under one lock, so shutdown() either rejects
     // this call or waits for it.
-    const std::lock_guard<std::mutex> lock(inflight_mutex_);
-    MUFFIN_REQUIRE(!stopped_.load(), "cannot submit to a stopped engine");
-    ++inflight_batches_;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    MUFFIN_REQUIRE(!stopped_, "cannot submit to a stopped engine");
+    ++calls_;
   }
+  const auto finish_call = [this]() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    --calls_;
+    if (stopped_) wake_.notify_all();  // shutdown() may wait for this call
+  };
   std::vector<Prediction> results;
   try {
     if (!records.empty()) {
@@ -125,19 +148,24 @@ std::vector<Prediction> InferenceEngine::predict_batch(
       }
     }
   } catch (...) {
-    finish_inflight();
+    finish_call();
     throw;
   }
-  finish_inflight();
+  finish_call();
   return results;
 }
 
 void InferenceEngine::shutdown() {
-  if (stopped_.exchange(true)) return;
-  batcher_.close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  std::unique_lock<std::mutex> lock(inflight_mutex_);
-  inflight_done_.wait(lock, [this]() { return inflight_batches_ == 0; });
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (stopped_) return;
+    stopped_ = true;
+  }
+  // The dispatcher drains the queue under the usual rule, then exits.
+  wake_.notify_all();
+  dispatcher_.join();
+  std::unique_lock<std::mutex> lock(mutex_);
+  wake_.wait(lock, [this]() { return running_ == 0 && calls_ == 0; });
 }
 
 std::uint64_t InferenceEngine::swap_model(
@@ -162,19 +190,33 @@ std::uint64_t InferenceEngine::swap_model(
   return installed->version;
 }
 
+bool InferenceEngine::may_dispatch_locked() const {
+  return !queue_.empty() &&
+         (running_ == 0 ||
+          (queue_.size() >= config_.max_batch && running_ < pool_.size()));
+}
+
 void InferenceEngine::dispatch_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::vector<Request> batch = batcher_.next_batch();
-    if (batch.empty()) return;  // closed and drained
-    {
-      const std::lock_guard<std::mutex> lock(inflight_mutex_);
-      ++inflight_batches_;
-    }
+    wake_.wait(lock, [this]() {
+      return may_dispatch_locked() || (stopped_ && queue_.empty());
+    });
+    if (queue_.empty()) return;  // stopped and drained
+    const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                          queue_.size(), config_.max_batch));
+    std::vector<Request> batch(std::make_move_iterator(queue_.begin()),
+                               std::make_move_iterator(end));
+    queue_.erase(queue_.begin(), end);
+    metrics_.queue_depth.add(-static_cast<std::int64_t>(batch.size()));
+    ++running_;
+    lock.unlock();
     // The future is intentionally dropped: results and failures reach the
     // caller through the per-request promises, not the job future.
     (void)pool_.submit([this, b = std::move(batch)]() mutable {
       process_batch(std::move(b));
     });
+    lock.lock();
   }
 }
 
@@ -201,7 +243,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
     }
     batch = std::move(live);
     if (batch.empty()) {
-      finish_inflight();
+      finish_batch();
       return;
     }
   }
@@ -250,7 +292,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       batch[i].promise.set_exception(std::current_exception());
     }
   }
-  finish_inflight();
+  finish_batch();
 }
 
 std::vector<Prediction> InferenceEngine::score(
@@ -372,14 +414,14 @@ std::vector<Prediction> InferenceEngine::score(
   return results;
 }
 
-void InferenceEngine::finish_inflight() {
-  const std::lock_guard<std::mutex> lock(inflight_mutex_);
-  --inflight_batches_;
+void InferenceEngine::finish_batch() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  --running_;
   // Notify while holding the mutex: shutdown() destroys this engine as
-  // soon as its wait observes zero in-flight batches, so an unlocked
-  // notify here could land on an already-destroyed condition variable
-  // (caught by TSan as pthread_cond_broadcast vs pthread_cond_destroy).
-  inflight_done_.notify_all();
+  // soon as its wait observes nothing running, so an unlocked notify
+  // here could land on an already-destroyed condition variable (caught
+  // by TSan as pthread_cond_broadcast vs pthread_cond_destroy).
+  wake_.notify_all();
 }
 
 std::size_t InferenceEngine::cache_entries() const {

@@ -6,17 +6,25 @@
 // turns the same FusedModel into a serving runtime:
 //
 //  * **Two entry points, one scoring core.** submit() queues one record
-//    in a Batcher that flushes on batch-size or deadline, and each flushed
-//    batch runs on the process-wide shared ThreadPool (common::global_pool(),
-//    sized by MUFFIN_THREADS or the hardware). predict_batch() scores a
-//    span the caller already holds at once, as one batch, on the calling
-//    thread — the shard server's path for each decoded request frame.
-//    Both go through the same memo -> gather -> fuse -> memo-store core.
-//    Every engine replica, MuffinSearch and the calibrated score_batch
-//    row split draw from the one pool, so components never compete
-//    through oversubscribed per-component threads. A queued batch splits
-//    nothing further: on a pool worker the row split runs serially, and
-//    GEMMs never split.
+//    in the engine's own queue, and batches of it run on the process-wide
+//    shared ThreadPool (common::global_pool(), sized by MUFFIN_THREADS or
+//    the hardware). predict_batch() scores a span the caller already
+//    holds at once, as one batch, on the calling thread — the shard
+//    server's path for each decoded request frame. Both go through the
+//    same memo -> gather -> fuse -> memo-store core. Every engine
+//    replica, MuffinSearch and the calibrated score_batch row split draw
+//    from the one pool, so components never compete through
+//    oversubscribed per-component threads. A queued batch splits nothing
+//    further: on a pool worker the row split runs serially, and GEMMs
+//    never split.
+//  * **Batching without a timer (Nagle's rule).** The dispatcher thread
+//    hands the pool up to max_batch queued requests when none of this
+//    engine's batches is running, or when max_batch are queued and fewer
+//    than pool-width batches are running. A lone request on an idle
+//    engine leaves at once; under load, requests queue while batches run
+//    and leave in full batches. The engine never has more than pool-width
+//    batches on the pool, so its backlog stays in its own queue, where
+//    max_queue bounds it and deadline drops what overstays.
 //  * **Matrix-in/Matrix-out batch scoring.** Each batch's memo misses are
 //    scored as one record span: every body model scores the whole span via
 //    its Model::score_batch override (batched GEMM for network-backed
@@ -64,18 +72,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "core/fused.h"
 #include "obs/metrics.h"
-#include "serve/batcher.h"
 #include "serve/model_registry.h"
 #include "serve/result_memo.h"
 #include "tensor/quant.h"
@@ -85,8 +95,8 @@ namespace muffin::serve {
 /// Batches run on the shared process-wide pool (common::global_pool());
 /// size that pool with the MUFFIN_THREADS environment variable.
 struct EngineConfig {
-  std::size_t max_batch = 32;                 ///< size-flush threshold
-  std::chrono::microseconds max_delay{1000};  ///< deadline-flush threshold
+  /// Most requests in one queued batch (>= 1).
+  std::size_t max_batch = 32;
   /// Max memoized predictions; 0 disables the result cache. Each entry
   /// costs a 32-byte slot, its reply payload (C scores at the memo quant
   /// mode's width, plus an 8-byte int8 scale, rounded up to 8) and 8 to
@@ -95,11 +105,13 @@ struct EngineConfig {
   /// at construction; the slots and the reply slab are touched lazily, as
   /// entries are written. At most ResultMemo::kMaxCapacity.
   std::size_t result_cache_capacity = 1 << 16;
-  /// Admission bound, forwarded to the batcher: submits throw
-  /// muffin::Overloaded once this many requests are queued (0 =
-  /// unbounded). The rejection happens at enqueue — overload is reported
-  /// in microseconds instead of the request timing out under a backlog.
-  /// Queued submits only: predict_batch queues nothing.
+  /// Admission bound: submits throw muffin::Overloaded once this many
+  /// requests wait in the engine's queue (0 = unbounded). Batches leave
+  /// the queue only while fewer than pool-width of them run, so this
+  /// bounds the whole backlog: at most max_queue waiting plus pool-width
+  /// batches of max_batch. The rejection happens at enqueue — overload is
+  /// reported in microseconds instead of the request timing out under a
+  /// backlog. Queued submits only: predict_batch queues nothing.
   std::size_t max_queue = 0;
   /// Per-request serving deadline (0 = none): a submitted request that
   /// has already waited this long when its batch is picked up is failed
@@ -130,6 +142,8 @@ class InferenceEngine {
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Enqueue one record; the future completes when its batch is scored.
+  /// Throws muffin::Overloaded when config().max_queue requests already
+  /// wait in the queue.
   [[nodiscard]] std::future<Prediction> submit(const data::Record& record);
 
   /// Synchronous single-record convenience: submit + wait.
@@ -178,8 +192,8 @@ class InferenceEngine {
   /// This engine's accounting: engine.requests / .batches / .cache_hits /
   /// .consensus_short_circuits / .head_evaluations, the engine.latency_us
   /// histogram and the serve.* shed, deadline and memo metrics. All read
-  /// 0 in a -DMUFFIN_OBS=OFF build. (engine.batcher.* flush counters and
-  /// depth are process-wide.)
+  /// 0 in a -DMUFFIN_OBS=OFF build. (The engine.batcher.depth gauge of
+  /// queued requests is process-wide.)
   [[nodiscard]] obs::MetricsSnapshot metrics() const {
     return telemetry_.snapshot();
   }
@@ -231,8 +245,14 @@ class InferenceEngine {
     obs::Counter& deadline_drops;
     /// Score-payload bytes held by the memo.
     obs::Gauge& memo_bytes;
+    /// Requests waiting in every engine's queue: process-wide, moved by
+    /// deltas, so engines sum.
+    obs::Gauge& queue_depth;
   };
 
+  /// Whether Nagle's rule (file comment) lets a batch leave the queue
+  /// now. Requires mutex_.
+  [[nodiscard]] bool may_dispatch_locked() const;
   void dispatch_loop();
   /// The queued path: deadline filter, the scoring core, promise delivery.
   void process_batch(std::vector<Request> batch);
@@ -241,8 +261,9 @@ class InferenceEngine {
   /// as one span, and memoizes them. Throws if scoring fails.
   [[nodiscard]] std::vector<Prediction> score(
       std::span<const data::Record> records, bool traced);
-  /// Release one in-flight unit (a queued batch or a predict_batch call).
-  void finish_inflight();
+  /// Release one batch handed to the pool and wake the dispatcher (or
+  /// shutdown(), once it waits).
+  void finish_batch();
 
   ModelRegistry registry_;
   EngineConfig config_;
@@ -254,23 +275,26 @@ class InferenceEngine {
   obs::Registry telemetry_;
   Metrics metrics_;
   common::ThreadPool& pool_;  ///< the shared process-wide pool (never owned)
-  Batcher<Request> batcher_;
 
   // The result memo, in the quant mode active at construction; its
   // payload bytes are mirrored on the serve.result_memo_bytes gauge.
   mutable std::mutex memo_mutex_;
   ResultMemo memo_;  ///< guarded by memo_mutex_
 
-  // In-flight batch accounting so shutdown can wait for queued batches on
-  // the pool and predict_batch callers to finish, without relying on pool
-  // destruction order.
-  std::mutex inflight_mutex_;
-  std::condition_variable inflight_done_;
-  std::size_t inflight_batches_ = 0;
-
   std::atomic<std::size_t> swaps_{0};
 
-  std::atomic<bool> stopped_{false};
+  // The queued path, under mutex_: submitted requests wait in queue_ until
+  // the dispatcher hands them to the pool. The same lock guards the stop
+  // flag and the in-flight counts, so shutdown() can wait for batches on
+  // the pool and predict_batch callers to finish without relying on pool
+  // destruction order. wake_ has one waiter: the dispatcher until it
+  // exits, then shutdown().
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::deque<Request> queue_;
+  std::size_t running_ = 0;  ///< batches handed to the pool, not finished
+  std::size_t calls_ = 0;    ///< predict_batch calls in progress
+  bool stopped_ = false;
   std::thread dispatcher_;
 };
 

@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "data/serialize.h"
 #include "models/pool.h"
 #include "obs/metrics.h"
+#include "serve/engine.h"
 #include "tensor/quant.h"
 
 // True when the suite is built with -fsanitize=thread (GCC defines
@@ -72,6 +76,26 @@ inline std::uint64_t latency_count(const obs::MetricsSnapshot& metrics) {
   const obs::HistogramSnapshot* latency =
       metrics.find_histogram("engine.latency_us");
   return latency != nullptr ? latency->count : 0;
+}
+
+/// Requests waiting in every engine's queue (the process-wide
+/// engine.batcher.depth gauge).
+inline std::int64_t queued_requests() {
+  return obs::registry().snapshot().gauge_value("engine.batcher.depth");
+}
+
+/// Submit `record` and return once the engine's dispatcher has handed it
+/// to the pool. While that batch runs (held by a serve.engine.score
+/// delay), the engine's later submits wait in its queue until max_batch
+/// of them are queued. No other engine may queue meanwhile.
+inline std::future<Prediction> submit_and_wait_for_dispatch(
+    InferenceEngine& engine, const data::Record& record) {
+  const std::int64_t before = queued_requests();
+  std::future<Prediction> future = engine.submit(record);
+  while (queued_requests() != before) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return future;
 }
 
 /// Train and fuse the standard two-model test muffin over `dataset`.

@@ -161,20 +161,24 @@ TEST(ChaosEngine, InjectedSwapFaultNeverTouchesTheServingModel) {
 
 TEST(ChaosShed, OverloadRejectsFastAndKeepsAcceptedAnswersExact) {
   const std::uint64_t shed_before = counter_value("serve.shed");
-  // A long deadline flush with a huge size threshold keeps submissions
-  // queued: admission is exercised by the queue bound alone.
+  // Held scoring and a huge size threshold keep submissions queued behind
+  // the one running request: admission is exercised by the queue bound
+  // alone.
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:150ms");
   EngineConfig config;
   config.max_batch = 1000;
-  config.max_delay = 150ms;
   config.max_queue = 4;
   InferenceEngine engine(make_fused(), config);
   std::span<const data::Record> records = chaos_dataset().records();
 
   std::vector<std::future<Prediction>> accepted;
   std::vector<std::size_t> accepted_idx;
+  accepted.push_back(
+      testutil::submit_and_wait_for_dispatch(engine, records[0]));
+  accepted_idx.push_back(0);
   std::size_t shed = 0;
   double worst_rejection_us = 0.0;
-  for (std::size_t i = 0; i < 20; ++i) {
+  for (std::size_t i = 1; i <= 20; ++i) {
     const auto start = std::chrono::steady_clock::now();
     try {
       accepted.push_back(engine.submit(records[i]));
@@ -186,11 +190,11 @@ TEST(ChaosShed, OverloadRejectsFastAndKeepsAcceptedAnswersExact) {
       ++shed;
     }
   }
-  EXPECT_EQ(accepted.size(), 4u);
+  EXPECT_EQ(accepted.size(), 5u);  // the running one and four queued
   EXPECT_EQ(shed, 16u);
   // The whole point of shedding at enqueue: rejection is reported in
-  // microseconds while an accepted request waits ~150 ms for its batch.
-  // Give the bound 20 ms of scheduler slack — still ~7x under the
+  // microseconds while an accepted request waits 150 ms or more for its
+  // reply. Give the bound 20 ms of scheduler slack — still ~7x under the
   // scoring-path latency it must beat.
   EXPECT_LT(worst_rejection_us, 20'000.0);
   EXPECT_EQ(counter_value("serve.shed"), shed_before + 16);
@@ -200,9 +204,9 @@ TEST(ChaosShed, OverloadRejectsFastAndKeepsAcceptedAnswersExact) {
     ASSERT_EQ(prediction.scores, expected_scores(records[accepted_idx[i]]));
   }
   // A shed request is counted once, as a shed: the engine's request count
-  // holds only the admitted four.
+  // holds only the admitted five.
   const obs::MetricsSnapshot metrics = engine.metrics();
-  EXPECT_EQ(metrics.counter_value("engine.requests"), 4u);
+  EXPECT_EQ(metrics.counter_value("engine.requests"), 5u);
   EXPECT_EQ(metrics.counter_value("serve.shed"), 16u);
   engine.shutdown();
 }
@@ -211,24 +215,29 @@ TEST(ChaosShed, DeadlineDropsStaleRequestsBeforeScoring) {
   const std::uint64_t drops_before = counter_value("serve.deadline_drops");
   EngineConfig config;
   config.max_batch = 8;
-  // Deadline well under the flush delay (so partial batches always
-  // overstay it) but generous against scheduler noise — the full batch
-  // below must be picked up inside it even under TSan.
-  config.max_delay = 400ms;
+  // Deadline well under the scoring hold below (so requests queued behind
+  // it always overstay it) but generous against scheduler noise — the
+  // requests on an idle engine must be picked up inside it even under
+  // TSan.
   config.deadline = 100ms;
   InferenceEngine engine(make_fused(), config);
   std::span<const data::Record> records = chaos_dataset().records();
 
-  // A full batch flushes on size immediately: well inside the deadline.
+  // On an idle engine requests leave at once: well inside the deadline.
   std::vector<std::future<Prediction>> fast;
   for (std::size_t i = 0; i < 8; ++i) fast.push_back(engine.submit(records[i]));
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ASSERT_EQ(fast[i].get().scores, expected_scores(records[i]));
   }
 
-  // A partial batch waits out the 400 ms deadline flush — by the time it
-  // is picked up every request has overstayed the 100 ms serving
-  // deadline and must be dropped without any scoring work.
+  // Scoring held 400 ms: one request runs while three queue behind it. By
+  // the time the held batch finishes, every queued request has overstayed
+  // the 100 ms serving deadline and must be dropped without any scoring
+  // work.
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:400ms");
+  const std::uint64_t scored_before = fail::hits("serve.engine.score");
+  std::future<Prediction> running =
+      testutil::submit_and_wait_for_dispatch(engine, records[99]);
   std::vector<std::future<Prediction>> stale;
   for (std::size_t i = 100; i < 103; ++i) {
     stale.push_back(engine.submit(records[i]));
@@ -242,7 +251,9 @@ TEST(ChaosShed, DeadlineDropsStaleRequestsBeforeScoring) {
                 std::string::npos);
     }
   }
+  EXPECT_EQ(running.get().scores, expected_scores(records[99]));
   EXPECT_EQ(counter_value("serve.deadline_drops"), drops_before + 3);
+  EXPECT_EQ(fail::hits("serve.engine.score"), scored_before + 1);
   engine.shutdown();
 }
 
@@ -254,7 +265,6 @@ RouterConfig local_router(std::size_t shards, std::size_t max_attempts) {
   RouterConfig config;
   config.shards = shards;
   config.engine.max_batch = 8;
-  config.engine.max_delay = 200us;
   config.retry.max_attempts = max_attempts;
   return config;
 }
@@ -300,9 +310,11 @@ TEST(ChaosRouter, WithoutRetriesAKilledReplicaIsVisible) {
 
 TEST(ChaosRouter, OverloadedIsNeverRetried) {
   const std::uint64_t retries_before = counter_value("serve.retries");
+  // Held scoring: each shard's first request runs while the next two
+  // queue behind it, and the rest are shed.
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:100ms");
   RouterConfig config = local_router(/*shards=*/2, /*max_attempts=*/3);
   config.engine.max_batch = 1000;
-  config.engine.max_delay = 100ms;
   config.engine.max_queue = 2;
   ShardRouter router(make_fused(), config);
   std::span<const data::Record> records = chaos_dataset().records();

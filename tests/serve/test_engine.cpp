@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/error.h"
+#include "common/failpoint.h"
+#include "common/parallel_for.h"
 #include "serve_test_util.h"
 #include "tensor/ops.h"
 
@@ -97,22 +101,11 @@ TEST(InferenceEngine, PredictBatchMatchesPerRecordSubmit) {
 
 TEST(InferenceEngine, PredictBatchIsOneBatchOnTheCallingThread) {
   // The direct path counts exactly like a queued batch, never touches the
-  // batcher, and a stopped engine rejects it — an empty span too — without
-  // counting anything.
+  // engine's queue, and a stopped engine rejects it — an empty span too —
+  // without counting anything.
   InferenceEngine engine(make_fused(true));
   std::span<const data::Record> records = engine_dataset().records();
-  const auto batcher_state = []() {
-    const obs::MetricsSnapshot process = obs::registry().snapshot();
-    return std::vector<std::int64_t>{
-        static_cast<std::int64_t>(
-            process.counter_value("engine.batcher.size_flushes")),
-        static_cast<std::int64_t>(
-            process.counter_value("engine.batcher.deadline_flushes")),
-        static_cast<std::int64_t>(
-            process.counter_value("engine.batcher.drain_flushes")),
-        process.gauge_value("engine.batcher.depth")};
-  };
-  const std::vector<std::int64_t> batcher_before = batcher_state();
+  const std::int64_t queued_before = testutil::queued_requests();
 
   constexpr std::size_t kRows = 100;
   ASSERT_EQ(engine.predict_batch(records.subspan(0, kRows)).size(), kRows);
@@ -129,7 +122,7 @@ TEST(InferenceEngine, PredictBatchIsOneBatchOnTheCallingThread) {
               kRows);
   };
   expect_one_batch();
-  EXPECT_EQ(batcher_state(), batcher_before);
+  EXPECT_EQ(testutil::queued_requests(), queued_before);
 
   engine.shutdown();
   EXPECT_THROW((void)engine.predict_batch(records.subspan(0, 8)), Error);
@@ -363,16 +356,145 @@ TEST(InferenceEngine, ConcurrentSubmittersAllGetCorrectAnswers) {
   }
 }
 
+TEST(InferenceEngine, ALoneRequestLeavesAtOnceAsABatchOfOne) {
+  // No timer holds a request back for company: on an idle engine each
+  // predict() is a batch of its own, however large max_batch is. The
+  // dispatcher is asleep before each request arrives and wakes for it.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 1000;
+  InferenceEngine engine(fused, config);
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const data::Record& record = engine_dataset().record(i);
+    EXPECT_EQ(engine.predict(record).scores,
+              testutil::canonical_scores(fused->scores(record)));
+  }
+  const obs::MetricsSnapshot metrics = engine.metrics();
+  const obs::HistogramSnapshot& sizes =
+      *metrics.find_histogram("engine.batch_size");
+  EXPECT_EQ(sizes.count, 3u);
+  EXPECT_EQ(sizes.sum, 3.0);
+}
+
+TEST(InferenceEngine, HeldBacklogLeavesInBatchesOfAtMostMaxBatch) {
+  // Scoring is held, so a backlog of three batches' worth queues behind
+  // the running request; it leaves in batches of at most max_batch, and
+  // every reply is exact.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 4;
+  config.result_cache_capacity = 0;
+  InferenceEngine engine(fused, config);
+  std::span<const data::Record> records = engine_dataset().records();
+  constexpr std::size_t kBacklog = 12;
+  {
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:50ms");
+    std::vector<std::future<Prediction>> futures;
+    futures.push_back(
+        testutil::submit_and_wait_for_dispatch(engine, records[0]));
+    for (std::size_t i = 1; i <= kBacklog; ++i) {
+      futures.push_back(engine.submit(records[i]));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].get().scores,
+                testutil::canonical_scores(fused->scores(records[i])))
+          << "record " << i;
+    }
+  }
+  const obs::MetricsSnapshot metrics = engine.metrics();
+  const obs::HistogramSnapshot& sizes =
+      *metrics.find_histogram("engine.batch_size");
+  EXPECT_EQ(sizes.sum, 1.0 + kBacklog);
+  EXPECT_GE(sizes.count, 1 + kBacklog / config.max_batch);
+  // Bucket bounds are 1, 2, 4, 8, ...: no batch falls above the 4 bucket.
+  ASSERT_EQ(sizes.bounds[2], 4.0);
+  for (std::size_t b = 3; b < sizes.counts.size(); ++b) {
+    EXPECT_EQ(sizes.counts[b], 0u) << "batches above max_batch in bucket "
+                                   << b;
+  }
+}
+
+TEST(InferenceEngine, BacklogStaysInTheBoundedQueue) {
+  // The engine never has more than pool-width batches on the pool, so a
+  // burst far past max_queue is shed at admission instead of piling up
+  // in the pool's job queue: at most max_queue requests wait, at most
+  // pool-width batches of max_batch run, and each shed is reported long
+  // before a held scoring pass could finish.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_queue = 64;
+  InferenceEngine engine(fused, config);
+  const std::size_t width = common::global_pool().size();
+  std::span<const data::Record> records = engine_dataset().records();
+  constexpr std::size_t kBurst = 2000;
+  std::vector<std::future<Prediction>> admitted;
+  std::vector<std::size_t> admitted_rows;
+  std::size_t shed = 0;
+  double worst_shed_ms = 0.0;
+  std::size_t most_pending = 0;
+  {
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:1s");
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      const std::size_t row = i % records.size();
+      const auto start = std::chrono::steady_clock::now();
+      try {
+        admitted.push_back(engine.submit(records[row]));
+        admitted_rows.push_back(row);
+      } catch (const Overloaded&) {
+        worst_shed_ms = std::max(
+            worst_shed_ms, std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+        ++shed;
+      }
+      most_pending = std::max(most_pending, common::global_pool().pending());
+    }
+    for (std::size_t k = 0; k < admitted.size(); ++k) {
+      ASSERT_EQ(admitted[k].get().scores,
+                testutil::canonical_scores(
+                    fused->scores(records[admitted_rows[k]])))
+          << "request " << k;
+    }
+  }
+  EXPECT_LE(admitted.size(), config.max_queue + width * config.max_batch);
+  EXPECT_EQ(admitted.size() + shed, kBurst);
+  EXPECT_EQ(engine.metrics().counter_value("serve.shed"), shed);
+  EXPECT_LE(most_pending, width);
+  EXPECT_LT(worst_shed_ms, 50.0);  // a twentieth of the scoring hold
+}
+
 TEST(InferenceEngine, ShutdownDrainsAndRejectsNewWork) {
   const auto fused = make_fused(true);
-  InferenceEngine engine(fused);
-  auto pending = engine.submit(engine_dataset().record(0));
-  engine.shutdown();
-  EXPECT_EQ(pending.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  (void)pending.get();  // in-flight request completed, not dropped
-  EXPECT_THROW((void)engine.submit(engine_dataset().record(1)), Error);
+  std::span<const data::Record> records = engine_dataset().records();
+  EngineConfig config;
+  config.max_batch = 4;
+  InferenceEngine engine(fused, config);
+  std::vector<std::future<Prediction>> pending;
+  {
+    // Scoring is held: one request runs while ten queue behind it, and
+    // shutdown() answers every one of them before it returns.
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:20ms");
+    pending.push_back(
+        testutil::submit_and_wait_for_dispatch(engine, records[0]));
+    for (std::size_t i = 1; i < 11; ++i) {
+      pending.push_back(engine.submit(records[i]));
+    }
+    engine.shutdown();
+  }
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    ASSERT_EQ(pending[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    // Queued requests completed, not dropped.
+    EXPECT_EQ(pending[i].get().scores,
+              testutil::canonical_scores(fused->scores(records[i])));
+  }
+  EXPECT_THROW((void)engine.submit(records[11]), Error);
   engine.shutdown();  // idempotent
+  // An engine that never saw a request shuts down at once.
+  InferenceEngine idle(fused);
+  idle.shutdown();
 }
 
 TEST(InferenceEngine, LatencyHistogramCoversEveryRequest) {
@@ -391,23 +513,23 @@ TEST(InferenceEngine, LatencyHistogramCoversEveryRequest) {
 
 TEST(InferenceEngine, BatcherDepthGaugeSumsAcrossEngines) {
   // The process view of engine.batcher.depth is the total queued, not
-  // whichever engine's queue moved last.
+  // whichever engine's queue moved last. Scoring is held, so each
+  // engine's first request runs and the rest queue behind it.
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:100ms");
   EngineConfig config;
   config.max_batch = 1000;
-  config.max_delay = std::chrono::seconds(10);
   InferenceEngine a(make_fused(true), config);
   InferenceEngine b(make_fused(true), config);
   std::span<const data::Record> records = engine_dataset().records();
   std::vector<std::future<Prediction>> queued;
-  for (std::size_t i = 0; i < 3; ++i) queued.push_back(a.submit(records[i]));
-  for (std::size_t i = 3; i < 5; ++i) queued.push_back(b.submit(records[i]));
-  const auto depth = []() {
-    return obs::registry().snapshot().gauge_value("engine.batcher.depth");
-  };
-  EXPECT_EQ(depth(), 5);
-  a.shutdown();  // drains now instead of after 10 s
+  queued.push_back(testutil::submit_and_wait_for_dispatch(a, records[0]));
+  queued.push_back(testutil::submit_and_wait_for_dispatch(b, records[1]));
+  for (std::size_t i = 2; i < 5; ++i) queued.push_back(a.submit(records[i]));
+  for (std::size_t i = 5; i < 7; ++i) queued.push_back(b.submit(records[i]));
+  EXPECT_EQ(testutil::queued_requests(), 5);
+  a.shutdown();
   b.shutdown();
-  EXPECT_EQ(depth(), 0);
+  EXPECT_EQ(testutil::queued_requests(), 0);
   for (std::future<Prediction>& future : queued) (void)future.get();
 }
 

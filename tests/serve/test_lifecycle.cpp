@@ -205,7 +205,6 @@ TEST(EngineLifecycle, ConcurrentSwapsInstallDistinctVersions) {
   constexpr std::size_t kSwapsEach = 25;
   EngineConfig config;
   config.max_batch = 8;
-  config.max_delay = std::chrono::microseconds(200);
   InferenceEngine engine(model_a(), config);
   const std::span<const data::Record> records =
       std::span<const data::Record>(lifecycle_dataset().records())
@@ -297,7 +296,6 @@ TEST(EngineLifecycle, SwapUnderLoadServesEveryReplyFromOneCleanVersion) {
   // blending two epochs, no stale memo leak across any swap.
   EngineConfig config;
   config.max_batch = 8;
-  config.max_delay = std::chrono::microseconds(200);
   InferenceEngine engine(model_a(), config);
   std::span<const data::Record> records = lifecycle_dataset().records();
 

@@ -51,7 +51,6 @@ RouterConfig small_router(std::size_t shards) {
   RouterConfig config;
   config.shards = shards;
   config.engine.max_batch = 16;
-  config.engine.max_delay = std::chrono::microseconds(200);
   return config;
 }
 

@@ -509,7 +509,6 @@ TEST(ShardRouterRpc, MixedLocalAndRemoteReplicas) {
   RouterConfig config;
   config.shards = 1;
   config.engine.max_batch = 16;
-  config.engine.max_delay = std::chrono::microseconds(200);
   config.remote_endpoints = {server.address()};
   config.remote = fast_client();
   ShardRouter router(fused, config);

@@ -60,7 +60,6 @@ RouterConfig stress_router(std::size_t shards) {
   RouterConfig config;
   config.shards = shards;
   config.engine.max_batch = 8;
-  config.engine.max_delay = std::chrono::microseconds(200);
   return config;
 }
 
