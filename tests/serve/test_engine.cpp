@@ -356,65 +356,6 @@ TEST(InferenceEngine, ConcurrentSubmittersAllGetCorrectAnswers) {
   }
 }
 
-TEST(InferenceEngine, ALoneRequestLeavesAtOnceAsABatchOfOne) {
-  // No timer holds a request back for company: on an idle engine each
-  // predict() is a batch of its own, however large max_batch is. The
-  // dispatcher is asleep before each request arrives and wakes for it.
-  const auto fused = make_fused(true);
-  EngineConfig config;
-  config.max_batch = 1000;
-  InferenceEngine engine(fused, config);
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const data::Record& record = engine_dataset().record(i);
-    EXPECT_EQ(engine.predict(record).scores,
-              testutil::canonical_scores(fused->scores(record)));
-  }
-  const obs::MetricsSnapshot metrics = engine.metrics();
-  const obs::HistogramSnapshot& sizes =
-      *metrics.find_histogram("engine.batch_size");
-  EXPECT_EQ(sizes.count, 3u);
-  EXPECT_EQ(sizes.sum, 3.0);
-}
-
-TEST(InferenceEngine, HeldBacklogLeavesInBatchesOfAtMostMaxBatch) {
-  // Scoring is held, so a backlog of three batches' worth queues behind
-  // the running request; it leaves in batches of at most max_batch, and
-  // every reply is exact.
-  const auto fused = make_fused(true);
-  EngineConfig config;
-  config.max_batch = 4;
-  config.result_cache_capacity = 0;
-  InferenceEngine engine(fused, config);
-  std::span<const data::Record> records = engine_dataset().records();
-  constexpr std::size_t kBacklog = 12;
-  {
-    const fail::ScopedFailpoints hold("serve.engine.score=delay:50ms");
-    std::vector<std::future<Prediction>> futures;
-    futures.push_back(
-        testutil::submit_and_wait_for_dispatch(engine, records[0]));
-    for (std::size_t i = 1; i <= kBacklog; ++i) {
-      futures.push_back(engine.submit(records[i]));
-    }
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      EXPECT_EQ(futures[i].get().scores,
-                testutil::canonical_scores(fused->scores(records[i])))
-          << "record " << i;
-    }
-  }
-  const obs::MetricsSnapshot metrics = engine.metrics();
-  const obs::HistogramSnapshot& sizes =
-      *metrics.find_histogram("engine.batch_size");
-  EXPECT_EQ(sizes.sum, 1.0 + kBacklog);
-  EXPECT_GE(sizes.count, 1 + kBacklog / config.max_batch);
-  // Bucket bounds are 1, 2, 4, 8, ...: no batch falls above the 4 bucket.
-  ASSERT_EQ(sizes.bounds[2], 4.0);
-  for (std::size_t b = 3; b < sizes.counts.size(); ++b) {
-    EXPECT_EQ(sizes.counts[b], 0u) << "batches above max_batch in bucket "
-                                   << b;
-  }
-}
-
 TEST(InferenceEngine, BacklogStaysInTheBoundedQueue) {
   // The engine never has more than pool-width batches on the pool, so a
   // burst far past max_queue is shed at admission instead of piling up
@@ -466,35 +407,14 @@ TEST(InferenceEngine, BacklogStaysInTheBoundedQueue) {
 
 TEST(InferenceEngine, ShutdownDrainsAndRejectsNewWork) {
   const auto fused = make_fused(true);
-  std::span<const data::Record> records = engine_dataset().records();
-  EngineConfig config;
-  config.max_batch = 4;
-  InferenceEngine engine(fused, config);
-  std::vector<std::future<Prediction>> pending;
-  {
-    // Scoring is held: one request runs while ten queue behind it, and
-    // shutdown() answers every one of them before it returns.
-    const fail::ScopedFailpoints hold("serve.engine.score=delay:20ms");
-    pending.push_back(
-        testutil::submit_and_wait_for_dispatch(engine, records[0]));
-    for (std::size_t i = 1; i < 11; ++i) {
-      pending.push_back(engine.submit(records[i]));
-    }
-    engine.shutdown();
-  }
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    ASSERT_EQ(pending[i].wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "request " << i;
-    // Queued requests completed, not dropped.
-    EXPECT_EQ(pending[i].get().scores,
-              testutil::canonical_scores(fused->scores(records[i])));
-  }
-  EXPECT_THROW((void)engine.submit(records[11]), Error);
+  InferenceEngine engine(fused);
+  auto pending = engine.submit(engine_dataset().record(0));
+  engine.shutdown();
+  EXPECT_EQ(pending.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  (void)pending.get();  // in-flight request completed, not dropped
+  EXPECT_THROW((void)engine.submit(engine_dataset().record(1)), Error);
   engine.shutdown();  // idempotent
-  // An engine that never saw a request shuts down at once.
-  InferenceEngine idle(fused);
-  idle.shutdown();
 }
 
 TEST(InferenceEngine, LatencyHistogramCoversEveryRequest) {
@@ -548,6 +468,222 @@ TEST(InferenceEngine, ProcessRegistrySumsEnginesAndKeepsDestroyedOnes) {
     EXPECT_EQ(process_requests(), before + 42);
   }
   EXPECT_EQ(process_requests(), before + 42);
+}
+
+// ---------------------------------------------------------------------
+// Batcher: how the engine hands its queued requests to the pool (Nagle's
+// rule, engine.h). A full batch leaves at once while a pool worker is
+// free, no batch exceeds max_batch, a partial batch leaves when none of
+// the engine's batches runs, and shutdown drains, then rejects. Where a
+// test needs a queue, a serve.engine.score delay holds the running batch.
+
+// This engine's engine.batch_size histogram: one observation per batch.
+obs::HistogramSnapshot batch_sizes(const InferenceEngine& engine) {
+  return *engine.metrics().find_histogram("engine.batch_size");
+}
+
+TEST(Batcher, RejectsBadConfig) {
+  // A batch of zero requests could never leave the queue. One is the
+  // smallest batch: then every request leaves on its own.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 0;
+  EXPECT_THROW(InferenceEngine(fused, config), Error);
+  config.max_batch = 1;
+  InferenceEngine engine(fused, config);
+  std::span<const data::Record> records = engine_dataset().records();
+  std::vector<std::future<Prediction>> futures;
+  for (std::size_t i = 0; i < 6; ++i) {
+    futures.push_back(engine.submit(records[i]));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().scores,
+              testutil::canonical_scores(fused->scores(records[i])))
+        << "record " << i;
+  }
+  const obs::HistogramSnapshot sizes = batch_sizes(engine);
+  EXPECT_EQ(sizes.count, 6u);
+  EXPECT_EQ(sizes.sum, 6.0);
+}
+
+TEST(Batcher, SizeFlushReleasesFullBatchImmediately) {
+  // One request runs, held; max_batch more queue behind it. The submit
+  // that fills the batch hands it to a free pool worker at once, without
+  // waiting for the running batch. With a one-worker pool no worker is
+  // free, and the full batch leaves whole when the running one finishes.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 8;
+  config.result_cache_capacity = 0;
+  InferenceEngine engine(fused, config);
+  const std::size_t width = common::global_pool().size();
+  std::span<const data::Record> records = engine_dataset().records();
+  const std::int64_t idle = testutil::queued_requests();
+  std::vector<std::future<Prediction>> futures;
+  {
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:500ms");
+    futures.push_back(
+        testutil::submit_and_wait_for_dispatch(engine, records[0]));
+    for (std::size_t i = 1; i <= config.max_batch; ++i) {
+      futures.push_back(engine.submit(records[i]));
+    }
+    if (width > 1) {
+      while (testutil::queued_requests() != idle) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      // The full batch left while the first request is still held.
+      EXPECT_NE(futures[0].wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].get().scores,
+                testutil::canonical_scores(fused->scores(records[i])))
+          << "record " << i;
+    }
+  }
+  const obs::HistogramSnapshot sizes = batch_sizes(engine);
+  EXPECT_EQ(sizes.count, 2u);  // the held request, then one full batch
+  EXPECT_EQ(sizes.sum, 1.0 + static_cast<double>(config.max_batch));
+}
+
+TEST(Batcher, SizeFlushCapsOversizedBacklog) {
+  // Scoring is held, so a backlog of three batches' worth queues behind
+  // the running request; it leaves in batches of at most max_batch, and
+  // every reply is exact.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 4;
+  config.result_cache_capacity = 0;
+  InferenceEngine engine(fused, config);
+  std::span<const data::Record> records = engine_dataset().records();
+  constexpr std::size_t kBacklog = 12;
+  {
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:50ms");
+    std::vector<std::future<Prediction>> futures;
+    futures.push_back(
+        testutil::submit_and_wait_for_dispatch(engine, records[0]));
+    for (std::size_t i = 1; i <= kBacklog; ++i) {
+      futures.push_back(engine.submit(records[i]));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].get().scores,
+                testutil::canonical_scores(fused->scores(records[i])))
+          << "record " << i;
+    }
+  }
+  const obs::HistogramSnapshot sizes = batch_sizes(engine);
+  EXPECT_EQ(sizes.sum, 1.0 + kBacklog);
+  EXPECT_GE(sizes.count, 1 + kBacklog / config.max_batch);
+  // Bucket bounds are 1, 2, 4, 8, ...: no batch falls above the 4 bucket.
+  ASSERT_EQ(sizes.bounds[2], 4.0);
+  for (std::size_t b = 3; b < sizes.counts.size(); ++b) {
+    EXPECT_EQ(sizes.counts[b], 0u) << "batches above max_batch in bucket "
+                                   << b;
+  }
+}
+
+TEST(Batcher, DeadlineFlushReleasesPartialBatch) {
+  // No timer releases a partial batch, and no full batch forms: three
+  // requests queued behind a held one leave together when it finishes,
+  // not beside it.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 64;
+  config.result_cache_capacity = 0;
+  InferenceEngine engine(fused, config);
+  std::span<const data::Record> records = engine_dataset().records();
+  constexpr auto kHold = std::chrono::milliseconds(200);
+  const auto before = std::chrono::steady_clock::now();
+  {
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:200ms");
+    std::vector<std::future<Prediction>> futures;
+    futures.push_back(
+        testutil::submit_and_wait_for_dispatch(engine, records[0]));
+    for (std::size_t i = 1; i < 4; ++i) {
+      futures.push_back(engine.submit(records[i]));
+    }
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].get().scores,
+                testutil::canonical_scores(fused->scores(records[i])))
+          << "record " << i;
+    }
+  }
+  const auto waited = std::chrono::steady_clock::now() - before;
+  const obs::HistogramSnapshot sizes = batch_sizes(engine);
+  EXPECT_EQ(sizes.count, 2u);  // the held request, then the other three
+  EXPECT_EQ(sizes.sum, 4.0);
+  // Two held passes, one after the other — and no unbounded waiting.
+  EXPECT_GE(waited, 2 * kHold);
+  EXPECT_LT(waited, std::chrono::seconds(5));
+}
+
+TEST(Batcher, ConsumerWakesForLateProducer) {
+  // No timer holds a request back for company: on an idle engine each
+  // predict() is a batch of its own, however large max_batch is. The
+  // dispatcher is asleep before each request arrives and wakes for it.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 1000;
+  InferenceEngine engine(fused, config);
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const data::Record& record = engine_dataset().record(i);
+    EXPECT_EQ(engine.predict(record).scores,
+              testutil::canonical_scores(fused->scores(record)));
+  }
+  const obs::HistogramSnapshot sizes = batch_sizes(engine);
+  EXPECT_EQ(sizes.count, 3u);
+  EXPECT_EQ(sizes.sum, 3.0);
+}
+
+TEST(Batcher, CloseDrainsThenSignalsTermination) {
+  // Scoring is held: one request runs while ten queue behind it.
+  // shutdown() answers every one of them, in batches of at most
+  // max_batch, before it returns; then the engine rejects new work.
+  const auto fused = make_fused(true);
+  std::span<const data::Record> records = engine_dataset().records();
+  EngineConfig config;
+  config.max_batch = 4;
+  InferenceEngine engine(fused, config);
+  std::vector<std::future<Prediction>> pending;
+  {
+    const fail::ScopedFailpoints hold("serve.engine.score=delay:20ms");
+    pending.push_back(
+        testutil::submit_and_wait_for_dispatch(engine, records[0]));
+    for (std::size_t i = 1; i < 11; ++i) {
+      pending.push_back(engine.submit(records[i]));
+    }
+    engine.shutdown();
+  }
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    ASSERT_EQ(pending[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    // Queued requests completed, not dropped.
+    EXPECT_EQ(pending[i].get().scores,
+              testutil::canonical_scores(fused->scores(records[i])));
+  }
+  const obs::HistogramSnapshot sizes = batch_sizes(engine);
+  EXPECT_EQ(sizes.sum, 11.0);
+  EXPECT_GE(sizes.count, 1u + 3u);  // ten queued, at most four per batch
+  EXPECT_THROW((void)engine.submit(records[11]), Error);
+  engine.shutdown();  // idempotent
+}
+
+TEST(Batcher, CloseWakesBlockedConsumer) {
+  // An idle engine's dispatcher sleeps on its empty queue; shutdown()
+  // wakes it and returns, whether or not the engine ever served.
+  const auto fused = make_fused(true);
+  InferenceEngine fresh(fused);
+  InferenceEngine served(fused);
+  (void)served.predict(engine_dataset().record(0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const auto before = std::chrono::steady_clock::now();
+  fresh.shutdown();
+  served.shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - before,
+            std::chrono::seconds(5));
+  EXPECT_THROW((void)fresh.submit(engine_dataset().record(1)), Error);
 }
 
 }  // namespace
