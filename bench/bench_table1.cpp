@@ -13,7 +13,9 @@
 // every base model (paper: up to 26.32% age / 20.37% site), with an
 // accuracy gain that is large for the small models and small-positive for
 // the big ones. (Our synthetic pool's accuracy gains run larger than the
-// paper's — see EXPERIMENTS.md.)
+// paper's: how much a fused head can recover is set by the calibration
+// knobs in models/calibrated.h, runner_up_rate and the miscalibration
+// rates, which are not fitted to the paper's CNNs.)
 #include "baselines/single_attribute.h"
 #include "bench_util.h"
 #include "core/search.h"

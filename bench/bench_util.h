@@ -1,7 +1,7 @@
 // Shared setup for the paper-reproduction benches.
 //
 // Every bench binary regenerates one table or figure of the paper on the
-// synthetic scenario (DESIGN.md §1). Environment knobs:
+// synthetic scenario (data/generators.h). Environment knobs:
 //   MUFFIN_SAMPLES       dataset size (default: the real dataset sizes,
 //                        25331 for ISIC2019 / 16577 for Fitzpatrick17K)
 //   MUFFIN_EPISODES      RL episodes for search benches (default per bench)

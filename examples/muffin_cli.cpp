@@ -61,9 +61,10 @@
 // queue; excess submits are shed and counted: serve's table has a shed
 // row, route prints shed= on its resilience line) and
 // --deadline-ms D (drop requests that waited longer than D before
-// scoring). serve --listen rejects both: a shard server scores each frame
-// as it is read, so nothing queues. All three accept
-// --stats-every-s N: print a one-line
+// scoring; drops are counted the same way, in serve's deadline drops row
+// and route's deadline_drops=). serve --listen rejects both: a shard
+// server scores each frame as it is read, so nothing queues. All three
+// accept --stats-every-s N: print a one-line
 // serving summary (requests, rate, batches, memo hits, failures) from
 // the process-wide metrics registry every N seconds while the trace —
 // or a --listen server — runs.
@@ -748,7 +749,14 @@ int run_serve(const CliOptions& options) {
       // --max-queue reached: dropped, and counted in the shed row below.
     }
   }
-  for (auto& future : futures) (void)future.get();
+  for (auto& future : futures) {
+    try {
+      (void)future.get();
+    } catch (const DeadlineExceeded&) {
+      // --deadline-ms passed in the queue: dropped unscored, and counted
+      // in the deadline drops row below.
+    }
+  }
   const double seconds = seconds_since(start);
   ticker.stop();
   engine.shutdown();
@@ -768,7 +776,8 @@ int run_serve(const CliOptions& options) {
                   "engine.consensus_short_circuits"},
         std::pair{"head evaluations", "engine.head_evaluations"},
         std::pair{"cache hits", "engine.cache_hits"},
-        std::pair{"shed", "serve.shed"}}) {
+        std::pair{"shed", "serve.shed"},
+        std::pair{"deadline drops", "serve.deadline_drops"}}) {
     table.add_row({row, std::to_string(metrics.counter_value(name))});
   }
   table.print(std::cout);
@@ -838,6 +847,9 @@ int run_route(const CliOptions& options) {
       (void)future.get();
     } catch (const Overloaded&) {
       // A retry shed by a full replica: counted like a submit-time shed.
+    } catch (const DeadlineExceeded&) {
+      // --deadline-ms passed in a replica's queue: dropped unscored, and
+      // counted in deadline_drops= below.
     }
   }
   const double seconds = seconds_since(start);

@@ -29,6 +29,15 @@ class Overloaded : public Error {
   explicit Overloaded(const std::string& what) : Error(what) {}
 };
 
+/// Deadline drop: a queued request waited past its serving deadline (a
+/// serve::InferenceEngine's deadline) and was failed before any scoring
+/// work was spent on it. A distinct type so a caller can count and skip
+/// drops; retry layers treat it as any other Error.
+class DeadlineExceeded : public Error {
+ public:
+  explicit DeadlineExceeded(const std::string& what) : Error(what) {}
+};
+
 namespace detail {
 [[noreturn]] void throw_error(const char* file, int line, const char* cond,
                               const std::string& message);

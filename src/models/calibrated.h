@@ -1,6 +1,7 @@
 // Calibrated off-the-shelf model simulation.
 //
-// Stands in for a CNN trained on the real image dataset (DESIGN.md §1).
+// Stands in for a CNN trained on the real image dataset, which cannot ship
+// with the repository (data/generators.h).
 // The model's behaviour is specified by an ArchitectureProfile (overall
 // accuracy + per-attribute unfairness targets) and realized against a
 // concrete dataset in three steps:
@@ -37,7 +38,9 @@
 namespace muffin::models {
 
 struct CalibrationConfig {
-  /// Copula correlation between model latents (DESIGN.md decision #1).
+  /// Copula correlation between model latents (step 3): the shared factor
+  /// is the record's difficulty, which makes model errors correlate across
+  /// architectures (paper Fig. 3).
   double copula_rho = 0.72;
   /// Extra correlation between models of the same architecture family
   /// (ResNet-18/34/50 err together more than ResNet vs DenseNet). Total
@@ -61,12 +64,12 @@ struct CalibrationConfig {
   /// the true class high but not reliably second; this bounds how much a
   /// fused head can recover from "both models wrong" records.
   double runner_up_rate = 0.40;
-  /// Confidence miscalibration (DESIGN.md decision #2): real CNNs are not
-  /// perfectly calibrated, so a fused head can only recover part of the
-  /// disagreement set. With probability `overconfident_rate` a wrong
-  /// prediction is emitted with a correct-like (sharp) margin; with
-  /// probability `hesitant_rate` a correct prediction is emitted with a
-  /// wrong-like (flat) margin.
+  /// Confidence miscalibration (Ablation.MiscalibrationBoundsHeadRecovery
+  /// pins its effect): real CNNs are not perfectly calibrated, so a fused
+  /// head can only recover part of the disagreement set. With probability
+  /// `overconfident_rate` a wrong prediction is emitted with a
+  /// correct-like (sharp) margin; with probability `hesitant_rate` a
+  /// correct prediction is emitted with a wrong-like (flat) margin.
   double overconfident_rate = 0.38;
   double hesitant_rate = 0.28;
 };

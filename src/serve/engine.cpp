@@ -70,7 +70,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const core::FusedModel> model,
   MUFFIN_REQUIRE(config_.max_batch > 0, "engine needs max_batch >= 1");
   LifecycleMetrics::get().model_version.set(
       static_cast<std::int64_t>(registry_.version()));
-  dispatcher_ = std::thread([this]() { dispatch_loop(); });
 }
 
 InferenceEngine::~InferenceEngine() { shutdown(); }
@@ -87,7 +86,7 @@ std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
   // counted at all.
   std::size_t queued = 0;
   bool admitted = false;
-  bool wake = false;
+  std::vector<Request> batch;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     MUFFIN_REQUIRE(!stopped_, "cannot submit to a stopped engine");
@@ -96,10 +95,7 @@ std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
     if (admitted) {
       queue_.push_back(std::move(request));
       metrics_.queue_depth.add(1);
-      // Wake the dispatcher only when this push makes a hand-off due; a
-      // finishing batch wakes it for everything else.
-      wake = (queued == 0 && running_ == 0) ||
-             (queued + 1 == config_.max_batch && running_ < pool_.size());
+      batch = take_batch_locked();
     }
   }
   if (!admitted) {
@@ -110,7 +106,7 @@ std::future<Prediction> InferenceEngine::submit(const data::Record& record) {
                      std::to_string(config_.max_queue) +
                      " queued): request shed");
   }
-  if (wake) wake_.notify_one();
+  if (!batch.empty()) hand_off(std::move(batch));
   return future;
 }
 
@@ -156,16 +152,13 @@ std::vector<Prediction> InferenceEngine::predict_batch(
 }
 
 void InferenceEngine::shutdown() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  // The dispatcher drains the queue under the usual rule, then exits.
-  wake_.notify_all();
-  dispatcher_.join();
+  // Nothing to drain: while the queue holds requests, one of the engine's
+  // batches is running or handed off, and it hands on the rest.
   std::unique_lock<std::mutex> lock(mutex_);
-  wake_.wait(lock, [this]() { return running_ == 0 && calls_ == 0; });
+  stopped_ = true;
+  wake_.wait(lock, [this]() {
+    return queue_.empty() && running_ == 0 && calls_ == 0;
+  });
 }
 
 std::uint64_t InferenceEngine::swap_model(
@@ -196,28 +189,38 @@ bool InferenceEngine::may_dispatch_locked() const {
           (queue_.size() >= config_.max_batch && running_ < pool_.size()));
 }
 
-void InferenceEngine::dispatch_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    wake_.wait(lock, [this]() {
-      return may_dispatch_locked() || (stopped_ && queue_.empty());
-    });
-    if (queue_.empty()) return;  // stopped and drained
-    const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(std::min(
-                                          queue_.size(), config_.max_batch));
-    std::vector<Request> batch(std::make_move_iterator(queue_.begin()),
-                               std::make_move_iterator(end));
-    queue_.erase(queue_.begin(), end);
-    metrics_.queue_depth.add(-static_cast<std::int64_t>(batch.size()));
-    ++running_;
-    lock.unlock();
-    // The future is intentionally dropped: results and failures reach the
-    // caller through the per-request promises, not the job future.
-    (void)pool_.submit([this, b = std::move(batch)]() mutable {
-      process_batch(std::move(b));
-    });
-    lock.lock();
-  }
+std::vector<InferenceEngine::Request> InferenceEngine::take_batch_locked() {
+  if (!may_dispatch_locked()) return {};
+  const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                        queue_.size(), config_.max_batch));
+  std::vector<Request> batch(std::make_move_iterator(queue_.begin()),
+                             std::make_move_iterator(end));
+  queue_.erase(queue_.begin(), end);
+  metrics_.queue_depth.add(-static_cast<std::int64_t>(batch.size()));
+  ++running_;
+  return batch;
+}
+
+void InferenceEngine::hand_off(std::vector<Request> batch) {
+  // The future is intentionally dropped: results and failures reach the
+  // caller through the per-request promises, not the job future.
+  (void)pool_.submit([this, b = std::move(batch)]() mutable {
+    process_batch(std::move(b));
+    std::vector<Request> next;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      --running_;
+      next = take_batch_locked();
+      // Notify while holding the mutex: shutdown() destroys this engine as
+      // soon as its wait observes nothing left, so an unlocked notify here
+      // could land on an already-destroyed condition variable (caught by
+      // TSan as pthread_cond_broadcast vs pthread_cond_destroy).
+      if (next.empty() && stopped_) wake_.notify_all();
+    }
+    // The next batch goes to the back of the pool's queue, not onto this
+    // worker: a saturated engine must leave the pool to other jobs.
+    if (!next.empty()) hand_off(std::move(next));
+  });
 }
 
 void InferenceEngine::process_batch(std::vector<Request> batch) {
@@ -236,16 +239,13 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       if (request.enqueued < cutoff) {
         metrics_.deadline_drops.inc();
         request.promise.set_exception(std::make_exception_ptr(
-            Error("request deadline exceeded before scoring")));
+            DeadlineExceeded("request deadline exceeded before scoring")));
       } else {
         live.push_back(std::move(request));
       }
     }
     batch = std::move(live);
-    if (batch.empty()) {
-      finish_batch();
-      return;
-    }
+    if (batch.empty()) return;
   }
   const std::size_t n = batch.size();
   // Tracing: sampled requests emit their queue wait (enqueue -> batch
@@ -292,7 +292,6 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       batch[i].promise.set_exception(std::current_exception());
     }
   }
-  finish_batch();
 }
 
 std::vector<Prediction> InferenceEngine::score(
@@ -412,16 +411,6 @@ std::vector<Prediction> InferenceEngine::score(
   metrics_.memo_bytes.add(static_cast<std::int64_t>(memo_.bytes()) -
                           static_cast<std::int64_t>(bytes_before));
   return results;
-}
-
-void InferenceEngine::finish_batch() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  --running_;
-  // Notify while holding the mutex: shutdown() destroys this engine as
-  // soon as its wait observes nothing running, so an unlocked notify
-  // here could land on an already-destroyed condition variable (caught
-  // by TSan as pthread_cond_broadcast vs pthread_cond_destroy).
-  wake_.notify_all();
 }
 
 std::size_t InferenceEngine::cache_entries() const {

@@ -17,12 +17,16 @@
 //    oversubscribed per-component threads. A queued batch splits nothing
 //    further: on a pool worker the row split runs serially, and GEMMs
 //    never split.
-//  * **Batching without a timer (Nagle's rule).** The dispatcher thread
-//    hands the pool up to max_batch queued requests when none of this
+//  * **Batching without a timer or a thread (Nagle's rule).** Up to
+//    max_batch queued requests leave for the pool when none of this
 //    engine's batches is running, or when max_batch are queued and fewer
-//    than pool-width batches are running. A lone request on an idle
-//    engine leaves at once; under load, requests queue while batches run
-//    and leave in full batches. The engine never has more than pool-width
+//    than pool-width batches are running. The rule runs where the queue
+//    changes: in the submit() that makes a hand-off due, and in the pool
+//    job that finishes a batch, which hands the next one back through
+//    the pool's queue rather than running it, so a saturated engine
+//    leaves the pool to other jobs. A lone request on an idle engine
+//    leaves at once; under load, requests queue while batches run and
+//    leave in full batches. The engine never has more than pool-width
 //    batches on the pool, so its backlog stays in its own queue, where
 //    max_queue bounds it and deadline drops what overstays.
 //  * **Matrix-in/Matrix-out batch scoring.** Each batch's memo misses are
@@ -80,7 +84,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -115,8 +118,8 @@ struct EngineConfig {
   std::size_t max_queue = 0;
   /// Per-request serving deadline (0 = none): a submitted request that
   /// has already waited this long when its batch is picked up is failed
-  /// with muffin::Error before any scoring work is spent on it. Queued
-  /// submits only: predict_batch scores before it could wait.
+  /// with muffin::DeadlineExceeded before any scoring work is spent on
+  /// it. Queued submits only: predict_batch scores before it could wait.
   std::chrono::milliseconds deadline{0};
   /// Version the construction-time model is registered under (>= 1).
   /// Servers loading a stamped artifact pass its model_version through.
@@ -253,7 +256,12 @@ class InferenceEngine {
   /// Whether Nagle's rule (file comment) lets a batch leave the queue
   /// now. Requires mutex_.
   [[nodiscard]] bool may_dispatch_locked() const;
-  void dispatch_loop();
+  /// The batch that may leave now (empty if none), taken off the queue
+  /// and counted in running_. Requires mutex_.
+  [[nodiscard]] std::vector<Request> take_batch_locked();
+  /// Submit a taken batch to the pool as one job, which scores it, then
+  /// hands off the next due batch as a new job.
+  void hand_off(std::vector<Request> batch);
   /// The queued path: deadline filter, the scoring core, promise delivery.
   void process_batch(std::vector<Request> batch);
   /// The one scoring core both entry points share: counts the batch, pins
@@ -261,9 +269,6 @@ class InferenceEngine {
   /// as one span, and memoizes them. Throws if scoring fails.
   [[nodiscard]] std::vector<Prediction> score(
       std::span<const data::Record> records, bool traced);
-  /// Release one batch handed to the pool and wake the dispatcher (or
-  /// shutdown(), once it waits).
-  void finish_batch();
 
   ModelRegistry registry_;
   EngineConfig config_;
@@ -284,18 +289,17 @@ class InferenceEngine {
   std::atomic<std::size_t> swaps_{0};
 
   // The queued path, under mutex_: submitted requests wait in queue_ until
-  // the dispatcher hands them to the pool. The same lock guards the stop
-  // flag and the in-flight counts, so shutdown() can wait for batches on
-  // the pool and predict_batch callers to finish without relying on pool
-  // destruction order. wake_ has one waiter: the dispatcher until it
-  // exits, then shutdown().
+  // a submit or a finishing batch hands them to the pool. The same lock
+  // guards the stop flag and the in-flight counts, so shutdown() can wait
+  // for batches on the pool and predict_batch callers to finish without
+  // relying on pool destruction order. wake_'s only waiters are
+  // shutdown() calls.
   std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<Request> queue_;
   std::size_t running_ = 0;  ///< batches handed to the pool, not finished
   std::size_t calls_ = 0;    ///< predict_batch calls in progress
   bool stopped_ = false;
-  std::thread dispatcher_;
 };
 
 /// Hot-swap from a MUFA artifact: map the head artifact at `path`

@@ -125,7 +125,7 @@ void encode_header(std::vector<std::uint8_t>& out, MsgType type,
 
 [[nodiscard]] std::vector<std::uint8_t> encode_score_request(
     std::uint64_t seq, std::span<const data::Record> records);
-/// Pointer-span overload: the client's dispatcher encodes straight from
+/// Pointer-span overload: a RemoteShard connection encodes straight from
 /// its request wrappers without copying every record first.
 [[nodiscard]] std::vector<std::uint8_t> encode_score_request(
     std::uint64_t seq, std::span<const data::Record* const> records);

@@ -1,6 +1,7 @@
-// Ablation tests backing the design decisions documented in DESIGN.md §4:
-// the miscalibration knobs bound head recovery, the fused system respects
-// the union bound, and REINFORCE moves probability mass as advertised.
+// Ablation tests backing the calibrated pool's design decisions
+// (models::CalibrationConfig, models/calibrated.h): the miscalibration
+// knobs bound head recovery, the fused system respects the union bound,
+// and REINFORCE moves probability mass as advertised.
 #include <gtest/gtest.h>
 
 #include "core/search.h"

@@ -84,10 +84,10 @@ inline std::int64_t queued_requests() {
   return obs::registry().snapshot().gauge_value("engine.batcher.depth");
 }
 
-/// Submit `record` and return once the engine's dispatcher has handed it
-/// to the pool. While that batch runs (held by a serve.engine.score
-/// delay), the engine's later submits wait in its queue until max_batch
-/// of them are queued. No other engine may queue meanwhile.
+/// Submit `record` and return once it has left the engine's queue for
+/// the pool. While that batch runs (held by a serve.engine.score delay),
+/// the engine's later submits wait in its queue until max_batch of them
+/// are queued. No other engine may queue meanwhile.
 inline std::future<Prediction> submit_and_wait_for_dispatch(
     InferenceEngine& engine, const data::Record& record) {
   const std::int64_t before = queued_requests();

@@ -246,7 +246,7 @@ TEST(ChaosShed, DeadlineDropsStaleRequestsBeforeScoring) {
     try {
       (void)future.get();
       FAIL() << "stale request was served past its deadline";
-    } catch (const Error& error) {
+    } catch (const DeadlineExceeded& error) {
       EXPECT_NE(std::string(error.what()).find("deadline"),
                 std::string::npos);
     }

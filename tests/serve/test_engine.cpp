@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <filesystem>
+#include <iterator>
 #include <thread>
 
 #include "common/error.h"
@@ -405,6 +408,49 @@ TEST(InferenceEngine, BacklogStaysInTheBoundedQueue) {
   EXPECT_LT(worst_shed_ms, 50.0);  // a twentieth of the scoring hold
 }
 
+TEST(InferenceEngine, ASaturatedEngineLeavesThePoolToOtherJobs) {
+  // A finishing batch hands the engine's next batch back through the
+  // pool's queue instead of running it on its own worker. So while a
+  // feeder keeps the engine saturated, a job submitted to the shared pool
+  // starts behind the batches already queued, not when the load stops.
+  const auto fused = make_fused(true);
+  EngineConfig config;
+  config.max_batch = 4;
+  config.result_cache_capacity = 0;
+  InferenceEngine engine(fused, config);
+  std::span<const data::Record> records = engine_dataset().records();
+  const fail::ScopedFailpoints hold("serve.engine.score=delay:5ms");
+  std::atomic<bool> stop{false};
+  std::thread feeder([&]() {
+    constexpr std::size_t kInFlight = 64;
+    std::deque<std::future<Prediction>> in_flight;
+    for (std::size_t i = 0; !stop.load(); ++i) {
+      if (in_flight.size() == kInFlight) {
+        (void)in_flight.front().get();
+        in_flight.pop_front();
+      }
+      in_flight.push_back(engine.submit(records[i % records.size()]));
+    }
+    for (std::future<Prediction>& future : in_flight) (void)future.get();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto submitted = std::chrono::steady_clock::now();
+  std::future<std::chrono::steady_clock::time_point> job =
+      common::global_pool().submit(
+          []() { return std::chrono::steady_clock::now(); });
+  // The feeder stops once the job has run, or after 2 s if it has not.
+  [[maybe_unused]] const std::future_status status =
+      job.wait_for(std::chrono::seconds(2));
+  stop.store(true);
+  feeder.join();
+  [[maybe_unused]] const auto waited = job.get() - submitted;
+  // Wall-clock bounds mean nothing under TSan's ~10x slowdown.
+#if !MUFFIN_UNDER_TSAN
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_LT(waited, std::chrono::milliseconds(100));
+#endif
+}
+
 TEST(InferenceEngine, ShutdownDrainsAndRejectsNewWork) {
   const auto fused = make_fused(true);
   InferenceEngine engine(fused);
@@ -619,8 +665,8 @@ TEST(Batcher, DeadlineFlushReleasesPartialBatch) {
 
 TEST(Batcher, ConsumerWakesForLateProducer) {
   // No timer holds a request back for company: on an idle engine each
-  // predict() is a batch of its own, however large max_batch is. The
-  // dispatcher is asleep before each request arrives and wakes for it.
+  // predict() is a batch of its own, however large max_batch is. Each
+  // submit finds nothing running and hands its request to the pool.
   const auto fused = make_fused(true);
   EngineConfig config;
   config.max_batch = 1000;
@@ -671,18 +717,29 @@ TEST(Batcher, CloseDrainsThenSignalsTermination) {
 }
 
 TEST(Batcher, CloseWakesBlockedConsumer) {
-  // An idle engine's dispatcher sleeps on its empty queue; shutdown()
-  // wakes it and returns, whether or not the engine ever served.
+  // There is no consumer to wake: an engine starts no thread of its own,
+  // and its batches run as jobs on the shared pool. So engines leave the
+  // process's thread count as it was, and shutdown() of an idle engine
+  // returns at once, whether or not the engine ever served.
+  const auto thread_count = []() {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return std::distance(std::filesystem::begin(tasks),
+                         std::filesystem::end(tasks));
+  };
   const auto fused = make_fused(true);
+  (void)common::global_pool();  // its workers are counted from the start
+  const auto threads = thread_count();
   InferenceEngine fresh(fused);
   InferenceEngine served(fused);
   (void)served.predict(engine_dataset().record(0));
+  EXPECT_EQ(thread_count(), threads);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   const auto before = std::chrono::steady_clock::now();
   fresh.shutdown();
   served.shutdown();
   EXPECT_LT(std::chrono::steady_clock::now() - before,
             std::chrono::seconds(5));
+  EXPECT_EQ(thread_count(), threads);
   EXPECT_THROW((void)fresh.submit(engine_dataset().record(1)), Error);
 }
 
